@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .atoms import Literal
-from .oracle import OracleConfig, OracleError, TheoryVerdict, TLemma
+from .oracle import OracleConfig, OracleError, TheoryOracle, TheoryVerdict
 from .terms import linear_atom_sexpr
 
 
@@ -133,7 +133,7 @@ class SolverSession:
                 self.proc.kill()
 
 
-class ExternalOracle:
+class ExternalOracle(TheoryOracle):
     """Theory oracle speaking SMT-LIB2 to a user-supplied solver command."""
 
     def __init__(self, table, config: OracleConfig):
@@ -202,9 +202,6 @@ class ExternalOracle:
             core.append(lit)
         return tuple(sorted(core))
 
-    def is_satisfiable(self, literals: Iterable[Literal]) -> bool:
-        return self._raw_check(frozenset(literals))[0]
-
     def check(self, literals: Iterable[Literal]) -> TheoryVerdict:
         lits = frozenset(literals)
         sat, core = self._raw_check(lits)
@@ -239,24 +236,6 @@ class ExternalOracle:
             if s.proc.poll() is None:
                 s.send("(pop 1)")
         return _parse_values(reply, names)
-
-    def minimize_core(self, literals: Iterable[Literal]) -> Tuple[Literal, ...]:
-        current = sorted(set(literals))
-        if self._raw_check(frozenset(current))[0]:
-            raise OracleError("minimize_core requires an unsatisfiable literal set")
-        for lit in list(current):
-            trial = [l for l in current if l != lit]
-            if not self._raw_check(frozenset(trial))[0]:
-                current = trial
-        return tuple(current)
-
-    def is_valid_lemma(self, lemma: TLemma) -> bool:
-        negated = [lit.negated() for lit in lemma.literals]
-        by_atom: Dict[int, bool] = {}
-        for lit in negated:
-            if by_atom.setdefault(lit.atom_index, lit.polarity) != lit.polarity:
-                return True
-        return not self.is_satisfiable(negated)
 
     def close(self) -> None:
         if self.session is not None:

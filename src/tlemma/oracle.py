@@ -1,10 +1,16 @@
 """Theory consistency of conjunctions of linear-rational literals.
 
-The builtin backend runs Fourier-Motzkin elimination over exact rationals
-with strictness tracking: equalities are used as substitutions first,
-disequalities (negated equalities) are case-split, and a derived constant
-constraint ``0 <= c`` / ``0 < c`` is contradictory iff ``c < 0``, or ``c = 0``
-with the strict flag set.  Chosen over simplex for simplicity and
+The builtin backend runs Fourier-Motzkin elimination with strictness
+tracking over integer rows.  A literal's row ``sum(c_i * x_i) REL b`` is
+scaled by the bound's denominator and divided by the gcd of its entries, so
+``c_i`` and ``b`` are coprime integers; each literal's row is built once per
+oracle.  Equalities are eliminated first and variables are then eliminated
+pairwise, both by integer cross-multiplication; disequalities (negated
+equalities) are case-split.  A derived constant constraint ``0 <= b`` /
+``0 < b`` is contradictory iff ``b < 0``, or ``b = 0`` with the strict flag
+set.  Every scaling is by a positive factor, so a row keeps its solution set,
+the signs of its coefficients and its strictness.  ``Fraction``s appear only
+where a model is built.  Chosen over simplex for simplicity and
 certificate-free core search via deletion; adequate at desk scale.  The
 backend is a documented hot-swap point.
 
@@ -17,6 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import AtomTable, Literal
@@ -68,8 +75,10 @@ class OracleConfig:
 
 # -- Fourier-Motzkin core ---------------------------------------------------
 
-# An inequality row: (coeffs, bound, strict) meaning sum(coeffs) {<,<=} bound.
-Row = Tuple[Dict[str, Fraction], Fraction, bool]
+# An inequality row: (coeffs, bound, strict) meaning sum(coeffs) {<,<=} bound,
+# over integers.  Equalities and disequalities are (coeffs, bound) pairs.
+Row = Tuple[Dict[str, int], int, bool]
+EqRow = Tuple[Dict[str, int], int]
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -77,24 +86,47 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise OracleTimeoutError("theory query exceeded its time budget")
 
 
-def _row_conflict(bound: Fraction, strict: bool) -> bool:
+def _row_conflict(bound, strict: bool) -> bool:
     return bound < 0 or (bound == 0 and strict)
 
 
-def _substitute(coeffs: Dict[str, Fraction], bound: Fraction, var: str,
-                expr: Dict[str, Fraction], expr_const: Fraction):
-    """Rewrite ``sum(coeffs) REL bound`` under var := expr + expr_const."""
-    k = coeffs.get(var)
-    if k is None or k == 0:
+def _reduced(coeffs: Dict[str, int], bound: int) -> EqRow:
+    """Divide an integer row by the gcd of its entries."""
+    g = gcd(bound, *coeffs.values())
+    if g > 1:
+        return {n: c // g for n, c in coeffs.items()}, bound // g
+    return coeffs, bound
+
+
+def _integral(coeffs: Dict[str, int], bound: Fraction) -> EqRow:
+    """Integer row for integer-valued ``coeffs`` and a rational ``bound``:
+    scale by the bound's denominator, then reduce."""
+    q = bound.denominator
+    return _reduced({n: int(c) * q for n, c in coeffs.items()}, bound.numerator)
+
+
+def _eliminate_eq(coeffs: Dict[str, int], bound: int, var: str,
+                  eq_coeffs: Dict[str, int], eq_bound: int) -> EqRow:
+    """Cancel ``var`` from a row with the equality ``sum(eq_coeffs) = eq_bound``.
+
+    The row is scaled by ``|k|``, k being the equality's coefficient of
+    ``var``, before a multiple of the equality is subtracted.
+    """
+    r = coeffs.get(var)
+    if r is None:
         return coeffs, bound
-    out = {n: c for n, c in coeffs.items() if n != var}
-    for n, c in expr.items():
-        nc = out.get(n, Fraction(0)) + k * c
+    k = eq_coeffs[var]
+    m, f = (k, r) if k > 0 else (-k, -r)
+    out = {n: m * c for n, c in coeffs.items() if n != var}
+    for n, c in eq_coeffs.items():
+        if n == var:
+            continue
+        nc = out.get(n, 0) - f * c
         if nc == 0:
             out.pop(n, None)
         else:
             out[n] = nc
-    return out, bound - k * expr_const
+    return _reduced(out, m * bound - f * eq_bound)
 
 
 def _eliminate_var(rows: List[Row], var: str, deadline: Optional[float]):
@@ -107,14 +139,11 @@ def _eliminate_var(rows: List[Row], var: str, deadline: Optional[float]):
         for lc, lb, ls in lower:
             _check_deadline(deadline)
             d = -lc[var]
-            coeffs: Dict[str, Fraction] = {}
-            for n, c in uc.items():
-                if n != var:
-                    coeffs[n] = d * c
+            coeffs = {n: d * c for n, c in uc.items() if n != var}
             for n, c in lc.items():
                 if n == var:
                     continue
-                nc = coeffs.get(n, Fraction(0)) + a * c
+                nc = coeffs.get(n, 0) + a * c
                 if nc == 0:
                     coeffs.pop(n, None)
                 else:
@@ -125,7 +154,7 @@ def _eliminate_var(rows: List[Row], var: str, deadline: Optional[float]):
                 if _row_conflict(bound, strict):
                     return None
             else:
-                new_rows.append((coeffs, bound, strict))
+                new_rows.append(_reduced(coeffs, bound) + (strict,))
     return new_rows
 
 
@@ -182,7 +211,7 @@ def _var_interval(rows: List[Row], var: str, deadline: Optional[float]):
         k = coeffs.get(var)
         if not k:
             continue
-        limit = bound / k
+        limit = Fraction(bound, k)
         if k > 0:
             if high is None or limit < high or (limit == high and strict):
                 high, high_strict = limit, strict
@@ -227,7 +256,7 @@ def _fm_model(rows: List[Row], deadline: Optional[float]) -> Dict[str, Fraction]
             rest = {n: c for n, c in coeffs.items() if n != var}
             new_bound = bound - k * value
             if rest:
-                next_work.append((rest, new_bound, strict))
+                next_work.append(_integral(rest, new_bound) + (strict,))
             else:
                 assert not _row_conflict(new_bound, strict)
         work = next_work
@@ -236,17 +265,15 @@ def _fm_model(rows: List[Row], deadline: Optional[float]) -> Dict[str, Fraction]
 
 def _solve_system(
     ineqs: List[Row],
-    eqs: List[Tuple[Dict[str, Fraction], Fraction]],
-    diseqs: List[Tuple[Dict[str, Fraction], Fraction]],
+    eqs: List[EqRow],
+    diseqs: List[EqRow],
     deadline: Optional[float],
     want_model: bool,
 ):
     """Satisfiability of ineqs & eqs & diseqs; model dict or None."""
     _check_deadline(deadline)
-    substitutions: List[Tuple[str, Dict[str, Fraction], Fraction]] = []
+    substitutions: List[Tuple[str, Dict[str, int], int]] = []
     eqs = list(eqs)
-    ineqs = list(ineqs)
-    diseqs = list(diseqs)
     while eqs:
         coeffs, bound = eqs.pop(0)
         if not coeffs:
@@ -254,16 +281,12 @@ def _solve_system(
                 return None
             continue
         var = min(coeffs)
-        k = coeffs[var]
-        expr = {n: -c / k for n, c in coeffs.items() if n != var}
-        expr_const = bound / k
-        substitutions.append((var, expr, expr_const))
-        eqs = [_substitute(c, b, var, expr, expr_const) for c, b in eqs]
+        substitutions.append((var, coeffs, bound))
+        eqs = [_eliminate_eq(c, b, var, coeffs, bound) for c, b in eqs]
         ineqs = [
-            _substitute(c, b, var, expr, expr_const) + (s,)
-            for c, b, s in ineqs
+            _eliminate_eq(c, b, var, coeffs, bound) + (s,) for c, b, s in ineqs
         ]
-        diseqs = [_substitute(c, b, var, expr, expr_const) for c, b in diseqs]
+        diseqs = [_eliminate_eq(c, b, var, coeffs, bound) for c, b in diseqs]
     for coeffs, bound in diseqs:
         if not coeffs and bound == 0:
             return None
@@ -273,7 +296,7 @@ def _solve_system(
         rest = diseqs[1:]
         model = None
         for branch in (
-            (dict(coeffs), bound, True),
+            (coeffs, bound, True),
             ({n: -c for n, c in coeffs.items()}, -bound, True),
         ):
             model = _solve_system(ineqs + [branch], [], rest, deadline, want_model)
@@ -284,17 +307,18 @@ def _solve_system(
     if model is None:
         return None
     if want_model:
-        for var, expr, expr_const in reversed(substitutions):
-            for n in expr:
-                model.setdefault(n, Fraction(0))
-            model[var] = sum(
-                (c * model[n] for n, c in expr.items()), Fraction(0)
-            ) + expr_const
+        for var, coeffs, bound in reversed(substitutions):
+            value = Fraction(bound)
+            for n, c in coeffs.items():
+                if n != var:
+                    value -= c * model.setdefault(n, Fraction(0))
+            model[var] = value / coeffs[var]
     return model
 
 
 def refine_literal(lit: Literal, atom: LinearAtom):
-    """Literal -> ('ineq', Row) | ('eq', (coeffs, b)) | ('diseq', (coeffs, b))."""
+    """Literal -> ('ineq', Row) | ('eq', (coeffs, b)) | ('diseq', (coeffs, b)),
+    with the atom's ``Fraction`` coefficients and bound."""
     coeffs = atom.coeff_map()
     bound = atom.bound
     rel = atom.relation
@@ -312,69 +336,16 @@ def refine_literal(lit: Literal, atom: LinearAtom):
     return ("diseq", (coeffs, bound))
 
 
-class BuiltinOracle:
-    """Exact-rational LRA consistency checks with memoized verdicts.
+class TheoryOracle:
+    """Behaviour shared by the backends.
 
-    One instance per worker; verdicts depend only on the literal set, so
-    memoization is sound.
+    A backend supplies ``_raw_check(lits)``, a tuple whose first item is
+    the verdict; satisfiability, deletion-based core minimization and lemma
+    validity follow from it.  By default a backend shares no verdict memo.
     """
-
-    def __init__(self, table, config: Optional[OracleConfig] = None):
-        self.table = table
-        self.config = config or OracleConfig()
-        self._raw: Dict[FrozenSet[Literal], Tuple[bool, Optional[Dict[str, Fraction]]]] = {}
-        self.n_raw_checks = 0
-
-    def _raw_check(self, lits: FrozenSet[Literal]):
-        hit = self._raw.get(lits)
-        if hit is not None and (
-            not hit[0] or hit[1] is not None or not self.config.model_production
-        ):
-            return hit
-        self.n_raw_checks += 1
-        ineqs: List[Row] = []
-        eqs: List[Tuple[Dict[str, Fraction], Fraction]] = []
-        diseqs: List[Tuple[Dict[str, Fraction], Fraction]] = []
-        for lit in sorted(lits):
-            kind, payload = refine_literal(lit, self.table.linear_atom(lit.atom_index))
-            if kind == "ineq":
-                ineqs.append(payload)
-            elif kind == "eq":
-                eqs.append(payload)
-            else:
-                diseqs.append(payload)
-        deadline = (
-            time.monotonic() + self.config.timeout_secs
-            if self.config.timeout_secs
-            else None
-        )
-        model = _solve_system(ineqs, eqs, diseqs, deadline, self.config.model_production)
-        result = (model is not None, model)
-        self._raw[lits] = result
-        return result
 
     def is_satisfiable(self, literals: Iterable[Literal]) -> bool:
         return self._raw_check(frozenset(literals))[0]
-
-    def check(self, literals: Iterable[Literal]) -> TheoryVerdict:
-        lits = frozenset(literals)
-        for lit in lits:
-            if self.table.kind_of(lit.atom_index).value != "theory":
-                raise OracleError(f"literal on non-theory atom {lit.atom_index}")
-        sat, model = self._raw_check(lits)
-        if sat:
-            if self.config.model_production and model is not None:
-                full = dict(model)
-                for lit in lits:
-                    for name in self.table.linear_atom(lit.atom_index).variables:
-                        full.setdefault(name, Fraction(0))
-                return TheoryVerdict(True, model=full)
-            return TheoryVerdict(True)
-        if self.config.minimize_cores:
-            core = self.minimize_core(lits)
-        else:
-            core = tuple(sorted(lits))
-        return TheoryVerdict(False, core=core)
 
     def minimize_core(self, literals: Iterable[Literal]) -> Tuple[Literal, ...]:
         """Deletion-based minimal unsat subset, scanning ascending atom index."""
@@ -396,8 +367,95 @@ class BuiltinOracle:
                 return True
         return not self.is_satisfiable(negated)
 
+    def export_memo(self) -> Dict[FrozenSet[Literal], tuple]:
+        """Verdicts another instance over the same atoms may import."""
+        return {}
+
+    def import_memo(self, memo: Dict[FrozenSet[Literal], tuple]) -> None:
+        """Adopt verdicts exported by another instance over the same atoms."""
+
     def close(self) -> None:
         pass
+
+
+class BuiltinOracle(TheoryOracle):
+    """Exact LRA consistency checks with memoized verdicts.
+
+    One instance per worker; verdicts depend only on the literal set, so
+    memoization is sound.
+    """
+
+    def __init__(self, table, config: Optional[OracleConfig] = None):
+        self.table = table
+        self.config = config or OracleConfig()
+        self._raw: Dict[FrozenSet[Literal], Tuple[bool, Optional[Dict[str, Fraction]]]] = {}
+        self._rows: Dict[Literal, Tuple[str, tuple]] = {}
+        self.n_raw_checks = 0
+
+    def _row(self, lit: Literal) -> Tuple[str, tuple]:
+        """The literal's kind and integer row, built on first use.
+
+        Every check shares the cached row, so the solver never mutates rows.
+        """
+        hit = self._rows.get(lit)
+        if hit is None:
+            kind, payload = refine_literal(lit, self.table.linear_atom(lit.atom_index))
+            hit = self._rows[lit] = (kind, _integral(*payload[:2]) + payload[2:])
+        return hit
+
+    def _raw_check(self, lits: FrozenSet[Literal]):
+        hit = self._raw.get(lits)
+        if hit is not None and (
+            not hit[0] or hit[1] is not None or not self.config.model_production
+        ):
+            return hit
+        self.n_raw_checks += 1
+        ineqs: List[Row] = []
+        eqs: List[EqRow] = []
+        diseqs: List[EqRow] = []
+        for lit in sorted(lits):
+            kind, row = self._row(lit)
+            if kind == "ineq":
+                ineqs.append(row)
+            elif kind == "eq":
+                eqs.append(row)
+            else:
+                diseqs.append(row)
+        deadline = (
+            time.monotonic() + self.config.timeout_secs
+            if self.config.timeout_secs
+            else None
+        )
+        model = _solve_system(ineqs, eqs, diseqs, deadline, self.config.model_production)
+        result = (model is not None, model)
+        self._raw[lits] = result
+        return result
+
+    def check(self, literals: Iterable[Literal]) -> TheoryVerdict:
+        lits = frozenset(literals)
+        for lit in lits:
+            if self.table.kind_of(lit.atom_index).value != "theory":
+                raise OracleError(f"literal on non-theory atom {lit.atom_index}")
+        sat, model = self._raw_check(lits)
+        if sat:
+            if self.config.model_production and model is not None:
+                full = dict(model)
+                for lit in lits:
+                    for name in self.table.linear_atom(lit.atom_index).variables:
+                        full.setdefault(name, Fraction(0))
+                return TheoryVerdict(True, model=full)
+            return TheoryVerdict(True)
+        if self.config.minimize_cores:
+            core = self.minimize_core(lits)
+        else:
+            core = tuple(sorted(lits))
+        return TheoryVerdict(False, core=core)
+
+    def export_memo(self) -> Dict[FrozenSet[Literal], tuple]:
+        return dict(self._raw)
+
+    def import_memo(self, memo: Dict[FrozenSet[Literal], tuple]) -> None:
+        self._raw.update(memo)
 
 
 def lemma_from_core(core: Iterable[Literal]) -> TLemma:

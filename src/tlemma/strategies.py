@@ -235,8 +235,7 @@ def _phase2_worker(payload):
     (cnf, view, config, seeds, cubes, proj, remaining, early, interval, memo) = payload
     deadline = time.monotonic() + remaining if remaining is not None else None
     oracle = make_oracle(view, config)
-    if memo and hasattr(oracle, "_raw"):
-        oracle._raw.update(memo)
+    oracle.import_memo(memo)
     results = []
     try:
         for ordinal, cube in cubes:
@@ -344,7 +343,7 @@ def enumerate_dnc(
         shipped_cnf = cnf.without_source()
         remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         # Warm each worker's verdict memo with what phase 1 already learned.
-        memo = dict(getattr(oracle, "_raw", ()) or {})
+        memo = oracle.export_memo()
         shares: List[List[Tuple[int, List[Literal]]]] = [
             [] for _ in range(spec.workers)
         ]
@@ -420,15 +419,23 @@ def with_partitioning(phi, table: AtomTable, oracle, inner, **kw) -> LemmaSet:
     acc: List[TLemma] = []
     prov: List[LemmaProvenance] = []
     for ci, component in enumerate(components):
-        ls = inner(
-            phi,
-            table,
-            oracle,
-            proj=sorted(component),
-            seed_lemmas=base_seeds + tuple(acc),
-            stage=f"{stage}:component{ci}",
-            **kw,
-        )
+        try:
+            ls = inner(
+                phi,
+                table,
+                oracle,
+                proj=sorted(component),
+                seed_lemmas=base_seeds + tuple(acc),
+                stage=f"{stage}:component{ci}",
+                **kw,
+            )
+        except BudgetExceeded as exc:
+            # Keep what the earlier components found, not just this pass's.
+            acc.extend(exc.partial.lemmas)
+            prov.extend(exc.partial.provenance)
+            raise BudgetExceeded(
+                dedup_lemmas(acc, prov, spec.subsume), exc.counters
+            ) from exc
         acc.extend(ls.lemmas)
         prov.extend(ls.provenance)
     return dedup_lemmas(acc, prov, spec.subsume)

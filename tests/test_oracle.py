@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from helpers import L, atoms_problem, random_theory_literals, simplex_satisfiable
 from tlemma.atoms import Literal
@@ -104,6 +106,62 @@ class TestSoundness:
                 n_unsat += 1
                 assert not simplex_satisfiable(v.core, p.table)
         assert n_sat and n_unsat
+
+
+def _const(num: int, den: int = 1) -> str:
+    text = f"(/ {abs(num)} {den})" if den > 1 else str(abs(num))
+    return f"(- {text})" if num < 0 else text
+
+
+@st.composite
+def _atom_text(draw) -> str:
+    """A linear atom over x, y, z with a rational constant."""
+    names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+    terms = []
+    for name in names:
+        c = draw(st.integers(-3, 3).filter(bool))
+        terms.append(name if c == 1 else f"(* {_const(c)} {name})")
+    lhs = terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")"
+    rel = draw(st.sampled_from(("<=", "<", ">=", ">", "=")))
+    return f"({rel} {lhs} {_const(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))})"
+
+
+class TestDifferentialRational:
+    """Random conjunctions against the simplex reference: rational bounds,
+    equalities with non-unit coefficients, disequalities (negated
+    equalities), strict and non-strict inequalities."""
+
+    @seed(2602)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        atoms=st.lists(_atom_text(), min_size=1, max_size=6),
+        polarities=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @example(
+        atoms=["(<= x (/ 1 2))", "(= (+ (* 2 x) (* 3 y)) (/ 5 3))", "(> y (- (/ 1 3)))"],
+        polarities=[True, True, True, True, True, True],
+    )
+    @example(
+        atoms=["(= (+ (* 2 x) (* (- 3) z)) (/ 1 4))", "(< (+ x z) (/ 7 2))",
+               "(>= (* 3 z) (- (/ 2 3)))", "(= (+ x (* 2 y)) 1)"],
+        polarities=[True, False, True, False, True, True],
+    )
+    @example(
+        # The second equality turns into -y + 2z = -1 once x is substituted.
+        atoms=["(= (+ x y) 1)", "(= (+ x (* 2 z)) 0)", "(>= y 2)", "(<= z 0)"],
+        polarities=[True, True, True, True, True, True],
+    )
+    def test_verdicts_models_and_cores(self, atoms, polarities):
+        p = atoms_problem(*atoms)
+        lits = [Literal(i, pol) for i, pol in zip(p.table.theory_indices(), polarities)]
+        oracle = BuiltinOracle(p.table, OracleConfig(model_production=True))
+        v = oracle.check(lits)
+        assert v.satisfiable == simplex_satisfiable(lits, p.table)
+        if v.satisfiable:
+            for lit in lits:
+                assert p.table.linear_atom(lit.atom_index).evaluate(v.model) == lit.polarity
+        else:
+            assert not simplex_satisfiable(v.core, p.table)
 
 
 class TestMinimizeCore:

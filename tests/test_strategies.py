@@ -1,6 +1,8 @@
 import pytest
 
 from helpers import L, random_problem
+from tlemma import strategies
+from tlemma.generator import product_instance
 from tlemma.oracle import BuiltinOracle, TLemma
 from tlemma.problem import Problem
 from tlemma.strategies import (
@@ -291,3 +293,30 @@ class TestRunStrategy:
         p = random_problem(depth=5, seed=123, max_atoms=12)
         res = run_strategy(p, StrategySpec(budget_secs=0.0))
         assert res.truncated
+
+    def test_budget_in_later_component_keeps_earlier_lemmas(self, monkeypatch):
+        # The budget expires as the second component's pass starts; the run
+        # must still return what the first component's pass found.
+        p = Problem.from_text(product_instance(1, n_groups=3))
+        spec = StrategySpec.from_name("baseline-proj-part")
+        full = run_strategy(p, spec)
+        first = {
+            lemma.key
+            for lemma, prov in zip(full.lemma_set.lemmas, full.lemma_set.provenance)
+            if prov.stage == "baseline:component0"
+        }
+        assert first
+        real = strategies.enumerate_baseline
+        stages = []
+
+        def expire_after_first(*args, **kw):
+            stages.append(kw["stage"])
+            if len(stages) > 1:
+                kw["deadline"] = 0.0
+            return real(*args, **kw)
+
+        monkeypatch.setattr(strategies, "enumerate_baseline", expire_after_first)
+        res = run_strategy(p, spec)
+        assert res.truncated
+        assert stages == ["baseline:component0", "baseline:component1"]
+        assert first <= res.lemma_set.keys()
