@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from .atoms import AtomKind, AtomTable, Literal, eval3
 from .cnf import CnfProblem
-from .oracle import TheoryVerdict, TLemma, lemma_from_core
+from .oracle import OracleTimeoutError, TheoryVerdict, TLemma, lemma_from_core
 from .terms import Term
 
 UNASSIGNED = 2
@@ -386,14 +386,12 @@ class _Engine:
 
     def _handle_candidate(self) -> Optional[List[int]]:
         """Process a total candidate.  Returns the codes of the clause that
-        now blocks it, or None when the search is finished."""
+        now blocks it, or None when the search is finished or truncated."""
         self.stats.n_candidates += 1
         theory_lits = self._assigned_theory_literals(total=True)
-        if theory_lits:
-            self.stats.n_theory_checks += 1
-            verdict = self.oracle.check(theory_lits)
-        else:
-            verdict = TheoryVerdict(True)
+        verdict = self._theory_check(theory_lits) if theory_lits else TheoryVerdict(True)
+        if verdict is None:
+            return None
         if not verdict.satisfiable:
             return self._emit_lemma(verdict)
         alpha_map = {i: self.values[i] == 1 for i in range(self.n_atoms)}
@@ -424,11 +422,20 @@ class _Engine:
         lits = self._assigned_theory_literals(total=False)
         if not lits:
             return None
-        self.stats.n_theory_checks += 1
-        verdict = self.oracle.check(lits)
-        if verdict.satisfiable:
+        verdict = self._theory_check(lits)
+        if verdict is None or verdict.satisfiable:
             return None
         return self._emit_lemma(verdict)
+
+    def _theory_check(self, lits: List[Literal]) -> Optional[TheoryVerdict]:
+        """The oracle's verdict, or None after it timed out, which truncates
+        the run: what was found so far is returned."""
+        self.stats.n_theory_checks += 1
+        try:
+            return self.oracle.check(lits)
+        except OracleTimeoutError:
+            self.truncated = True
+            return None
 
     # -- main loop --------------------------------------------------------------
 
@@ -445,6 +452,8 @@ class _Engine:
             if self.early_pruning and self.since_prune >= self.pruning_interval:
                 self.since_prune = 0
                 lemma_codes = self._early_prune()
+                if self.truncated:
+                    break
                 if lemma_codes is not None:
                     alive = self._backtrack_clause(lemma_codes)
                     continue
@@ -486,7 +495,8 @@ def projected_allsmt(
 
     Returns the projected assignments, the lemmas minted from every theory
     conflict hit during the search, and run counters.  When the budget
-    expires, partial results are returned with ``truncated`` set.
+    expires or an oracle check times out, partial results are returned with
+    ``truncated`` set.
     """
     proj = sorted(set(proj))
     alpha = set(cnf.alpha_indices)

@@ -4,7 +4,9 @@ One subprocess per oracle instance (hence per worker).  Each query is a
 ``(push 1) (assert (! lit :named ...)) ... (check-sat) [(get-unsat-core)]
 (pop 1)`` exchange; the named core is mapped back to literals.  Solver
 misbehavior (``unknown``, protocol violations, early exit, timeouts) raises
-:class:`ExternalSolverError` and is never silently treated as a verdict.
+:class:`ExternalSolverError` and is never silently treated as a verdict; the
+session it happened in is killed, so a late reply cannot answer the next
+query, which starts a fresh session.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import shlex
 import subprocess
 import time
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .atoms import Literal
 from .oracle import OracleConfig, OracleError, TheoryOracle, TheoryVerdict
@@ -121,6 +123,16 @@ class SolverSession:
             else:
                 out.append(ch)
 
+    def kill(self) -> None:
+        """End the process at once, without the ``(exit)`` handshake."""
+        self.proc.kill()
+        self.proc.wait()
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # unsent input for a process that is gone
+                pass
+
     def close(self) -> None:
         if self.proc.poll() is None:
             try:
@@ -143,7 +155,7 @@ class ExternalOracle(TheoryOracle):
         self.config = config
         self.session: Optional[SolverSession] = None
         self.n_raw_checks = 0
-        self._sat_memo: Dict[FrozenSet[Literal], bool] = {}
+        self._sat_memo: Set[FrozenSet[Literal]] = set()
 
     def _ensure_session(self) -> SolverSession:
         if self.session is None:
@@ -163,30 +175,38 @@ class ExternalOracle(TheoryOracle):
         return atom if lit.polarity else f"(not {atom})"
 
     def _raw_check(self, lits: FrozenSet[Literal]) -> Tuple[bool, Optional[Tuple[Literal, ...]]]:
-        memo = self._sat_memo.get(lits)
-        if memo is True:
+        """``(True, None)``, or ``(False, core)`` with the solver's core."""
+        if lits in self._sat_memo:
             return True, None
         s = self._ensure_session()
         self.n_raw_checks += 1
-        s.send("(push 1)")
         try:
+            s.send("(push 1)")
             for lit in sorted(lits):
                 s.send(f"(assert (! {self._literal_sexpr(lit)} :named {_lit_name(lit)}))")
             s.send("(check-sat)")
             reply = s.read_sexpr()
             if reply == "sat":
-                self._sat_memo[lits] = True
-                return True, None
-            if reply == "unsat":
-                self._sat_memo[lits] = False
+                result = (True, None)
+            elif reply == "unsat":
                 s.send("(get-unsat-core)")
-                core_reply = s.read_sexpr()
-                core = self._parse_core(core_reply, lits)
-                return False, core
-            raise ExternalSolverError(f"unexpected solver reply: {reply}")
-        finally:
-            if s.proc.poll() is None:
-                s.send("(pop 1)")
+                result = (False, self._parse_core(s.read_sexpr(), lits))
+            else:
+                raise ExternalSolverError(f"unexpected solver reply: {reply}")
+            s.send("(pop 1)")
+        except ExternalSolverError:
+            self._drop_session()
+            raise
+        if result[0]:
+            self._sat_memo.add(lits)
+        return result
+
+    def _drop_session(self) -> None:
+        """Kill a session whose replies can no longer be matched to queries
+        (a late, missing or garbled reply may still be in flight); the next
+        query starts a fresh one."""
+        self.session.kill()
+        self.session = None
 
     @staticmethod
     def _parse_core(reply: str, asked: FrozenSet[Literal]) -> Tuple[Literal, ...]:
@@ -223,8 +243,8 @@ class ExternalOracle(TheoryOracle):
             return {}
         s = self._ensure_session()
         # Model queries must run before the enclosing pop; redo the asserts.
-        s.send("(push 1)")
         try:
+            s.send("(push 1)")
             for lit in sorted(lits):
                 s.send(f"(assert {self._literal_sexpr(lit)})")
             s.send("(check-sat)")
@@ -232,9 +252,10 @@ class ExternalOracle(TheoryOracle):
                 raise ExternalSolverError("solver flipped verdict during model query")
             s.send(f"(get-value ({' '.join(names)}))")
             reply = s.read_sexpr()
-        finally:
-            if s.proc.poll() is None:
-                s.send("(pop 1)")
+            s.send("(pop 1)")
+        except ExternalSolverError:
+            self._drop_session()
+            raise
         return _parse_values(reply, names)
 
     def close(self) -> None:

@@ -10,12 +10,27 @@ equalities) are case-split.  A derived constant constraint ``0 <= b`` /
 ``0 < b`` is contradictory iff ``b < 0``, or ``b = 0`` with the strict flag
 set.  Every scaling is by a positive factor, so a row keeps its solution set,
 the signs of its coefficients and its strictness.  ``Fraction``s appear only
-where a model is built.  Chosen over simplex for simplicity and
-certificate-free core search via deletion; adequate at desk scale.  The
-backend is a documented hot-swap point.
+where a model is built.  The backend is a documented hot-swap point.
+
+Every row carries an origin mask, an ``int`` with one bit per query literal:
+the literals the row was derived from (Imbert's history sets).  Combining
+two rows joins their masks, so a derived contradiction names an
+unsatisfiable subset of the query, its witness.  A disequality's split ends
+after the first branch when that branch's contradiction does not use the
+branch row: it refutes the other branch as well.
 
 Cores are minimized by deletion in ascending atom-index order, so identical
 queries always yield identical cores and therefore identical lemmas.
+Deletion skips the check for a literal outside the last witness: the trial
+set still contains the witness, so it is unsatisfiable, and the core is
+exactly the one plain deletion returns.
+
+A conjunction is consistent iff each of its restrictions to the
+symbol-disjoint components of ``partition_atoms`` is, since those share no
+variable.  The builtin backend therefore solves and memoizes each part of a
+query on its own: k components with m consistent parts each take k*m memo
+entries rather than m**k.  A query's witness is the first unsatisfiable
+part's, and its model the union of the parts' models.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import AtomTable, Literal
+from .partition import partition_atoms
 from .terms import LinearAtom, Relation
 
 
@@ -75,10 +91,12 @@ class OracleConfig:
 
 # -- Fourier-Motzkin core ---------------------------------------------------
 
-# An inequality row: (coeffs, bound, strict) meaning sum(coeffs) {<,<=} bound,
-# over integers.  Equalities and disequalities are (coeffs, bound) pairs.
-Row = Tuple[Dict[str, int], int, bool]
-EqRow = Tuple[Dict[str, int], int]
+# An inequality row: (coeffs, bound, mask, strict) meaning
+# sum(coeffs) {<,<=} bound over integers, derived from the query literals
+# whose bits are set in the origin mask.  Equalities and disequalities are
+# (coeffs, bound, mask) triples.
+Row = Tuple[Dict[str, int], int, int, bool]
+EqRow = Tuple[Dict[str, int], int, int]
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -90,7 +108,7 @@ def _row_conflict(bound, strict: bool) -> bool:
     return bound < 0 or (bound == 0 and strict)
 
 
-def _reduced(coeffs: Dict[str, int], bound: int) -> EqRow:
+def _reduced(coeffs: Dict[str, int], bound: int) -> Tuple[Dict[str, int], int]:
     """Divide an integer row by the gcd of its entries."""
     g = gcd(bound, *coeffs.values())
     if g > 1:
@@ -98,23 +116,25 @@ def _reduced(coeffs: Dict[str, int], bound: int) -> EqRow:
     return coeffs, bound
 
 
-def _integral(coeffs: Dict[str, int], bound: Fraction) -> EqRow:
+def _integral(coeffs: Dict[str, int], bound: Fraction) -> Tuple[Dict[str, int], int]:
     """Integer row for integer-valued ``coeffs`` and a rational ``bound``:
     scale by the bound's denominator, then reduce."""
     q = bound.denominator
     return _reduced({n: int(c) * q for n, c in coeffs.items()}, bound.numerator)
 
 
-def _eliminate_eq(coeffs: Dict[str, int], bound: int, var: str,
-                  eq_coeffs: Dict[str, int], eq_bound: int) -> EqRow:
+def _eliminate_eq(coeffs: Dict[str, int], bound: int, mask: int, var: str,
+                  eq: EqRow) -> EqRow:
     """Cancel ``var`` from a row with the equality ``sum(eq_coeffs) = eq_bound``.
 
     The row is scaled by ``|k|``, k being the equality's coefficient of
-    ``var``, before a multiple of the equality is subtracted.
+    ``var``, before a multiple of the equality is subtracted; the result's
+    origin mask joins both masks.  A row without ``var`` is returned as is.
     """
     r = coeffs.get(var)
     if r is None:
-        return coeffs, bound
+        return coeffs, bound, mask
+    eq_coeffs, eq_bound, eq_mask = eq
     k = eq_coeffs[var]
     m, f = (k, r) if k > 0 else (-k, -r)
     out = {n: m * c for n, c in coeffs.items() if n != var}
@@ -126,18 +146,19 @@ def _eliminate_eq(coeffs: Dict[str, int], bound: int, var: str,
             out.pop(n, None)
         else:
             out[n] = nc
-    return _reduced(out, m * bound - f * eq_bound)
+    return _reduced(out, m * bound - f * eq_bound) + (mask | eq_mask,)
 
 
 def _eliminate_var(rows: List[Row], var: str, deadline: Optional[float]):
-    """One Fourier-Motzkin step; None when a contradiction is derived."""
+    """One Fourier-Motzkin step: the rows without ``var``, or the origin
+    mask (an ``int``) of a derived contradiction."""
     upper = [r for r in rows if r[0].get(var, 0) > 0]
     lower = [r for r in rows if r[0].get(var, 0) < 0]
     new_rows = [r for r in rows if var not in r[0]]
-    for uc, ub, us in upper:
+    for uc, ub, um, us in upper:
+        _check_deadline(deadline)
         a = uc[var]
-        for lc, lb, ls in lower:
-            _check_deadline(deadline)
+        for lc, lb, lm, ls in lower:
             d = -lc[var]
             coeffs = {n: d * c for n, c in uc.items() if n != var}
             for n, c in lc.items():
@@ -152,15 +173,15 @@ def _eliminate_var(rows: List[Row], var: str, deadline: Optional[float]):
             strict = us or ls
             if not coeffs:
                 if _row_conflict(bound, strict):
-                    return None
+                    return um | lm
             else:
-                new_rows.append(_reduced(coeffs, bound) + (strict,))
+                new_rows.append(_reduced(coeffs, bound) + (um | lm, strict))
     return new_rows
 
 
 def _pick_var(rows: List[Row]) -> Optional[str]:
     occurrence: Dict[str, Tuple[int, int]] = {}
-    for coeffs, _, _ in rows:
+    for coeffs, _, _, _ in rows:
         for name, c in coeffs.items():
             pos, neg = occurrence.get(name, (0, 0))
             occurrence[name] = (pos + 1, neg) if c > 0 else (pos, neg + 1)
@@ -170,20 +191,21 @@ def _pick_var(rows: List[Row]) -> Optional[str]:
 
 
 def _fm_eliminate(rows: List[Row], deadline: Optional[float], want_model: bool):
-    """Returns a model dict for the row system, or None if inconsistent."""
-    for coeffs, bound, strict in rows:
+    """A model dict for the row system (empty unless ``want_model``), or the
+    origin mask of a contradiction."""
+    for coeffs, bound, mask, strict in rows:
         if not coeffs and _row_conflict(bound, strict):
-            return None
+            return mask
     work = [r for r in rows if r[0]]
-    original = list(work)
+    original = work
     while True:
         _check_deadline(deadline)
         var = _pick_var(work)
         if var is None:
             break
         work = _eliminate_var(work, var, deadline)
-        if work is None:
-            return None
+        if isinstance(work, int):
+            return work
     if not want_model:
         return {}
     return _fm_model(original, deadline)
@@ -194,7 +216,7 @@ def _var_interval(rows: List[Row], var: str, deadline: Optional[float]):
     work = list(rows)
     while True:
         other = None
-        for coeffs, _, _ in work:
+        for coeffs, _, _, _ in work:
             for name in coeffs:
                 if name != var:
                     other = name
@@ -204,10 +226,10 @@ def _var_interval(rows: List[Row], var: str, deadline: Optional[float]):
         if other is None:
             break
         work = _eliminate_var(work, other, deadline)
-        assert work is not None, "projection of a satisfiable system failed"
+        assert not isinstance(work, int), "projection of a satisfiable system failed"
     low = high = None
     low_strict = high_strict = False
-    for coeffs, bound, strict in work:
+    for coeffs, bound, _, strict in work:
         k = coeffs.get(var)
         if not k:
             continue
@@ -248,15 +270,16 @@ def _fm_model(rows: List[Row], deadline: Optional[float]) -> Dict[str, Fraction]
             value = (low + high) / 2
         model[var] = value
         next_work: List[Row] = []
-        for coeffs, bound, strict in work:
+        for row in work:
+            coeffs, bound, mask, strict = row
             k = coeffs.get(var)
             if not k:
-                next_work.append((coeffs, bound, strict))
+                next_work.append(row)
                 continue
             rest = {n: c for n, c in coeffs.items() if n != var}
             new_bound = bound - k * value
             if rest:
-                next_work.append(_integral(rest, new_bound) + (strict,))
+                next_work.append(_integral(rest, new_bound) + (mask, strict))
             else:
                 assert not _row_conflict(new_bound, strict)
         work = next_work
@@ -266,46 +289,54 @@ def _fm_model(rows: List[Row], deadline: Optional[float]) -> Dict[str, Fraction]
 def _solve_system(
     ineqs: List[Row],
     eqs: List[EqRow],
-    diseqs: List[EqRow],
+    diseqs: List[Tuple[Dict[str, int], int, int, int]],
     deadline: Optional[float],
     want_model: bool,
 ):
-    """Satisfiability of ineqs & eqs & diseqs; model dict or None."""
+    """Satisfiability of ineqs & eqs & diseqs: a model dict (empty unless
+    ``want_model``), or the origin mask (an ``int``) of a contradiction.
+
+    A disequality is ``(coeffs, bound, mask, bit)``, ``bit`` being its own
+    literal's bit, which only rows derived from it carry.
+    """
     _check_deadline(deadline)
     substitutions: List[Tuple[str, Dict[str, int], int]] = []
     eqs = list(eqs)
     while eqs:
-        coeffs, bound = eqs.pop(0)
+        eq = eqs.pop(0)
+        coeffs, bound, mask = eq
         if not coeffs:
             if bound != 0:
-                return None
+                return mask
             continue
         var = min(coeffs)
         substitutions.append((var, coeffs, bound))
-        eqs = [_eliminate_eq(c, b, var, coeffs, bound) for c, b in eqs]
-        ineqs = [
-            _eliminate_eq(c, b, var, coeffs, bound) + (s,) for c, b, s in ineqs
-        ]
-        diseqs = [_eliminate_eq(c, b, var, coeffs, bound) for c, b in diseqs]
-    for coeffs, bound in diseqs:
+        eqs = [_eliminate_eq(c, b, m, var, eq) for c, b, m in eqs]
+        ineqs = [_eliminate_eq(c, b, m, var, eq) + (s,) for c, b, m, s in ineqs]
+        diseqs = [_eliminate_eq(c, b, m, var, eq) + (bit,) for c, b, m, bit in diseqs]
+    for coeffs, bound, mask, _ in diseqs:
         if not coeffs and bound == 0:
-            return None
-    diseqs = [(c, b) for c, b in diseqs if c]
+            return mask
+    diseqs = [d for d in diseqs if d[0]]
     if diseqs:
-        coeffs, bound = diseqs[0]
-        rest = diseqs[1:]
-        model = None
+        (coeffs, bound, mask, bit), rest = diseqs[0], diseqs[1:]
+        conflict = 0
         for branch in (
-            (coeffs, bound, True),
-            ({n: -c for n, c in coeffs.items()}, -bound, True),
+            (coeffs, bound, mask, True),
+            ({n: -c for n, c in coeffs.items()}, -bound, mask, True),
         ):
             model = _solve_system(ineqs + [branch], [], rest, deadline, want_model)
-            if model is not None:
+            if not isinstance(model, int):
                 break
+            if not model & bit:
+                return model  # refutes the other branch too
+            conflict |= model
+        else:
+            return conflict
     else:
         model = _fm_eliminate(ineqs, deadline, want_model)
-    if model is None:
-        return None
+        if isinstance(model, int):
+            return model
     if want_model:
         for var, coeffs, bound in reversed(substitutions):
             value = Fraction(bound)
@@ -339,23 +370,35 @@ def refine_literal(lit: Literal, atom: LinearAtom):
 class TheoryOracle:
     """Behaviour shared by the backends.
 
-    A backend supplies ``_raw_check(lits)``, a tuple whose first item is
-    the verdict; satisfiability, deletion-based core minimization and lemma
-    validity follow from it.  By default a backend shares no verdict memo.
+    A backend supplies ``_raw_check(lits)``: ``(True, model)``, or
+    ``(False, witness)`` with ``witness`` an unsatisfiable subset of
+    ``lits``.  Satisfiability, core minimization and lemma validity follow
+    from it.  By default a backend shares no verdict memo.
     """
 
     def is_satisfiable(self, literals: Iterable[Literal]) -> bool:
         return self._raw_check(frozenset(literals))[0]
 
     def minimize_core(self, literals: Iterable[Literal]) -> Tuple[Literal, ...]:
-        """Deletion-based minimal unsat subset, scanning ascending atom index."""
+        """Deletion-based minimal unsat subset, scanning ascending atom index.
+
+        A literal outside the last witness is dropped without a check: the
+        trial set still contains that witness, so it is unsatisfiable and
+        plain deletion would drop the literal too.  The core is therefore
+        exactly the one plain deletion returns.
+        """
         current = sorted(set(literals))
-        if self._raw_check(frozenset(current))[0]:
+        sat, witness = self._raw_check(frozenset(current))
+        if sat:
             raise OracleError("minimize_core requires an unsatisfiable literal set")
         for lit in list(current):
             trial = [l for l in current if l != lit]
-            if not self._raw_check(frozenset(trial))[0]:
-                current = trial
+            if lit in witness:
+                sat, found = self._raw_check(frozenset(trial))
+                if sat:
+                    continue
+                witness = found
+            current = trial
         return tuple(current)
 
     def is_valid_lemma(self, lemma: TLemma) -> bool:
@@ -382,52 +425,89 @@ class BuiltinOracle(TheoryOracle):
     """Exact LRA consistency checks with memoized verdicts.
 
     One instance per worker; verdicts depend only on the literal set, so
-    memoization is sound.
+    memoization is sound.  A query is split by the symbol-disjoint atom
+    partition and each part is solved and memoized on its own, so
+    ``n_raw_checks`` counts per-component Fourier-Motzkin solves, and
+    ``timeout_secs`` bounds each of them.
     """
 
     def __init__(self, table, config: Optional[OracleConfig] = None):
         self.table = table
         self.config = config or OracleConfig()
-        self._raw: Dict[FrozenSet[Literal], Tuple[bool, Optional[Dict[str, Fraction]]]] = {}
-        self._rows: Dict[Literal, Tuple[str, tuple]] = {}
+        self._raw: Dict[FrozenSet[Literal], tuple] = {}
+        self._rows: Dict[Literal, tuple] = {}
+        self._component = [0] * len(table)
+        for ci, component in enumerate(partition_atoms(table).components):
+            for i in component:
+                self._component[i] = ci
         self.n_raw_checks = 0
 
-    def _row(self, lit: Literal) -> Tuple[str, tuple]:
-        """The literal's kind and integer row, built on first use.
+    def _row(self, lit: Literal) -> tuple:
+        """The literal's kind, integer coefficients, bound and strict flag,
+        built on first use.
 
         Every check shares the cached row, so the solver never mutates rows.
         """
         hit = self._rows.get(lit)
         if hit is None:
             kind, payload = refine_literal(lit, self.table.linear_atom(lit.atom_index))
-            hit = self._rows[lit] = (kind, _integral(*payload[:2]) + payload[2:])
+            strict = payload[2] if kind == "ineq" else None
+            hit = self._rows[lit] = (kind,) + _integral(*payload[:2]) + (strict,)
         return hit
 
+    def _parts(self, lits: FrozenSet[Literal]):
+        """The query's restrictions to the components it touches, in
+        component order."""
+        groups: Dict[int, List[Literal]] = {}
+        for lit in lits:
+            groups.setdefault(self._component[lit.atom_index], []).append(lit)
+        if len(groups) <= 1:
+            return (lits,)
+        return [frozenset(groups[c]) for c in sorted(groups)]
+
     def _raw_check(self, lits: FrozenSet[Literal]):
-        hit = self._raw.get(lits)
-        if hit is not None and (
-            not hit[0] or hit[1] is not None or not self.config.model_production
-        ):
-            return hit
+        """Sat iff every part is; the witness of the first unsat part, else
+        the parts' models merged (``None`` without model production)."""
+        want_model = self.config.model_production
+        model: Optional[Dict[str, Fraction]] = {} if want_model else None
+        for part in self._parts(lits):
+            hit = self._raw.get(part)
+            if hit is None or (want_model and hit[1] is None):
+                hit = self._solve(part)
+            if not hit[0]:
+                return hit
+            if want_model:
+                model.update(hit[1])
+        return True, model
+
+    def _solve(self, lits: FrozenSet[Literal]):
+        """Fourier-Motzkin on one part; bit i of an origin mask stands for
+        the i-th literal in ascending order."""
         self.n_raw_checks += 1
+        order = sorted(lits)
         ineqs: List[Row] = []
         eqs: List[EqRow] = []
-        diseqs: List[EqRow] = []
-        for lit in sorted(lits):
-            kind, row = self._row(lit)
+        diseqs: List[tuple] = []
+        for i, lit in enumerate(order):
+            kind, coeffs, bound, strict = self._row(lit)
+            bit = 1 << i
             if kind == "ineq":
-                ineqs.append(row)
+                ineqs.append((coeffs, bound, bit, strict))
             elif kind == "eq":
-                eqs.append(row)
+                eqs.append((coeffs, bound, bit))
             else:
-                diseqs.append(row)
+                diseqs.append((coeffs, bound, bit, bit))
         deadline = (
             time.monotonic() + self.config.timeout_secs
             if self.config.timeout_secs
             else None
         )
-        model = _solve_system(ineqs, eqs, diseqs, deadline, self.config.model_production)
-        result = (model is not None, model)
+        want_model = self.config.model_production
+        out = _solve_system(ineqs, eqs, diseqs, deadline, want_model)
+        if isinstance(out, int):
+            result = (False, frozenset(l for i, l in enumerate(order) if out >> i & 1))
+        else:
+            result = (True, out if want_model else None)
         self._raw[lits] = result
         return result
 
@@ -438,7 +518,7 @@ class BuiltinOracle(TheoryOracle):
                 raise OracleError(f"literal on non-theory atom {lit.atom_index}")
         sat, model = self._raw_check(lits)
         if sat:
-            if self.config.model_production and model is not None:
+            if model is not None:
                 full = dict(model)
                 for lit in lits:
                     for name in self.table.linear_atom(lit.atom_index).variables:

@@ -230,10 +230,11 @@ def _phase2_worker(payload):
 
     Returns lean per-cube records: the enumerated assignments are dropped
     here rather than being shipped back, since divide & conquer keeps only
-    the lemmas.
+    the lemmas.  ``deadline`` is the parent's absolute ``time.monotonic()``
+    deadline: the processes of one host share that clock, so pool spawn and
+    unpickling time count against the budget.
     """
-    (cnf, view, config, seeds, cubes, proj, remaining, early, interval, memo) = payload
-    deadline = time.monotonic() + remaining if remaining is not None else None
+    (cnf, view, config, seeds, cubes, proj, deadline, early, interval, memo) = payload
     oracle = make_oracle(view, config)
     oracle.import_memo(memo)
     results = []
@@ -341,7 +342,6 @@ def enumerate_dnc(
         config = oracle_config or getattr(oracle, "config", OracleConfig())
         view = TableView.from_table(table) if isinstance(table, AtomTable) else table
         shipped_cnf = cnf.without_source()
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         # Warm each worker's verdict memo with what phase 1 already learned.
         memo = oracle.export_memo()
         shares: List[List[Tuple[int, List[Literal]]]] = [
@@ -357,7 +357,7 @@ def enumerate_dnc(
                 seeds,
                 share,
                 list(proj),
-                remaining,
+                deadline,
                 spec.early_pruning,
                 spec.pruning_interval,
                 memo,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tlemma.cli import main
+from tlemma.cli import EXIT_TRUNCATED, main
 from tlemma.stats import RunStats, load_schema, lower_median
 
 EXAMPLE = "(set-logic QF_LRA)\n(declare-const x Real)\n(assert (or (= x 0) (= x 1)))\n(check-sat)\n"
@@ -65,6 +65,15 @@ class TestEnumerate:
             ["enumerate", "-i", str(big), "--budget-secs", "0", "--workers", "1"]
         )
         assert rc == 2
+
+    def test_oracle_timeout_exit_code_writes_lemmas(self, tmp_path, instance):
+        out = tmp_path / "ex.lemmas"
+        rc = main(
+            ["enumerate", "-i", str(instance), "-o", str(out),
+             "--oracle-timeout-secs", "1e-9", "--workers", "1"]
+        )
+        assert rc == EXIT_TRUNCATED
+        assert out.is_file()
 
     def test_deterministic_output_bytes(self, tmp_path, instance):
         outs = []

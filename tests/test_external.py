@@ -128,6 +128,40 @@ class TestMisbehavior:
             oracle.close()
 
 
+    def test_late_reply_does_not_answer_the_next_query(self, xy, tmp_path):
+        # The first session answers its check-sat only after the read has
+        # timed out; later sessions are the reference solver.  Had the late
+        # "sat" stayed in the pipe, the unsat second query would read it.
+        marker = tmp_path / "started"
+        script = tmp_path / "late.py"
+        script.write_text(
+            "import os, sys, time\n"
+            f"marker = {str(marker)!r}\n"
+            "if os.path.exists(marker):\n"
+            "    os.execv(sys.executable, [sys.executable, '-m', 'tlemma.ref_solver'])\n"
+            "open(marker, 'w').close()\n"
+            "for line in sys.stdin:\n"
+            "    if 'check-sat' in line:\n"
+            "        time.sleep(1.5)\n"
+            "        print('sat', flush=True)\n"
+        )
+        cfg = OracleConfig(
+            backend="external",
+            command=f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}",
+            timeout_secs=1.0,
+        )
+        oracle = make_oracle(xy.table, cfg)
+        try:
+            with pytest.raises(ExternalSolverError):
+                oracle.check([L(0)])
+            assert oracle.session is None
+            v = oracle.check([L(0), L(1)])
+            assert not v.satisfiable
+            assert set(v.core) == {L(0), L(1)}
+        finally:
+            oracle.close()
+
+
 class TestCrossValidation:
     def test_verdicts_agree_with_builtin(self):
         p = atoms_problem(

@@ -114,9 +114,9 @@ def _const(num: int, den: int = 1) -> str:
 
 
 @st.composite
-def _atom_text(draw) -> str:
-    """A linear atom over x, y, z with a rational constant."""
-    names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+def _atom_text(draw, symbols: str = "xyz") -> str:
+    """A linear atom over up to three of ``symbols`` with a rational constant."""
+    names = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=3, unique=True))
     terms = []
     for name in names:
         c = draw(st.integers(-3, 3).filter(bool))
@@ -162,6 +162,116 @@ class TestDifferentialRational:
                 assert p.table.linear_atom(lit.atom_index).evaluate(v.model) == lit.polarity
         else:
             assert not simplex_satisfiable(v.core, p.table)
+
+
+def _plain_deletion(lits, table):
+    """Reference core: deletion in ascending order, one simplex check per
+    literal."""
+    current = sorted(set(lits))
+    for lit in list(current):
+        trial = [l for l in current if l != lit]
+        if not simplex_satisfiable(trial, table):
+            current = trial
+    return tuple(current)
+
+
+def _record_raw_checks(oracle):
+    """Wrap the oracle's ``_raw_check``; returns the list of (query, result)."""
+    seen = []
+    raw = oracle._raw_check
+
+    def spy(lits):
+        out = raw(lits)
+        seen.append((lits, out))
+        return out
+
+    oracle._raw_check = spy
+    return seen
+
+
+_DERANDOMIZED = dict(derandomize=True, database=None, deadline=None)
+
+
+class TestExplainedConflicts:
+    """Origin-mask witnesses, witness-driven deletion and per-component
+    queries, against the simplex reference."""
+
+    @seed(3301)
+    @settings(max_examples=150, **_DERANDOMIZED)
+    @given(
+        atoms=st.lists(_atom_text("xy"), min_size=2, max_size=7),
+        polarities=st.lists(st.booleans(), min_size=7, max_size=7),
+    )
+    @example(
+        # Two disequalities, each of whose splits needs both branches.
+        atoms=["(= x 0)", "(= y 0)", "(<= x 0)", "(>= x 0)", "(<= y 0)", "(>= y 0)"],
+        polarities=[False, False, True, True, True, True, True],
+    )
+    @example(
+        # After x is substituted, the disequality reads 0 != 0.
+        atoms=["(= (+ x y) 1)", "(= x 1)", "(= y 0)"],
+        polarities=[True, True, False, True, True, True, True],
+    )
+    @example(
+        # After x is substituted, the second equality reads 0 = 1.
+        atoms=["(<= y 0)", "(= x 1)", "(= (* 3 x) 4)"],
+        polarities=[True, True, True, True, True, True, True],
+    )
+    def test_core_is_plain_deletion_and_witnesses_are_unsat(self, atoms, polarities):
+        p = atoms_problem(*atoms)
+        lits = [Literal(i, pol) for i, pol in zip(p.table.theory_indices(), polarities)]
+        oracle = BuiltinOracle(p.table)
+        seen = _record_raw_checks(oracle)
+        v = oracle.check(lits)
+        assert v.satisfiable == simplex_satisfiable(lits, p.table)
+        if v.satisfiable:
+            return
+        assert v.core == _plain_deletion(lits, p.table)
+        for query, (sat, witness) in seen:
+            if not sat:
+                assert set(witness) <= query
+                assert not simplex_satisfiable(sorted(witness), p.table)
+
+    @seed(3302)
+    @settings(max_examples=100, **_DERANDOMIZED)
+    @given(
+        left=st.lists(_atom_text("xy"), min_size=1, max_size=4),
+        right=st.lists(_atom_text("uv"), min_size=1, max_size=4),
+        polarities=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_split_query_matches_unsplit(self, left, right, polarities):
+        p = atoms_problem(*left, *right)
+        lits = [Literal(i, pol) for i, pol in zip(p.table.theory_indices(), polarities)]
+        config = OracleConfig(model_production=True)
+        split = BuiltinOracle(p.table, config)
+        whole = BuiltinOracle(p.table, config)
+        whole._parts = lambda query: (query,)
+        v, w = split.check(lits), whole.check(lits)
+        assert v.satisfiable == w.satisfiable == simplex_satisfiable(lits, p.table)
+        assert v.core == w.core
+        if v.satisfiable:
+            for lit in lits:
+                assert p.table.linear_atom(lit.atom_index).evaluate(v.model) == lit.polarity
+
+    def test_memo_holds_parts_and_round_trips(self):
+        p = atoms_problem("(<= x 0)", "(>= x 1)", "(<= y 0)", "(>= y 1)", "(= z 2)")
+        queries = [
+            [L(0), L(1, False), L(2), L(3, False), L(4)],
+            [L(0, False), L(1, False), L(2), L(3, False), L(4)],
+            [L(0), L(1, False), L(2, False), L(3), L(4, False)],
+            [L(0), L(1), L(2), L(3), L(4)],
+        ]
+        first = BuiltinOracle(p.table, OracleConfig(model_production=True))
+        verdicts = [first.check(q) for q in queries]
+        memo = first.export_memo()
+        # Entries are per part: each key lies inside one component.
+        components = [{0, 1}, {2, 3}, {4}]
+        for key in memo:
+            assert any({l.atom_index for l in key} <= c for c in components)
+        second = BuiltinOracle(p.table, OracleConfig(model_production=True))
+        second.import_memo(memo)
+        assert [second.check(q) for q in queries] == verdicts
+        assert second.n_raw_checks == 0
 
 
 class TestMinimizeCore:

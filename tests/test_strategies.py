@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from helpers import L, random_problem
 from tlemma import strategies
+from tlemma.atoms import TableView
 from tlemma.generator import product_instance
-from tlemma.oracle import BuiltinOracle, TLemma
+from tlemma.oracle import BuiltinOracle, OracleConfig, TLemma
 from tlemma.problem import Problem
 from tlemma.strategies import (
     BudgetExceeded,
@@ -142,6 +145,27 @@ class TestDnc:
         cls = classify(p.term, p.table, oracle)
         for workers, keys in results.items():
             assert rules_out([TLemma(tuple(sorted(k))) for k in keys], cls.itta)
+
+    def test_phase2_worker_keeps_the_parents_deadline(self, two_vals):
+        # The worker is handed an absolute deadline; one already past when
+        # the worker starts must truncate every cube rather than restart
+        # the clock.
+        cubes = [(0, [L(0)]), (1, [L(0, False)])]
+        payload = (
+            two_vals.cnf.without_source(),
+            TableView.from_table(two_vals.table),
+            OracleConfig(),
+            (),
+            cubes,
+            list(two_vals.cnf.alpha_indices),
+            time.monotonic() - 1.0,
+            False,
+            8,
+            {},
+        )
+        records = strategies._phase2_worker(payload)
+        assert [r[0] for r in records] == [0, 1]
+        assert all(r[4] for r in records)
 
     def test_phase2_provenance_records_cubes_and_workers(self):
         p = random_problem(depth=4, seed=88)
@@ -288,6 +312,14 @@ class TestRunStrategy:
                 (L(0, False), L(1, False))
             ], name
             assert not res.truncated
+
+    @pytest.mark.parametrize("name", ["baseline", "dnc", "baseline-proj-part"])
+    def test_oracle_timeout_truncates_not_errors(self, name):
+        p = Problem.from_text(product_instance(1, n_groups=2))
+        res = run_strategy(
+            p, StrategySpec.from_name(name), oracle_config=OracleConfig(timeout_secs=1e-9)
+        )
+        assert res.truncated
 
     def test_budget_truncation_flagged(self):
         p = random_problem(depth=5, seed=123, max_atoms=12)
