@@ -20,10 +20,8 @@ from .oracle import (
     OracleTimeoutError,
     TheoryVerdict,
     TLemma,
-    is_valid_lemma,
     lemma_from_core,
     make_oracle,
-    minimize_core,
 )
 from .parser import ParseError, UnsupportedConstructError, parse_file, parse_smtlib
 from .partition import Partition, partition_atoms
@@ -38,8 +36,6 @@ from .strategies import (
     enumerate_baseline,
     enumerate_dnc,
     run_strategy,
-    with_partitioning,
-    with_projection,
 )
 from .terms import LinearAtom, Relation, Term, TermBank, normalize_linear
 from .verifier import (

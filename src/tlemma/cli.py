@@ -47,7 +47,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--early-pruning", choices=("on", "off"), default="off")
     p.add_argument("--pruning-interval", type=int, default=8)
     p.add_argument("--subsume", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _oracle_config(args) -> OracleConfig:
@@ -59,19 +58,18 @@ def _oracle_config(args) -> OracleConfig:
     return OracleConfig(timeout_secs=args.oracle_timeout_secs)
 
 
-def _spec_from_args(args) -> StrategySpec:
+def _spec_from_args(args, name: str, workers: int) -> StrategySpec:
     return StrategySpec.from_name(
-        args.strategy,
-        workers=args.workers,
+        name,
+        workers=workers,
         early_pruning=args.early_pruning == "on",
         pruning_interval=args.pruning_interval,
         budget_secs=args.budget_secs,
-        seed=args.seed,
         subsume=args.subsume,
     )
 
 
-def _run_stats(args, instance: str, spec: StrategySpec, result) -> RunStats:
+def _run_stats(instance: str, spec: StrategySpec, result) -> RunStats:
     sizes = [len(l) for l in result.lemma_set.lemmas]
     return RunStats(
         instance=instance,
@@ -84,13 +82,12 @@ def _run_stats(args, instance: str, spec: StrategySpec, result) -> RunStats:
         n_partitions=result.counters.n_partitions,
         workers=spec.workers,
         truncated=result.truncated,
-        seed=spec.seed,
     )
 
 
 def cmd_enumerate(args) -> int:
     try:
-        spec = _spec_from_args(args)
+        spec = _spec_from_args(args, args.strategy, args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -109,13 +106,12 @@ def cmd_enumerate(args) -> int:
         "instance": str(args.input),
         "strategy": spec.name,
         "workers": spec.workers,
-        "seed": spec.seed,
         "truncated": result.truncated,
     }
     if args.output:
         write_lemma_file(args.output, result.lemma_set, problem.table, meta)
     if args.stats:
-        stats = _run_stats(args, str(args.input), spec, result)
+        stats = _run_stats(str(args.input), spec, result)
         Path(args.stats).write_text(
             json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -178,18 +174,10 @@ def cmd_gen(args) -> int:
 
 
 def _bench_one(path_str: str, name: str, args, workers: int):
-    spec = StrategySpec.from_name(
-        name,
-        workers=workers,
-        early_pruning=args.early_pruning == "on",
-        pruning_interval=args.pruning_interval,
-        budget_secs=args.budget_secs,
-        seed=args.seed,
-        subsume=args.subsume,
-    )
+    spec = _spec_from_args(args, name, workers)
     problem = Problem.from_file(path_str)
     result = run_strategy(problem, spec, oracle_config=_oracle_config(args))
-    return _run_stats(args, path_str, spec, result)
+    return _run_stats(path_str, spec, result)
 
 
 def cmd_bench(args) -> int:

@@ -483,7 +483,6 @@ def projected_allsmt(
     mode: EnumerationMode,
     oracle,
     seed_lemmas: Sequence[TLemma] = (),
-    budget: Optional[float] = None,
     *,
     assumptions: Sequence[Literal] = (),
     deadline: Optional[float] = None,
@@ -494,16 +493,14 @@ def projected_allsmt(
     """Enumerate theory-satisfiable assignments projected on ``proj``.
 
     Returns the projected assignments, the lemmas minted from every theory
-    conflict hit during the search, and run counters.  When the budget
-    expires or an oracle check times out, partial results are returned with
-    ``truncated`` set.
+    conflict hit during the search, and run counters.  When ``deadline`` (an
+    absolute ``time.monotonic()`` value) passes or an oracle check times out,
+    partial results are returned with ``truncated`` set.
     """
     proj = sorted(set(proj))
     alpha = set(cnf.alpha_indices)
     if not set(proj) <= alpha:
         raise ValueError("projection atoms must belong to the atom set")
-    if deadline is None and budget is not None:
-        deadline = time.monotonic() + budget
     engine = _Engine(
         cnf,
         table,

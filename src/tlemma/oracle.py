@@ -543,14 +543,6 @@ def lemma_from_core(core: Iterable[Literal]) -> TLemma:
     return TLemma.of(lit.negated() for lit in core)
 
 
-def minimize_core(literals: Iterable[Literal], oracle) -> Tuple[Literal, ...]:
-    return oracle.minimize_core(literals)
-
-
-def is_valid_lemma(lemma: TLemma, oracle) -> bool:
-    return oracle.is_valid_lemma(lemma)
-
-
 def make_oracle(table, config: Optional[OracleConfig] = None):
     config = config or OracleConfig()
     if config.backend == "builtin":

@@ -33,7 +33,6 @@ class RunStats:
     n_partitions: int
     workers: int
     truncated: bool
-    seed: int
 
     FIELDS = (
         "instance",
@@ -46,7 +45,6 @@ class RunStats:
         "n_partitions",
         "workers",
         "truncated",
-        "seed",
     )
 
     def to_dict(self) -> dict:

@@ -1,13 +1,16 @@
-"""The four lemma-enumeration strategies and their compositions.
+"""The lemma-enumeration strategies.
+
+Two base strategies enumerate the lemmas over one projection set:
 
 * baseline: one total enumeration; keep only the lemmas.
 * divide & conquer: a partial enumeration decomposes the search space into
-  disjoint cubes, then one total enumeration per cube (seeded with the
-  already-known lemmas) runs on a pool of workers.
-* projection: run the inner strategy projected on the theory atoms only.
-* partitioning: split the atoms into symbol-disjoint components and run the
-  inner strategy once per component, seeding each pass with everything found
-  so far.
+  cubes, then one total enumeration per cube (seeded with the already-known
+  lemmas) runs on a pool of workers.
+
+``run_strategy`` runs the base strategy once per pass, seeds each pass with
+every lemma found so far and deduplicates once at the end.  There is one pass
+over all atoms (plain), one over the theory atoms (projection), or one per
+symbol-disjoint theory component (partitioning).
 
 Phase-2 cubes are assigned to workers by static round-robin on the cube
 ordinal, and results are merged in ordinal order, so provenance and output
@@ -19,17 +22,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from .atoms import AtomTable, Literal, TableView
 from .cnf import CnfProblem
-from .enumeration import (
-    Assignment,
-    EnumerationMode,
-    EnumerationOutcome,
-    projected_allsmt,
-)
+from .enumeration import EnumerationMode, EnumerationOutcome, projected_allsmt
 from .oracle import OracleConfig, TLemma, make_oracle
 from .partition import partition_atoms
 from .problem import Problem
@@ -46,7 +44,6 @@ class StrategySpec:
     early_pruning: bool = False
     pruning_interval: int = 8
     budget_secs: Optional[float] = None
-    seed: int = 0
     subsume: bool = False
 
     def __post_init__(self):
@@ -142,15 +139,6 @@ def dedup_lemmas(
     return LemmaSet([e[0] for e in entries], [e[1] for e in entries])
 
 
-def merge_lemma_sets(sets: Sequence[LemmaSet], subsume: bool = False) -> LemmaSet:
-    lemmas: List[TLemma] = []
-    prov: List[LemmaProvenance] = []
-    for ls in sets:
-        lemmas.extend(ls.lemmas)
-        prov.extend(ls.provenance)
-    return dedup_lemmas(lemmas, prov, subsume)
-
-
 @dataclass
 class RunCounters:
     n_assignments: int = 0
@@ -225,45 +213,56 @@ def enumerate_baseline(
     return lemma_set
 
 
-def _phase2_worker(payload):
-    """Run the total enumerations for one worker's share of the cubes.
+def _run_cubes(cnf, table, oracle, seeds, cubes, proj, deadline, early, interval):
+    """Run one seeded total enumeration per ``(ordinal, literals)`` cube.
 
-    Returns lean per-cube records: the enumerated assignments are dropped
-    here rather than being shipped back, since divide & conquer keeps only
-    the lemmas.  ``deadline`` is the parent's absolute ``time.monotonic()``
-    deadline: the processes of one host share that clock, so pool spawn and
-    unpickling time count against the budget.
+    Returns lean per-cube records ``(ordinal, lemmas, stats, n_assignments,
+    truncated)``: divide & conquer keeps only the lemmas, so the enumerated
+    assignments are dropped here rather than being shipped back from a
+    worker.
+    """
+    records = []
+    for ordinal, cube in cubes:
+        outcome = projected_allsmt(
+            cnf,
+            table,
+            proj,
+            EnumerationMode.TOTAL,
+            oracle,
+            seed_lemmas=seeds,
+            assumptions=cube,
+            deadline=deadline,
+            early_pruning=early,
+            pruning_interval=interval,
+        )
+        records.append(
+            (
+                ordinal,
+                outcome.lemmas,
+                outcome.stats,
+                len(outcome.assignments),
+                outcome.truncated,
+            )
+        )
+    return records
+
+
+def _phase2_worker(payload):
+    """Run one worker's share of the cubes with its own oracle.
+
+    ``deadline`` is the parent's absolute ``time.monotonic()`` deadline: the
+    processes of one host share that clock, so pool spawn and unpickling
+    time count against the budget.
     """
     (cnf, view, config, seeds, cubes, proj, deadline, early, interval, memo) = payload
     oracle = make_oracle(view, config)
     oracle.import_memo(memo)
-    results = []
     try:
-        for ordinal, cube in cubes:
-            outcome = projected_allsmt(
-                cnf,
-                view,
-                proj,
-                EnumerationMode.TOTAL,
-                oracle,
-                seed_lemmas=seeds,
-                assumptions=cube,
-                deadline=deadline,
-                early_pruning=early,
-                pruning_interval=interval,
-            )
-            results.append(
-                (
-                    ordinal,
-                    outcome.lemmas,
-                    outcome.stats,
-                    len(outcome.assignments),
-                    outcome.truncated,
-                )
-            )
+        return _run_cubes(
+            cnf, view, oracle, seeds, cubes, proj, deadline, early, interval
+        )
     finally:
         oracle.close()
-    return results
 
 
 def enumerate_dnc(
@@ -281,7 +280,12 @@ def enumerate_dnc(
     oracle_config: Optional[OracleConfig] = None,
 ) -> LemmaSet:
     """Divide & conquer: partial enumeration, then one seeded total
-    enumeration per returned cube, on ``spec.workers`` parallel tasks."""
+    enumeration per returned cube, on ``spec.workers`` parallel tasks.
+
+    Phase 2 is complete because the phase-1 cubes cover every projected
+    model; the engine's blocking clauses also make them pairwise disjoint,
+    which the test suite checks rather than every run.
+    """
     spec = spec or StrategySpec(base="dnc")
     counters = counters if counters is not None else RunCounters()
     cnf = cnf if cnf is not None else Problem.from_term(phi, table).cnf
@@ -305,80 +309,58 @@ def enumerate_dnc(
     if phase1.truncated:
         raise BudgetExceeded(dedup_lemmas(collected, provenance, spec.subsume), counters)
 
-    cubes = phase1.assignments
-    # The engine's blocking clauses make the cubes pairwise incompatible; the
-    # correctness argument below only needs coverage, so record which regime
-    # we are in.
-    for i, a in enumerate(cubes):
-        for b in cubes[i + 1 :]:
-            if not _incompatible(a, b):
-                raise AssertionError("phase-1 cubes are not pairwise disjoint")
-
     seeds = tuple(seed_lemmas) + tuple(phase1.lemmas)
-    per_cube: Dict[int, tuple] = {}
-    truncated = False
-
+    cubes: List[Tuple[int, List[Literal]]] = [
+        (ordinal, cube.sorted_literals())
+        for ordinal, cube in enumerate(phase1.assignments)
+    ]
     if spec.workers == 1 or len(cubes) <= 1:
-        for ordinal, cube in enumerate(cubes):
-            outcome = projected_allsmt(
-                cnf,
-                table,
-                proj,
-                EnumerationMode.TOTAL,
-                oracle,
-                seed_lemmas=seeds,
-                assumptions=cube.sorted_literals(),
-                deadline=deadline,
-                early_pruning=spec.early_pruning,
-                pruning_interval=spec.pruning_interval,
-            )
-            per_cube[ordinal] = (
-                outcome.lemmas,
-                outcome.stats,
-                len(outcome.assignments),
-                outcome.truncated,
-            )
+        records = _run_cubes(
+            cnf,
+            table,
+            oracle,
+            seeds,
+            cubes,
+            proj,
+            deadline,
+            spec.early_pruning,
+            spec.pruning_interval,
+        )
     else:
         config = oracle_config or getattr(oracle, "config", OracleConfig())
         view = TableView.from_table(table) if isinstance(table, AtomTable) else table
         shipped_cnf = cnf.without_source()
         # Warm each worker's verdict memo with what phase 1 already learned.
         memo = oracle.export_memo()
-        shares: List[List[Tuple[int, List[Literal]]]] = [
-            [] for _ in range(spec.workers)
-        ]
-        for ordinal, cube in enumerate(cubes):
-            shares[ordinal % spec.workers].append((ordinal, cube.sorted_literals()))
         payloads = [
             (
                 shipped_cnf,
                 view,
                 config,
                 seeds,
-                share,
+                cubes[w :: spec.workers],
                 list(proj),
                 deadline,
                 spec.early_pruning,
                 spec.pruning_interval,
                 memo,
             )
-            for share in shares
-            if share
+            for w in range(min(spec.workers, len(cubes)))
         ]
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             futures = [pool.submit(_phase2_worker, p) for p in payloads]
-            for fut in futures:
-                for record in fut.result():
-                    per_cube[record[0]] = record[1:]
+            records = sorted(
+                (record for fut in futures for record in fut.result()),
+                key=lambda record: record[0],
+            )
 
-    for ordinal in sorted(per_cube):
-        lemmas, stats, n_assignments, cube_truncated = per_cube[ordinal]
+    truncated = False
+    for ordinal, lemmas, stats, n_assignments, cube_truncated in records:
         counters.absorb_stats(stats, n_assignments)
         truncated = truncated or cube_truncated
-        worker = ordinal % spec.workers
         collected.extend(lemmas)
         provenance.extend(
-            LemmaProvenance(f"{stage}-phase2:cube{ordinal}", worker, i)
+            LemmaProvenance(f"{stage}-phase2:cube{ordinal}", ordinal % spec.workers, i)
             for i in range(len(lemmas))
         )
 
@@ -386,59 +368,6 @@ def enumerate_dnc(
     if truncated:
         raise BudgetExceeded(lemma_set, counters)
     return lemma_set
-
-
-def _incompatible(a: Assignment, b: Assignment) -> bool:
-    for lit in a.literals:
-        if Literal(lit.atom_index, not lit.polarity) in b.literals:
-            return True
-    return False
-
-
-def with_projection(phi, table: AtomTable, oracle, inner, **kw) -> LemmaSet:
-    """Run the inner enumerator projected on the theory atoms only."""
-    return inner(phi, table, oracle, proj=table.theory_indices(), **kw)
-
-
-def with_partitioning(phi, table: AtomTable, oracle, inner, **kw) -> LemmaSet:
-    """Per-component enumeration over the symbol-disjoint atom partition.
-
-    Components run in ascending order of their smallest atom; each pass is
-    seeded with every lemma accumulated so far.  The Boolean component is
-    never enumerated: its atoms cannot take part in a theory conflict and
-    are excluded from every projection set.
-    """
-    counters = kw.get("counters")
-    spec = kw.get("spec") or StrategySpec()
-    base_seeds = tuple(kw.pop("seed_lemmas", ()))
-    stage = kw.pop("stage", "part")
-    partition = partition_atoms(table)
-    components = partition.theory_components()
-    if counters is not None:
-        counters.n_partitions = len(components)
-    acc: List[TLemma] = []
-    prov: List[LemmaProvenance] = []
-    for ci, component in enumerate(components):
-        try:
-            ls = inner(
-                phi,
-                table,
-                oracle,
-                proj=sorted(component),
-                seed_lemmas=base_seeds + tuple(acc),
-                stage=f"{stage}:component{ci}",
-                **kw,
-            )
-        except BudgetExceeded as exc:
-            # Keep what the earlier components found, not just this pass's.
-            acc.extend(exc.partial.lemmas)
-            prov.extend(exc.partial.provenance)
-            raise BudgetExceeded(
-                dedup_lemmas(acc, prov, spec.subsume), exc.counters
-            ) from exc
-        acc.extend(ls.lemmas)
-        prov.extend(ls.provenance)
-    return dedup_lemmas(acc, prov, spec.subsume)
 
 
 @dataclass
@@ -455,7 +384,11 @@ def run_strategy(
     oracle=None,
     oracle_config: Optional[OracleConfig] = None,
 ) -> StrategyResult:
-    """Execute the configured strategy composition on a parsed instance."""
+    """Execute the configured strategy on a parsed instance.
+
+    The base strategy runs once per ``(projection set, stage)`` pass, seeded
+    with every lemma the earlier passes found.
+    """
     own_oracle = oracle is None
     if own_oracle:
         oracle = make_oracle(problem.table, oracle_config or OracleConfig())
@@ -464,33 +397,47 @@ def run_strategy(
         time.monotonic() + spec.budget_secs if spec.budget_secs is not None else None
     )
     inner = enumerate_baseline if spec.base == "baseline" else enumerate_dnc
-    kw = dict(
-        cnf=problem.cnf,
-        spec=spec,
-        deadline=deadline,
-        counters=counters,
-        stage=spec.base,
-    )
+    kw = dict(cnf=problem.cnf, spec=spec, deadline=deadline, counters=counters)
     if spec.base == "dnc":
         kw["oracle_config"] = oracle_config
     start = time.monotonic_ns()
+    found: List[TLemma] = []
+    provenance: List[LemmaProvenance] = []
     truncated = False
     try:
         if spec.partitioning:
-            lemma_set = with_partitioning(
-                problem.abstract, problem.table, oracle, inner, **kw
-            )
+            # The Boolean component is never enumerated: its atoms cannot
+            # take part in a theory conflict.
+            components = partition_atoms(problem.table).theory_components()
+            counters.n_partitions = len(components)
+            passes = [
+                (sorted(component), f"{spec.base}:component{ci}")
+                for ci, component in enumerate(components)
+            ]
         elif spec.projection:
-            lemma_set = with_projection(
-                problem.abstract, problem.table, oracle, inner, **kw
-            )
+            passes = [(problem.table.theory_indices(), spec.base)]
         else:
-            lemma_set = inner(problem.abstract, problem.table, oracle, **kw)
+            passes = [(None, spec.base)]
+        for proj, stage in passes:
+            lemma_set = inner(
+                problem.abstract,
+                problem.table,
+                oracle,
+                proj,
+                tuple(found),
+                stage=stage,
+                **kw,
+            )
+            found.extend(lemma_set.lemmas)
+            provenance.extend(lemma_set.provenance)
     except BudgetExceeded as exc:
-        lemma_set = exc.partial
+        # Keep what the earlier passes found, not just this pass's.
+        found.extend(exc.partial.lemmas)
+        provenance.extend(exc.partial.provenance)
         truncated = True
     finally:
         if own_oracle:
             oracle.close()
+    lemma_set = dedup_lemmas(found, provenance, spec.subsume)
     elapsed_ms = (time.monotonic_ns() - start) // 1_000_000
     return StrategyResult(lemma_set, counters, truncated, elapsed_ms)

@@ -27,6 +27,18 @@ class CapExceeded(Exception):
 DEFAULT_CAP = 20
 
 
+def _atom_mask(j: int, n_atoms: int) -> int:
+    """Truth table of atom ``j`` over atoms ``0..n_atoms-1``: bit ``i`` is
+    set iff bit ``j`` of ``i`` is."""
+    size = 1 << n_atoms
+    mask = ((1 << (1 << j)) - 1) << (1 << j)
+    width = 1 << (j + 1)
+    while width < size:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
 def truth_table_bits(term: Term, n_atoms: int, table: Optional[AtomTable] = None) -> int:
     """Truth table of a formula over atoms ``0..n_atoms-1`` as a bitmask.
 
@@ -34,17 +46,8 @@ def truth_table_bits(term: Term, n_atoms: int, table: Optional[AtomTable] = None
     bit ``j`` of ``i`` is set.  Terms may use ATOM_REF leaves or concrete
     atoms (then the table maps them to indices).
     """
-    size = 1 << n_atoms
-    full = (1 << size) - 1
-    atom_mask: List[int] = []
-    for j in range(n_atoms):
-        block = ((1 << (1 << j)) - 1) << (1 << j)
-        width = 1 << (j + 1)
-        mask = block
-        while width < size:
-            mask |= mask << width
-            width *= 2
-        atom_mask.append(mask)
+    full = (1 << (1 << n_atoms)) - 1
+    atom_mask = [_atom_mask(j, n_atoms) for j in range(n_atoms)]
     memo: Dict[int, int] = {}
 
     def walk(t: Term) -> int:
@@ -86,17 +89,10 @@ def truth_table_bits(term: Term, n_atoms: int, table: Optional[AtomTable] = None
 
 
 def clause_bits(literals: Iterable[Literal], n_atoms: int) -> int:
-    size = 1 << n_atoms
-    full = (1 << size) - 1
+    full = (1 << (1 << n_atoms)) - 1
     out = 0
     for lit in literals:
-        j = lit.atom_index
-        block = ((1 << (1 << j)) - 1) << (1 << j)
-        width = 1 << (j + 1)
-        mask = block
-        while width < size:
-            mask |= mask << width
-            width *= 2
+        mask = _atom_mask(lit.atom_index, n_atoms)
         out |= mask if lit.polarity else mask ^ full
     return out
 

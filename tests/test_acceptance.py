@@ -24,7 +24,6 @@ from tlemma.strategies import (
     StrategySpec,
     enumerate_baseline,
     run_strategy,
-    with_projection,
 )
 from tlemma.verifier import check_lemma_set, classify, rules_out, truth_table_bits
 
@@ -117,11 +116,11 @@ def test_criterion_3_projection_evidence(completeness_runs):
         ls_plain = enumerate_baseline(
             problem.abstract, problem.table, oracle, cnf=problem.cnf, counters=plain
         )
-        ls_proj = with_projection(
+        ls_proj = enumerate_baseline(
             problem.abstract,
             problem.table,
             oracle,
-            enumerate_baseline,
+            proj=problem.table.theory_indices(),
             cnf=problem.cnf,
             counters=proj,
         )

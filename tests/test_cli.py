@@ -238,6 +238,5 @@ class TestStats:
             n_partitions=1,
             workers=1,
             truncated=False,
-            seed=0,
         )
         jsonschema.validate(json.loads(row.to_json()), load_schema())

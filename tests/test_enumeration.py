@@ -86,7 +86,7 @@ class TestTotalMode:
 
     def test_budget_zero_truncates(self):
         p = random_problem(depth=4, seed=9)
-        out = run(p, EnumerationMode.TOTAL, budget=0.0)
+        out = run(p, EnumerationMode.TOTAL, deadline=0.0)
         assert out.truncated
 
 

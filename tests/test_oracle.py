@@ -14,10 +14,8 @@ from tlemma.oracle import (
     OracleError,
     OracleTimeoutError,
     TLemma,
-    is_valid_lemma,
     lemma_from_core,
     make_oracle,
-    minimize_core,
 )
 from tlemma.problem import Problem
 
@@ -278,16 +276,16 @@ class TestMinimizeCore:
     def test_already_minimal(self):
         p = atoms_problem("(= x 0)", "(= x 1)")
         oracle = BuiltinOracle(p.table)
-        assert set(minimize_core([L(0), L(1)], oracle)) == {L(0), L(1)}
+        assert set(oracle.minimize_core([L(0), L(1)])) == {L(0), L(1)}
 
     def test_drops_redundant_member(self, xy):
         p, oracle = xy
-        assert set(minimize_core([L(0), L(1), L(2)], oracle)) == {L(0), L(1)}
+        assert set(oracle.minimize_core([L(0), L(1), L(2)])) == {L(0), L(1)}
 
     def test_precondition_violation_is_an_error(self, xy):
         _, oracle = xy
         with pytest.raises(OracleError):
-            minimize_core([L(2)], oracle)
+            oracle.minimize_core([L(2)])
 
     def test_minimality_on_random_unsat_conjunctions(self):
         p = atoms_problem(
@@ -310,7 +308,7 @@ class TestMinimizeCore:
             if oracle.check(lits).satisfiable:
                 continue
             found += 1
-            core = minimize_core(lits, oracle)
+            core = oracle.minimize_core(lits)
             # subset-enumeration oracle: no proper subset may stay unsat
             for k in range(len(core)):
                 subset = core[:k] + core[k + 1 :]
@@ -331,18 +329,18 @@ class TestLemmas:
     def test_valid_lemma(self):
         p = atoms_problem("(= x 0)", "(= x 1)")
         oracle = BuiltinOracle(p.table)
-        assert is_valid_lemma(TLemma.of([L(0, False), L(1, False)]), oracle)
+        assert oracle.is_valid_lemma(TLemma.of([L(0, False), L(1, False)]))
 
     def test_propositional_tautology_is_valid(self):
         p = atoms_problem("(<= x 0)", "(= x 1)")
         oracle = BuiltinOracle(p.table)
-        assert is_valid_lemma(TLemma.of([L(0, True), L(0, False)]), oracle)
+        assert oracle.is_valid_lemma(TLemma.of([L(0, True), L(0, False)]))
 
     def test_invalid_clause_detected(self):
         p = atoms_problem("(= x 0)", "(= x 1)")
         oracle = BuiltinOracle(p.table)
         # (x=0) or (x=1) is falsified by x=2
-        assert not is_valid_lemma(TLemma.of([L(0), L(1)]), oracle)
+        assert not oracle.is_valid_lemma(TLemma.of([L(0), L(1)]))
 
 
 class TestConfig:

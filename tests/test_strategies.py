@@ -5,8 +5,10 @@ import pytest
 from helpers import L, random_problem
 from tlemma import strategies
 from tlemma.atoms import TableView
-from tlemma.generator import product_instance
+from tlemma.enumeration import EnumerationMode, projected_allsmt
+from tlemma.generator import clausal_instance, product_instance
 from tlemma.oracle import BuiltinOracle, OracleConfig, TLemma
+from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
 from tlemma.strategies import (
     BudgetExceeded,
@@ -17,10 +19,8 @@ from tlemma.strategies import (
     enumerate_baseline,
     enumerate_dnc,
     run_strategy,
-    with_partitioning,
-    with_projection,
 )
-from tlemma.verifier import classify, rules_out
+from tlemma.verifier import classify, rules_out, truth_table_bits
 
 
 @pytest.fixture
@@ -146,6 +146,33 @@ class TestDnc:
         for workers, keys in results.items():
             assert rules_out([TLemma(tuple(sorted(k))) for k in keys], cls.itta)
 
+    def test_phase1_cubes_pairwise_disjoint(self):
+        # Phase 2 needs only that the cubes cover the space, so enumerate_dnc
+        # does not check disjointness; the engine's blocking clauses provide
+        # it, for every projection set a DnC pass uses.
+        problems = [random_problem(depth=4, seed=7000 + k) for k in range(25)]
+        # The first instance criterion 5 selects.
+        medium = Problem.from_text(
+            clausal_instance(2, n_bool=12, n_real=3, n_theory=6, n_clauses=20)
+        )
+        n = len(medium.table)
+        assert 14 <= n <= 18
+        assert 8000 <= bin(truth_table_bits(medium.abstract, n)).count("1") <= 20000
+        problems.append(medium)
+        for p in problems:
+            oracle = oracle_for(p)
+            projections = [list(p.cnf.alpha_indices), p.table.theory_indices()]
+            projections += map(sorted, partition_atoms(p.table).theory_components())
+            for proj in projections:
+                out = projected_allsmt(
+                    p.cnf, p.table, proj, EnumerationMode.PARTIAL, oracle
+                )
+                cubes = [c.literals for c in out.assignments]
+                for i, a in enumerate(cubes):
+                    opposite = {lit.negated() for lit in a}
+                    for b in cubes[i + 1 :]:
+                        assert not opposite.isdisjoint(b), (proj, a, b)
+
     def test_phase2_worker_keeps_the_parents_deadline(self, two_vals):
         # The worker is handed an absolute deadline; one already past when
         # the worker starts must truncate every cube rather than restart
@@ -180,11 +207,11 @@ class TestProjection:
         plain = enumerate_baseline(
             two_vals.abstract, two_vals.table, oracle, cnf=two_vals.cnf
         )
-        projected = with_projection(
+        projected = enumerate_baseline(
             two_vals.abstract,
             two_vals.table,
             oracle,
-            enumerate_baseline,
+            proj=two_vals.table.theory_indices(),
             cnf=two_vals.cnf,
         )
         assert plain.keys() == projected.keys()
@@ -199,8 +226,13 @@ class TestProjection:
         plain = enumerate_baseline(
             p.abstract, p.table, oracle, cnf=p.cnf, counters=c_plain
         )
-        projected = with_projection(
-            p.abstract, p.table, oracle, enumerate_baseline, cnf=p.cnf, counters=c_proj
+        projected = enumerate_baseline(
+            p.abstract,
+            p.table,
+            oracle,
+            proj=p.table.theory_indices(),
+            cnf=p.cnf,
+            counters=c_proj,
         )
         assert projected.keys() == plain.keys()
         assert c_proj.n_candidates <= c_plain.n_candidates
@@ -210,8 +242,8 @@ class TestProjection:
     def test_purely_boolean_zero_checks(self):
         p = Problem.from_text("(declare-const a Bool)(assert a)")
         counters = RunCounters()
-        ls = with_projection(
-            p.abstract, p.table, oracle_for(p), enumerate_baseline,
+        ls = enumerate_baseline(
+            p.abstract, p.table, oracle_for(p), proj=p.table.theory_indices(),
             cnf=p.cnf, counters=counters,
         )
         assert len(ls) == 0
@@ -225,12 +257,9 @@ class TestPartitioning:
             "(assert (and (or (= x 0) (= x 1)) (or (= y 0) (= y 1))))"
         )
         oracle = oracle_for(p)
-        counters = RunCounters()
-        ls = with_partitioning(
-            p.abstract, p.table, oracle, enumerate_baseline,
-            cnf=p.cnf, counters=counters,
-        )
-        assert counters.n_partitions == 2
+        res = run_strategy(p, StrategySpec.from_name("baseline-proj-part"), oracle=oracle)
+        ls = res.lemma_set
+        assert res.counters.n_partitions == 2
         assert {l.literals for l in ls.lemmas} == {
             (L(0, False), L(1, False)),
             (L(2, False), L(3, False)),
@@ -240,15 +269,13 @@ class TestPartitioning:
 
     def test_single_component_equals_projection(self, two_vals):
         oracle = oracle_for(two_vals)
-        part = with_partitioning(
-            two_vals.abstract, two_vals.table, oracle, enumerate_baseline,
-            cnf=two_vals.cnf,
+        part = run_strategy(
+            two_vals, StrategySpec.from_name("baseline-proj-part"), oracle=oracle
         )
-        proj = with_projection(
-            two_vals.abstract, two_vals.table, oracle, enumerate_baseline,
-            cnf=two_vals.cnf,
+        proj = run_strategy(
+            two_vals, StrategySpec.from_name("baseline-proj"), oracle=oracle
         )
-        assert part.keys() == proj.keys()
+        assert part.lemma_set.keys() == proj.lemma_set.keys()
 
     def test_later_components_seeded_with_earlier_lemmas(self):
         # Leaf checks see the whole theory assignment, so a component pass can
@@ -258,12 +285,10 @@ class TestPartitioning:
             "(declare-const x Real)(declare-const y Real)"
             "(assert (and (or (= x 0) (= x 1)) (or (= y 0) (= y 1))))"
         )
-        ls = with_partitioning(
-            p.abstract, p.table, oracle_for(p), enumerate_baseline, cnf=p.cnf
-        )
+        ls = run_strategy(p, StrategySpec.from_name("baseline-proj-part")).lemma_set
         assert len(ls) == 2
         stages = {prov.stage for prov in ls.provenance}
-        assert stages <= {"part:component0", "part:component1"}
+        assert stages <= {"baseline:component0", "baseline:component1"}
         assert len(ls.lemmas) == len(set(l.key for l in ls.lemmas))
 
 
