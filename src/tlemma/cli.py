@@ -1,6 +1,7 @@
 """Command-line surface: enumerate, verify, gen, bench.
 
-Exit codes: 0 success, 1 usage/processing error, 2 budget truncation,
+Exit codes: 0 success, 1 usage/processing error, 2 truncation (budget,
+oracle timeout or solver fault; the lemmas found so far are written),
 3 verification cap exceeded, 4 incomplete lemma set, 5 invalid lemma.
 """
 
@@ -10,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -21,7 +21,7 @@ from .parser import ParseError
 from .problem import Problem
 from .stats import RunStats, lower_median, write_csv, write_jsonl
 from .strategies import STRATEGY_NAMES, StrategySpec, run_strategy
-from .verifier import CapExceeded, check_lemma_set, classify
+from .verifier import CapExceeded, check_lemma_set
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -102,6 +102,8 @@ def cmd_enumerate(args) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if result.oracle_error:
+        print(f"oracle error: {result.oracle_error}", file=sys.stderr)
     meta = {
         "instance": str(args.input),
         "strategy": spec.name,

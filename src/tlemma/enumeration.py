@@ -1,29 +1,41 @@
-"""Projected AllSMT enumeration with blocking clauses over the abstraction.
+"""Projected AllSMT enumeration over the Boolean abstraction.
 
 The engine is a deterministic DPLL search: two-watched-literal propagation,
 chronological backtracking (no clause learning), branching on the lowest
 unassigned projection atom first, then the remaining atoms, then Tseitin
 labels, positive polarity first.  Every total candidate is checked against
 the theory oracle; conflicts turn into lemma clauses, satisfiable candidates
-are (optionally minimized,) projected, recorded, and blocked.  Two runs with
-identical inputs produce identical outcomes, literal for literal.
+are (optionally minimized,) projected and recorded.  Two runs with identical
+inputs produce identical outcomes, literal for literal.
 
-Blocking clauses are added verbatim rather than being fed through conflict
-analysis, which keeps runs reproducible; CDCL is an upgrade path, not a
-requirement at desk scale.
+After recording a cube the search backtracks below the cube's deepest
+literal on the trail and takes the untried branch of the deepest open
+decision left.  In TOTAL mode the cube holds every projection atom, and that
+is all it takes to never reach it again, so no blocking clause is added:
+projection atoms are decided before any other variable, so every decision
+on the trail up to the cube's deepest literal is on a projection atom, and
+chronological backtracking keeps every later path on the other side of one
+of them.  A TOTAL-mode blocking clause would never be unit and never
+falsified.
+
+In PARTIAL mode the recorded cube is minimized, so later paths may still
+extend it; it is blocked by a clause, added verbatim rather than fed through
+conflict analysis, which keeps runs reproducible.  Minimization checks each
+trial drop incrementally against the formula and the blocking clauses so
+far (:class:`_CubeMinimizer`), which also keeps the cubes pairwise disjoint.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .atoms import AtomKind, AtomTable, Literal, eval3
+from .atoms import AtomKind, AtomTable, Literal
 from .cnf import CnfProblem
-from .oracle import OracleTimeoutError, TheoryVerdict, TLemma, lemma_from_core
-from .terms import Term
+from .oracle import OracleError, TheoryVerdict, TLemma, lemma_from_core
+from .terms import Term, TermKind, iter_dag
 
 UNASSIGNED = 2
 
@@ -77,6 +89,10 @@ def project(assignment: Assignment, proj: Iterable[int]) -> Assignment:
     )
 
 
+def _code(lit: Literal) -> int:
+    return lit.atom_index * 2 + (0 if lit.polarity else 1)
+
+
 def minimize_assignment(
     assignment: Assignment,
     proj: Iterable[int],
@@ -89,38 +105,161 @@ def minimize_assignment(
 
     Literals outside the projection set are always retained.  Drops are
     attempted in ascending atom-index order, so the result is deterministic.
+    Concrete atoms of ``phi`` are looked up through ``table``.
     """
-    kept = _greedy_minimize(assignment.as_map(), sorted(set(proj)), phi, table, blocking)
+    minimizer = _CubeMinimizer(phi, table)
+    for clause in blocking:
+        minimizer.add_blocking(_code(l) for l in clause)
+    kept = minimizer.minimize(assignment.as_map(), sorted(set(proj)))
     return Assignment(
         frozenset(Literal(i, v) for i, v in kept.items()), assignment.scope
     )
 
 
-def _clause_satisfied(clause: Sequence[Literal], values: Mapping[int, bool]) -> bool:
-    for lit in clause:
-        if values.get(lit.atom_index) == lit.polarity:
+_UNKNOWN = 2
+
+
+class _CubeMinimizer:
+    """Greedy cube minimization against one formula and a growing set of
+    blocking clauses.
+
+    The formula's DAG is flattened once into node arrays in topological
+    order (children first).  Each :meth:`minimize` call evaluates every node
+    once under the full assignment, with values 0, 1 and ``_UNKNOWN``.  A
+    trial drop sets the atom's leaves to unknown and re-evaluates only the
+    ancestors (the atom's cone) whose inputs changed; the values are rolled
+    back when the drop is rejected.  Kleene evaluation is monotone, so a drop
+    can only turn known values into unknown ones and each node changes at
+    most once per trial.
+
+    Blocking clauses are sets of literal codes, indexed by code.  Each call
+    counts every clause's satisfied literals once; a drop is allowed iff
+    every clause holding the dropped literal has another satisfied literal.
+    """
+
+    def __init__(self, phi: Term, table: Optional[AtomTable] = None):
+        position: Dict[int, int] = {}
+        self._kind: List[TermKind] = []
+        self._args: List[Tuple[int, ...]] = []
+        self._val: List[int] = []
+        self._leaves: Dict[int, List[int]] = {}
+        self._inner: List[int] = []
+        for t in iter_dag(phi):
+            node = len(self._kind)
+            position[t.id] = node
+            self._kind.append(t.kind)
+            self._args.append(tuple(position[a.id] for a in t.args))
+            self._val.append(int(t.payload) if t.kind is TermKind.CONST else _UNKNOWN)
+            if t.kind is TermKind.ATOM_REF:
+                self._leaves.setdefault(t.payload, []).append(node)
+            elif t.is_atom():
+                if table is None:
+                    raise ValueError("minimizing over concrete atoms requires the atom table")
+                self._leaves.setdefault(table.index_of[t.id], []).append(node)
+            elif t.kind is not TermKind.CONST:
+                self._inner.append(node)
+        self._root = position[phi.id]
+        self._parents: List[List[int]] = [[] for _ in self._kind]
+        for node in self._inner:
+            for child in set(self._args[node]):
+                self._parents[child].append(node)
+        self._blocking: List[FrozenSet[int]] = []
+        self._holding: Dict[int, List[int]] = {}  # literal code -> clause ids
+
+    def add_blocking(self, codes: Iterable[int]) -> None:
+        clause = frozenset(codes)
+        cid = len(self._blocking)
+        self._blocking.append(clause)
+        for code in clause:
+            self._holding.setdefault(code, []).append(cid)
+
+    def minimize(self, values: Mapping[int, bool], proj_sorted: Sequence[int]) -> Dict[int, bool]:
+        """The greedy drop loop over ``proj_sorted``: a literal is dropped
+        when the formula stays true and every blocking clause stays
+        satisfied without it.  Returns the kept ``{atom: value}`` map."""
+        current = dict(values)
+        val = self._val
+        for atom, leaves in self._leaves.items():
+            v = current.get(atom)
+            for leaf in leaves:
+                val[leaf] = _UNKNOWN if v is None else int(v)
+        for node in self._inner:
+            val[node] = self._eval(node)
+        if val[self._root] != 1:
+            return current
+        true_codes = {_code(Literal(i, v)) for i, v in current.items()}
+        counts = [len(clause & true_codes) for clause in self._blocking]
+        if 0 in counts:
+            return current
+        for idx in proj_sorted:
+            v = current.get(idx)
+            if v is None:
+                continue
+            holding = self._holding.get(_code(Literal(idx, v)), ())
+            if any(counts[cid] < 2 for cid in holding) or not self._drop(idx):
+                continue
+            del current[idx]
+            for cid in holding:
+                counts[cid] -= 1
+        return current
+
+    def _drop(self, atom: int) -> bool:
+        """Make ``atom`` unknown; keep the change iff the formula stays true."""
+        val = self._val
+        parents = self._parents
+        changed: List[Tuple[int, int]] = []
+        stack = list(self._leaves.get(atom, ()))
+        for leaf in stack:
+            changed.append((leaf, val[leaf]))
+            val[leaf] = _UNKNOWN
+        while stack:
+            for parent in parents[stack.pop()]:
+                old = val[parent]
+                if old == _UNKNOWN:
+                    continue
+                new = self._eval(parent)
+                if new != old:
+                    changed.append((parent, old))
+                    val[parent] = new
+                    stack.append(parent)
+        if val[self._root] == 1:
             return True
-    return False
+        for node, old in changed:
+            val[node] = old
+        return False
 
-
-def _greedy_minimize(
-    values: Dict[int, bool],
-    proj_sorted: Sequence[int],
-    phi: Term,
-    table: Optional[AtomTable],
-    blocking: Sequence[Sequence[Literal]],
-) -> Dict[int, bool]:
-    current = dict(values)
-    for idx in proj_sorted:
-        if idx not in current:
-            continue
-        trial = dict(current)
-        del trial[idx]
-        if eval3(phi, trial, table) is not True:
-            continue
-        if all(_clause_satisfied(c, trial) for c in blocking):
-            current = trial
-    return current
+    def _eval(self, node: int) -> int:
+        """Kleene value of an inner node from its children's values."""
+        kind = self._kind[node]
+        args = self._args[node]
+        val = self._val
+        if kind is TermKind.AND or kind is TermKind.OR:
+            absorbing = 0 if kind is TermKind.AND else 1
+            result = 1 - absorbing
+            for child in args:
+                v = val[child]
+                if v == absorbing:
+                    return absorbing
+                if v == _UNKNOWN:
+                    result = _UNKNOWN
+            return result
+        if kind is TermKind.NOT:
+            v = val[args[0]]
+            return v if v == _UNKNOWN else 1 - v
+        if kind is TermKind.IMPLIES:
+            a, b = val[args[0]], val[args[1]]
+            if a == 0 or b == 1:
+                return 1
+            return 0 if a == 1 and b == 0 else _UNKNOWN
+        if kind is TermKind.IFF:
+            a, b = val[args[0]], val[args[1]]
+            return _UNKNOWN if _UNKNOWN in (a, b) else int(a == b)
+        if kind is TermKind.ITE:
+            c, a, b = val[args[0]], val[args[1]], val[args[2]]
+            if c != _UNKNOWN:
+                return a if c == 1 else b
+            return a if a == b else _UNKNOWN
+        raise AssertionError(f"unknown term kind {kind}")
 
 
 @dataclass
@@ -128,7 +267,7 @@ class EnumerationStats:
     n_candidates: int = 0
     n_theory_checks: int = 0
     n_lemmas: int = 0
-    n_blocking_clauses: int = 0
+    n_blocking_clauses: int = 0  # one per recorded cube, in either mode
     elapsed_ns: int = 0
 
 
@@ -138,14 +277,7 @@ class EnumerationOutcome:
     lemmas: List[TLemma]
     stats: EnumerationStats
     truncated: bool = False
-
-
-def _code(lit: Literal) -> int:
-    return lit.atom_index * 2 + (0 if lit.polarity else 1)
-
-
-def _literal(code: int) -> Literal:
-    return Literal(code >> 1, not (code & 1))
+    oracle_error: Optional[str] = None  # the oracle fault that truncated the run
 
 
 class _Engine:
@@ -163,8 +295,6 @@ class _Engine:
         pruning_interval: int,
         positive_first: bool,
     ):
-        self.table = table
-        self.mode = mode
         self.oracle = oracle
         self.deadline = deadline
         self.early_pruning = early_pruning
@@ -174,9 +304,11 @@ class _Engine:
         self.n_atoms = len(cnf.alpha_indices)
         self.n_vars = cnf.n_vars
         self.proj_sorted = sorted(set(proj))
-        self.phi_abs = cnf.source
-        if mode is EnumerationMode.PARTIAL and self.phi_abs is None:
-            raise ValueError("partial mode needs the source formula for minimization")
+        self.minimizer: Optional[_CubeMinimizer] = None
+        if mode is EnumerationMode.PARTIAL:
+            if cnf.source is None:
+                raise ValueError("partial mode needs the source formula for minimization")
+            self.minimizer = _CubeMinimizer(cnf.source)
 
         self.theory_vars = [
             i for i in range(self.n_atoms) if table.kind_of(i) is AtomKind.THEORY
@@ -206,12 +338,12 @@ class _Engine:
         for lit in assumptions:
             self.root_units.append(_code(lit))
 
-        self.blocking_literals: List[List[Literal]] = []
         self.out_assignments: List[Assignment] = []
         self.out_lemmas: List[TLemma] = []
         self.lemma_keys = set()
         self.stats = EnumerationStats()
         self.truncated = False
+        self.oracle_error: Optional[str] = None
         self.since_prune = 0
 
     # -- clause installation ------------------------------------------------
@@ -386,7 +518,8 @@ class _Engine:
 
     def _handle_candidate(self) -> Optional[List[int]]:
         """Process a total candidate.  Returns the codes of the clause that
-        now blocks it, or None when the search is finished or truncated."""
+        rules it out (a lemma, or the negation of the recorded cube), or
+        None when the search is finished or truncated."""
         self.stats.n_candidates += 1
         theory_lits = self._assigned_theory_literals(total=True)
         verdict = self._theory_check(theory_lits) if theory_lits else TheoryVerdict(True)
@@ -394,26 +527,21 @@ class _Engine:
             return None
         if not verdict.satisfiable:
             return self._emit_lemma(verdict)
-        alpha_map = {i: self.values[i] == 1 for i in range(self.n_atoms)}
-        if self.mode is EnumerationMode.PARTIAL:
-            kept = _greedy_minimize(
-                alpha_map,
-                self.proj_sorted,
-                self.phi_abs,
-                None,
-                self.blocking_literals,
-            )
+        if self.minimizer is None:
+            mu_lits = [Literal(i, self.values[i] == 1) for i in self.proj_sorted]
         else:
-            kept = alpha_map
-        mu_lits = [Literal(i, kept[i]) for i in self.proj_sorted if i in kept]
+            alpha_map = {i: self.values[i] == 1 for i in range(self.n_atoms)}
+            kept = self.minimizer.minimize(alpha_map, self.proj_sorted)
+            mu_lits = [Literal(i, kept[i]) for i in self.proj_sorted if i in kept]
         self.out_assignments.append(Assignment.of(mu_lits, self.proj_sorted))
         self.stats.n_blocking_clauses += 1
         if not mu_lits:
             return None  # empty blocking clause: nothing left to enumerate
-        self.blocking_literals.append([l.negated() for l in mu_lits])
-        codes = [_code(l.negated()) for l in mu_lits]
-        assert all(self._lit_value(c) == 0 for c in codes)
-        self._add_dynamic(codes)
+        codes = [_code(l) ^ 1 for l in mu_lits]
+        if self.minimizer is not None:
+            assert all(self._lit_value(c) == 0 for c in codes)
+            self._add_dynamic(codes)
+            self.minimizer.add_blocking(codes)
         return codes
 
     def _early_prune(self) -> Optional[List[int]]:
@@ -428,13 +556,15 @@ class _Engine:
         return self._emit_lemma(verdict)
 
     def _theory_check(self, lits: List[Literal]) -> Optional[TheoryVerdict]:
-        """The oracle's verdict, or None after it timed out, which truncates
-        the run: what was found so far is returned."""
+        """The oracle's verdict, or None after it failed (a timeout or a
+        solver fault), which truncates the run: what was found so far is
+        returned."""
         self.stats.n_theory_checks += 1
         try:
             return self.oracle.check(lits)
-        except OracleTimeoutError:
+        except OracleError as exc:
             self.truncated = True
+            self.oracle_error = str(exc)
             return None
 
     # -- main loop --------------------------------------------------------------
@@ -473,6 +603,7 @@ class _Engine:
             lemmas=self.out_lemmas,
             stats=self.stats,
             truncated=self.truncated,
+            oracle_error=self.oracle_error,
         )
 
 
@@ -494,8 +625,9 @@ def projected_allsmt(
 
     Returns the projected assignments, the lemmas minted from every theory
     conflict hit during the search, and run counters.  When ``deadline`` (an
-    absolute ``time.monotonic()`` value) passes or an oracle check times out,
-    partial results are returned with ``truncated`` set.
+    absolute ``time.monotonic()`` value) passes or an oracle check fails,
+    partial results are returned with ``truncated`` set, and an oracle
+    failure's message in ``oracle_error``.
     """
     proj = sorted(set(proj))
     alpha = set(cnf.alpha_indices)

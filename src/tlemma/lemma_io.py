@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .atoms import AtomKind, AtomTable, Literal
 from .oracle import TLemma

@@ -36,12 +36,12 @@ part's, and its model the union of the parts' models.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .atoms import AtomTable, Literal
+from .atoms import Literal
 from .partition import partition_atoms
 from .terms import LinearAtom, Relation
 

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def lower_median(sizes: Sequence[int]) -> int:

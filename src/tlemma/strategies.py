@@ -158,16 +158,20 @@ class RunCounters:
 
 
 class BudgetExceeded(Exception):
-    """Raised when a strategy run outlives its budget.
+    """Raised when a strategy run outlives its budget or its oracle fails.
 
     Carries the lemmas found so far; no completeness claim is attached to
-    them.
+    them.  ``oracle_error`` is the oracle failure's message, if one stopped
+    the run.
     """
 
-    def __init__(self, partial: LemmaSet, counters: RunCounters):
-        super().__init__("enumeration budget exceeded")
+    def __init__(
+        self, partial: LemmaSet, counters: RunCounters, oracle_error: Optional[str] = None
+    ):
+        super().__init__(oracle_error or "enumeration budget exceeded")
         self.partial = partial
         self.counters = counters
+        self.oracle_error = oracle_error
 
 
 def _provenance_for(outcome: EnumerationOutcome, stage: str, worker: int):
@@ -209,7 +213,7 @@ def enumerate_baseline(
         outcome.lemmas, _provenance_for(outcome, stage, 0), spec.subsume
     )
     if outcome.truncated:
-        raise BudgetExceeded(lemma_set, counters)
+        raise BudgetExceeded(lemma_set, counters, outcome.oracle_error)
     return lemma_set
 
 
@@ -217,9 +221,9 @@ def _run_cubes(cnf, table, oracle, seeds, cubes, proj, deadline, early, interval
     """Run one seeded total enumeration per ``(ordinal, literals)`` cube.
 
     Returns lean per-cube records ``(ordinal, lemmas, stats, n_assignments,
-    truncated)``: divide & conquer keeps only the lemmas, so the enumerated
-    assignments are dropped here rather than being shipped back from a
-    worker.
+    truncated, oracle_error)``: divide & conquer keeps only the lemmas, so
+    the enumerated assignments are dropped here rather than being shipped
+    back from a worker.
     """
     records = []
     for ordinal, cube in cubes:
@@ -242,6 +246,7 @@ def _run_cubes(cnf, table, oracle, seeds, cubes, proj, deadline, early, interval
                 outcome.stats,
                 len(outcome.assignments),
                 outcome.truncated,
+                outcome.oracle_error,
             )
         )
     return records
@@ -307,7 +312,9 @@ def enumerate_dnc(
     collected: List[TLemma] = list(phase1.lemmas)
     provenance: List[LemmaProvenance] = _provenance_for(phase1, f"{stage}-phase1", 0)
     if phase1.truncated:
-        raise BudgetExceeded(dedup_lemmas(collected, provenance, spec.subsume), counters)
+        raise BudgetExceeded(
+            dedup_lemmas(collected, provenance, spec.subsume), counters, phase1.oracle_error
+        )
 
     seeds = tuple(seed_lemmas) + tuple(phase1.lemmas)
     cubes: List[Tuple[int, List[Literal]]] = [
@@ -355,9 +362,11 @@ def enumerate_dnc(
             )
 
     truncated = False
-    for ordinal, lemmas, stats, n_assignments, cube_truncated in records:
+    oracle_error = None
+    for ordinal, lemmas, stats, n_assignments, cube_truncated, cube_error in records:
         counters.absorb_stats(stats, n_assignments)
         truncated = truncated or cube_truncated
+        oracle_error = oracle_error or cube_error
         collected.extend(lemmas)
         provenance.extend(
             LemmaProvenance(f"{stage}-phase2:cube{ordinal}", ordinal % spec.workers, i)
@@ -366,7 +375,7 @@ def enumerate_dnc(
 
     lemma_set = dedup_lemmas(collected, provenance, spec.subsume)
     if truncated:
-        raise BudgetExceeded(lemma_set, counters)
+        raise BudgetExceeded(lemma_set, counters, oracle_error)
     return lemma_set
 
 
@@ -376,6 +385,7 @@ class StrategyResult:
     counters: RunCounters
     truncated: bool
     elapsed_ms: int
+    oracle_error: Optional[str] = None
 
 
 def run_strategy(
@@ -404,6 +414,7 @@ def run_strategy(
     found: List[TLemma] = []
     provenance: List[LemmaProvenance] = []
     truncated = False
+    oracle_error = None
     try:
         if spec.partitioning:
             # The Boolean component is never enumerated: its atoms cannot
@@ -435,9 +446,10 @@ def run_strategy(
         found.extend(exc.partial.lemmas)
         provenance.extend(exc.partial.provenance)
         truncated = True
+        oracle_error = exc.oracle_error
     finally:
         if own_oracle:
             oracle.close()
     lemma_set = dedup_lemmas(found, provenance, spec.subsume)
     elapsed_ms = (time.monotonic_ns() - start) // 1_000_000
-    return StrategyResult(lemma_set, counters, truncated, elapsed_ms)
+    return StrategyResult(lemma_set, counters, truncated, elapsed_ms, oracle_error)

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
 
 
 class Relation(enum.Enum):

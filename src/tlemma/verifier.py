@@ -9,14 +9,14 @@ depend on nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import AtomKind, AtomTable, Literal, boolean_abstraction
 from .enumeration import Assignment
 from .oracle import TLemma
 from .problem import Problem
-from .strategies import LemmaSet, RunCounters, StrategySpec, run_strategy
+from .strategies import RunCounters, StrategySpec, run_strategy
 from .terms import Term, TermKind
 
 

@@ -2,7 +2,8 @@
 
 The evaluators here deliberately avoid the library's own evaluation paths
 (three-valued eval, truth-table bitmasks) so tests compare two independent
-routes to the same answer.
+routes to the same answer.  ``reference_minimize`` is the exception: it is
+the plain ``eval3``-based loop that the incremental cube minimizer replaced.
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from tlemma.atoms import AtomTable, Literal
+from tlemma.atoms import AtomTable, Literal, eval3
 from tlemma.problem import Problem
 from tlemma.terms import Term, TermKind
 
@@ -63,6 +64,26 @@ def truth_models(term: Term, table: AtomTable) -> Set[FrozenSet[Literal]]:
         if direct_eval(term, values, table):
             out.add(frozenset(Literal(i, v) for i, v in values.items()))
     return out
+
+
+def reference_minimize(values: Dict[int, bool], proj_sorted: Iterable[int], phi: Term,
+                       table: Optional[AtomTable] = None,
+                       blocking: Iterable[Iterable[Literal]] = ()) -> Dict[int, bool]:
+    """The greedy cube minimization loop, one whole-DAG ``eval3`` walk and
+    one scan of every blocking clause per trial drop: the reference that
+    ``minimize_assignment`` must agree with."""
+    blocking = [list(clause) for clause in blocking]
+    current = dict(values)
+    for idx in proj_sorted:
+        if idx not in current:
+            continue
+        trial = dict(current)
+        del trial[idx]
+        if eval3(phi, trial, table) is not True:
+            continue
+        if all(any(trial.get(l.atom_index) == l.polarity for l in c) for c in blocking):
+            current = trial
+    return current
 
 
 def random_problem(depth: int, seed: int, n_bool: int = 4, n_real: int = 4,

@@ -1,5 +1,3 @@
-import pytest
-
 from helpers import all_assignments, direct_eval, random_problem, truth_models
 from tlemma.atoms import Literal, boolean_abstraction, eval3, refine
 from tlemma.parser import parse_smtlib

@@ -19,7 +19,6 @@ from tlemma.lemma_io import render_lemma_script
 from tlemma.oracle import BuiltinOracle, OracleConfig, make_oracle
 from tlemma.problem import Problem
 from tlemma.strategies import (
-    BudgetExceeded,
     RunCounters,
     StrategySpec,
     enumerate_baseline,

@@ -1,11 +1,7 @@
 import itertools
 
-import pytest
-
-from helpers import direct_eval, random_problem, truth_models
-from tlemma.atoms import Literal, boolean_abstraction
-from tlemma.cnf import to_cnf
-from tlemma.parser import parse_smtlib
+from helpers import random_problem, truth_models
+from tlemma.atoms import Literal
 from tlemma.problem import Problem
 
 

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import L, atoms_problem, random_problem, truth_models
-from tlemma.atoms import Literal
+from helpers import L, random_problem, reference_minimize
+from tlemma.atoms import AtomTable, eval3
 from tlemma.enumeration import (
     Assignment,
     EnumerationMode,
@@ -9,8 +11,11 @@ from tlemma.enumeration import (
     project,
     projected_allsmt,
 )
+from tlemma.generator import product_instance
 from tlemma.oracle import BuiltinOracle
+from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
+from tlemma.terms import TermBank, TermKind, normalize_linear
 from tlemma.verifier import classify
 
 
@@ -88,6 +93,41 @@ class TestTotalMode:
         p = random_problem(depth=4, seed=9)
         out = run(p, EnumerationMode.TOTAL, deadline=0.0)
         assert out.truncated
+
+    def test_each_projected_model_recorded_exactly_once(self):
+        # TOTAL mode adds no blocking clauses: the search order alone must
+        # keep it from reaching a recorded projected cube twice.
+        problems = [random_problem(depth=4, seed=7000 + k) for k in range(25)]
+        problems += [Problem.from_text(product_instance(s, n_groups=3)) for s in range(3)]
+        for p in problems:
+            oracle = BuiltinOracle(p.table)
+            ctta = [a.literals for a in classify(p.term, p.table, oracle).ctta]
+            n = len(p.table)
+            projections = [list(range(n)), p.table.theory_indices()]
+            projections += [
+                sorted(c) for c in partition_atoms(p.table).theory_components()
+            ]
+            for proj in projections:
+                for assumptions in ([], [L(0, True)], [L(n - 1, False)]):
+                    want = {
+                        frozenset(l for l in eta if l.atom_index in proj)
+                        for eta in ctta
+                        if set(assumptions) <= eta
+                    }
+                    for early in (False, True):
+                        out = run(
+                            p,
+                            EnumerationMode.TOTAL,
+                            proj=proj,
+                            oracle=oracle,
+                            assumptions=assumptions,
+                            early_pruning=early,
+                            pruning_interval=1,
+                        )
+                        got = [a.literals for a in out.assignments]
+                        assert len(set(got)) == len(got), (proj, assumptions, early)
+                        assert set(got) == want, (proj, assumptions, early)
+                        assert out.stats.n_blocking_clauses == len(got)
 
 
 class TestPartialMode:
@@ -182,6 +222,45 @@ class TestHelpers:
         eta = Assignment.of([L(0, True), L(1, False)], [0, 1])
         assert minimize_assignment(eta, [], two_vals.abstract) == eta
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_minimize_matches_reference(self, data):
+        n = 6
+        concrete = data.draw(st.booleans(), label="concrete")
+        spec = data.draw(_FORMULAS, label="formula")
+        bank = TermBank()
+        table = AtomTable(bank) if concrete else None
+        if concrete:
+            # Even indices are Boolean atoms, odd ones theory atoms.
+            atoms = [
+                bank.bool_atom(f"b{i}")
+                if i % 2 == 0
+                else bank.theory_atom(normalize_linear({"x": 1}, "<=", i))
+                for i in range(n)
+            ]
+            for atom in atoms:
+                table.register(atom)
+            leaf = atoms.__getitem__
+        else:
+            leaf = bank.atom_ref
+        phi = _build(spec, bank, leaf)
+        total = dict(enumerate(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        if eval3(phi, total, table) is False:
+            # Mostly start from a model, as the engine does, so drops are tried.
+            phi = bank._intern(TermKind.NOT, (phi,), None)
+        unset = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="unset")
+        values = {i: v for i, v in total.items() if i not in unset}
+        proj = data.draw(st.lists(st.integers(0, n - 1)), label="proj")
+        literal = st.builds(L, st.integers(0, n - 1), st.booleans())
+        blocking = data.draw(
+            st.lists(st.lists(literal, min_size=1, max_size=4), max_size=4),
+            label="blocking",
+        )
+        eta = Assignment.of([L(i, v) for i, v in values.items()], range(n))
+        got = minimize_assignment(eta, proj, phi, table, blocking)
+        want = reference_minimize(values, sorted(set(proj)), phi, table, blocking)
+        assert got.as_map() == want
+
     def test_assignment_validation(self):
         with pytest.raises(ValueError):
             Assignment.of([L(0), L(0, False)], [0])
@@ -221,3 +300,40 @@ class TestEarlyPruning:
 
             cls = classify(p.term, p.table, oracle)
             assert rules_out(out.lemmas, cls.itta)
+
+
+_CONNECTIVES = {
+    "not": TermKind.NOT,
+    "and": TermKind.AND,
+    "or": TermKind.OR,
+    "implies": TermKind.IMPLIES,
+    "iff": TermKind.IFF,
+    "ite": TermKind.ITE,
+}
+
+_FORMULAS = st.recursive(
+    st.one_of(
+        st.tuples(st.just("atom"), st.integers(0, 5)),
+        st.tuples(st.just("const"), st.booleans()),
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.sampled_from(["and", "or"]), st.lists(sub, min_size=1, max_size=4)),
+        st.tuples(st.sampled_from(["implies", "iff"]), sub, sub),
+        st.tuples(st.just("ite"), sub, sub, sub),
+    ),
+    max_leaves=14,
+)
+
+
+def _build(spec, bank, leaf):
+    """A term for a drawn formula spec.  Nodes are interned directly, past
+    the bank's constant folding, so constants reach the evaluators."""
+    tag = spec[0]
+    if tag == "atom":
+        return leaf(spec[1])
+    if tag == "const":
+        return bank.const(spec[1])
+    children = spec[1] if tag in ("and", "or") else spec[1:]
+    args = tuple(_build(c, bank, leaf) for c in children)
+    return bank._intern(_CONNECTIVES[tag], args, None)

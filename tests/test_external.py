@@ -1,4 +1,3 @@
-import os
 import random
 import shlex
 import sys
@@ -6,8 +5,12 @@ import sys
 import pytest
 
 from helpers import L, atoms_problem, random_theory_literals
-from tlemma.external import ExternalOracle, ExternalSolverError, SolverSession
+from tlemma.cli import EXIT_TRUNCATED, main
+from tlemma.external import ExternalSolverError
+from tlemma.generator import product_instance
 from tlemma.oracle import BuiltinOracle, OracleConfig, TLemma, make_oracle
+from tlemma.problem import Problem
+from tlemma.strategies import StrategySpec, run_strategy
 
 
 REF_CMD = f"{shlex.quote(sys.executable)} -m tlemma.ref_solver"
@@ -160,6 +163,57 @@ class TestMisbehavior:
             assert set(v.core) == {L(0), L(1)}
         finally:
             oracle.close()
+
+
+def exiting_solver(tmp_path, replies: int) -> str:
+    """Command for the reference solver, made to exit after ``replies``
+    replies, mid-run."""
+    script = tmp_path / "exits.py"
+    script.write_text(
+        "import builtins, sys\n"
+        "from tlemma import ref_solver\n"
+        f"left = [{replies}]\n"
+        "def reply(*args, **kw):\n"
+        "    if left[0] == 0:\n"
+        "        sys.exit(0)\n"
+        "    left[0] -= 1\n"
+        "    builtins.print(*args, **kw)\n"
+        "ref_solver.print = reply\n"
+        "ref_solver.main()\n"
+    )
+    return f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+
+
+class TestSolverFault:
+    """A solver that dies mid-run truncates the run; the lemmas found before
+    the fault are kept."""
+
+    @pytest.mark.parametrize("name", ["baseline", "dnc", "baseline-proj-part"])
+    def test_run_strategy_keeps_lemmas(self, tmp_path, name):
+        p = Problem.from_text(product_instance(1, n_groups=2))
+        cfg = OracleConfig(
+            backend="external", command=exiting_solver(tmp_path, 40), timeout_secs=30
+        )
+        res = run_strategy(p, StrategySpec.from_name(name), oracle_config=cfg)
+        assert res.truncated
+        assert "eof" in res.oracle_error or "exited" in res.oracle_error
+        full = run_strategy(p, StrategySpec.from_name(name))
+        assert not full.truncated and full.oracle_error is None
+        assert 0 < len(res.lemma_set) < len(full.lemma_set)
+        assert res.lemma_set.keys() <= full.lemma_set.keys()
+
+    def test_cli_exits_truncated_with_lemma_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("TLEMMA_ORACLE_CMD", raising=False)
+        instance = tmp_path / "product.smt2"
+        instance.write_text(product_instance(1, n_groups=2))
+        out = tmp_path / "product.lemmas"
+        rc = main(
+            ["enumerate", "-i", str(instance), "-o", str(out), "--workers", "1",
+             "--oracle-cmd", exiting_solver(tmp_path, 40)]
+        )
+        assert rc == EXIT_TRUNCATED
+        assert "(assert" in out.read_text()
+        assert "oracle error:" in capsys.readouterr().err
 
 
 class TestCrossValidation:

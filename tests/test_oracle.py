@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from tlemma.oracle import (
     lemma_from_core,
     make_oracle,
 )
-from tlemma.problem import Problem
 
 
 @pytest.fixture

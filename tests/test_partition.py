@@ -1,8 +1,6 @@
 import random
 
-import pytest
-
-from helpers import L, atoms_problem, random_theory_literals
+from helpers import atoms_problem, random_theory_literals
 from tlemma.generator import planning_style_instance
 from tlemma.oracle import BuiltinOracle
 from tlemma.partition import UnionFind, partition_atoms

@@ -1,12 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlemma.terms import (
-    LinearAtom,
     Relation,
     TermBank,
     TermKind,
