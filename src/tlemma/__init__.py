@@ -10,7 +10,6 @@ from .enumeration import (
     EnumerationMode,
     EnumerationOutcome,
     minimize_assignment,
-    project,
     projected_allsmt,
 )
 from .oracle import (

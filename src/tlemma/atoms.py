@@ -150,7 +150,7 @@ def boolean_abstraction(term: Term, table: AtomTable) -> Term:
             out = t
         else:
             args = tuple(walk(a) for a in t.args)
-            out = bank._intern(t.kind, args, t.payload)
+            out = bank.intern(t.kind, args, t.payload)
         memo[t.id] = out
         return out
 
@@ -172,16 +172,11 @@ def refine(term: Term, table: AtomTable) -> Term:
             out = t
         else:
             args = tuple(walk(a) for a in t.args)
-            out = bank._intern(t.kind, args, t.payload)
+            out = bank.intern(t.kind, args, t.payload)
         memo[t.id] = out
         return out
 
     return walk(term)
-
-
-def literal_term(lit: Literal, table: AtomTable) -> Term:
-    atom = table.atoms[lit.atom_index]
-    return atom if lit.polarity else table.bank.not_(atom)
 
 
 AssignmentLike = Union[Mapping[int, bool], Iterable[Literal]]

@@ -58,10 +58,10 @@ def _oracle_config(args) -> OracleConfig:
     return OracleConfig(timeout_secs=args.oracle_timeout_secs)
 
 
-def _spec_from_args(args, name: str, workers: int) -> StrategySpec:
+def _spec_from_args(args, name: str) -> StrategySpec:
     return StrategySpec.from_name(
         name,
-        workers=workers,
+        workers=args.workers,
         early_pruning=args.early_pruning == "on",
         pruning_interval=args.pruning_interval,
         budget_secs=args.budget_secs,
@@ -87,13 +87,13 @@ def _run_stats(instance: str, spec: StrategySpec, result) -> RunStats:
 
 def cmd_enumerate(args) -> int:
     try:
-        spec = _spec_from_args(args, args.strategy, args.workers)
+        spec = _spec_from_args(args, args.strategy)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
         problem = Problem.from_file(args.input)
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     config = _oracle_config(args)
@@ -110,30 +110,36 @@ def cmd_enumerate(args) -> int:
         "workers": spec.workers,
         "truncated": result.truncated,
     }
-    if args.output:
-        write_lemma_file(args.output, result.lemma_set, problem.table, meta)
-    if args.stats:
-        stats = _run_stats(str(args.input), spec, result)
-        Path(args.stats).write_text(
-            json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+    try:
+        if args.output:
+            write_lemma_file(args.output, result.lemma_set, problem.table, meta)
+        if args.stats:
+            stats = _run_stats(str(args.input), spec, result)
+            Path(args.stats).write_text(
+                json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_TRUNCATED if result.truncated else EXIT_OK
 
 
 def cmd_verify(args) -> int:
     try:
         problem = Problem.from_file(args.input)
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    config = _oracle_config(args)
-    oracle = make_oracle(problem.table, config)
     try:
         lemmas = read_lemma_file(args.lemmas, problem.table)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except (LemmaFormatError, ParseError) as exc:
         print(f"invalid lemma file: {exc}", file=sys.stderr)
         return EXIT_INVALID_LEMMA
+    oracle = make_oracle(problem.table, _oracle_config(args))
     try:
         ok_rules, ok_valid, ok_atoms, ok_equiv, cls = check_lemma_set(
             problem.term, problem.table, oracle, lemmas, cap=args.cap
@@ -141,6 +147,9 @@ def cmd_verify(args) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except OracleError as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     finally:
         oracle.close()
     print(f"lemmas: {len(lemmas)}")
@@ -175,8 +184,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(path_str: str, name: str, args, workers: int):
-    spec = _spec_from_args(args, name, workers)
+def _bench_one(path_str: str, name: str, args):
+    spec = _spec_from_args(args, name)
     problem = Problem.from_file(path_str)
     result = run_strategy(problem, spec, oracle_config=_oracle_config(args))
     return _run_stats(path_str, spec, result)
@@ -188,30 +197,13 @@ def cmd_bench(args) -> int:
         print(f"error: no .smt2 files under {args.corpus}", file=sys.stderr)
         return EXIT_ERROR
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    jobs = [(str(path), name) for path in corpus for name in strategies]
-    rows: List[Optional[RunStats]] = [None] * len(jobs)
-    if args.parallel_instances and args.workers > 1 and len(jobs) > 1:
-        # Split the worker budget across instances; each run is sequential.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = {
-                pool.submit(_bench_one, path, name, args, 1): k
-                for k, (path, name) in enumerate(jobs)
-            }
-            for fut, k in futures.items():
-                try:
-                    rows[k] = fut.result()
-                except Exception as exc:  # keep sweeping
-                    path, name = jobs[k]
-                    print(f"skipping {path} [{name}]: {exc}", file=sys.stderr)
-    else:
-        for k, (path, name) in enumerate(jobs):
+    kept: List[RunStats] = []
+    for path in corpus:
+        for name in strategies:
             try:
-                rows[k] = _bench_one(path, name, args, args.workers)
+                kept.append(_bench_one(str(path), name, args))
             except (ParseError, OracleError, ValueError, OSError) as exc:
                 print(f"skipping {path} [{name}]: {exc}", file=sys.stderr)
-    kept = [r for r in rows if r is not None]
     out_prefix = Path(args.out)
     write_csv(out_prefix.with_suffix(".csv"), kept)
     write_jsonl(out_prefix.with_suffix(".jsonl"), kept)
@@ -258,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategies", default="baseline,dnc,dnc-proj,dnc-proj-part"
     )
     p_bench.add_argument("--out", required=True, help="output prefix for .csv/.jsonl")
-    p_bench.add_argument("--parallel-instances", action="store_true")
     _add_run_flags(p_bench)
     _add_oracle_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)

@@ -70,23 +70,8 @@ class Assignment:
     def sorted_literals(self) -> List[Literal]:
         return sorted(self.literals)
 
-    def extends(self, smaller: "Assignment") -> bool:
-        return smaller.literals <= self.literals
-
-    def is_total(self) -> bool:
-        return len(self.literals) == len(self.scope)
-
     def __len__(self) -> int:
         return len(self.literals)
-
-
-def project(assignment: Assignment, proj: Iterable[int]) -> Assignment:
-    """Restrict the literals to the projection atoms; scope becomes proj."""
-    proj_set = frozenset(proj)
-    return Assignment(
-        frozenset(l for l in assignment.literals if l.atom_index in proj_set),
-        proj_set,
-    )
 
 
 def _code(lit: Literal) -> int:

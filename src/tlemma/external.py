@@ -2,7 +2,8 @@
 
 One subprocess per oracle instance (hence per worker).  Each query is a
 ``(push 1) (assert (! lit :named ...)) ... (check-sat) [(get-unsat-core)]
-(pop 1)`` exchange; the named core is mapped back to literals.  Solver
+(pop 1)`` exchange; the named core is mapped back to literals.  The session
+asks only for verdicts and unsat cores: nothing reads a theory model.  Solver
 misbehavior (``unknown``, protocol violations, early exit, timeouts) raises
 :class:`ExternalSolverError` and is never silently treated as a verdict; the
 session it happened in is killed, so a late reply cannot answer the next
@@ -16,8 +17,7 @@ import select
 import shlex
 import subprocess
 import time
-from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .atoms import Literal
 from .oracle import OracleConfig, OracleError, TheoryOracle, TheoryVerdict
@@ -162,8 +162,6 @@ class ExternalOracle(TheoryOracle):
             s = SolverSession(self.config.command, self.config.timeout_secs)
             s.send("(set-option :print-success false)")
             s.send("(set-option :produce-unsat-cores true)")
-            if self.config.model_production:
-                s.send("(set-option :produce-models true)")
             s.send("(set-logic QF_LRA)")
             for name in self.table.variables():
                 s.send(f"(declare-const {name} Real)")
@@ -226,37 +224,10 @@ class ExternalOracle(TheoryOracle):
         lits = frozenset(literals)
         sat, core = self._raw_check(lits)
         if sat:
-            if self.config.model_production:
-                return TheoryVerdict(True, model=self._get_model(lits))
             return TheoryVerdict(True)
         if self.config.minimize_cores:
             core = self.minimize_core(core)
         return TheoryVerdict(False, core=core)
-
-    def _get_model(self, lits: FrozenSet[Literal]) -> Dict[str, Fraction]:
-        names: List[str] = []
-        for lit in sorted(lits):
-            for name in self.table.linear_atom(lit.atom_index).variables:
-                if name not in names:
-                    names.append(name)
-        if not names:
-            return {}
-        s = self._ensure_session()
-        # Model queries must run before the enclosing pop; redo the asserts.
-        try:
-            s.send("(push 1)")
-            for lit in sorted(lits):
-                s.send(f"(assert {self._literal_sexpr(lit)})")
-            s.send("(check-sat)")
-            if s.read_sexpr() != "sat":
-                raise ExternalSolverError("solver flipped verdict during model query")
-            s.send(f"(get-value ({' '.join(names)}))")
-            reply = s.read_sexpr()
-            s.send("(pop 1)")
-        except ExternalSolverError:
-            self._drop_session()
-            raise
-        return _parse_values(reply, names)
 
     def close(self) -> None:
         if self.session is not None:
@@ -268,44 +239,3 @@ class ExternalOracle(TheoryOracle):
             self.close()
         except Exception:
             pass
-
-
-def _parse_values(reply: str, names: List[str]) -> Dict[str, Fraction]:
-    """Parse a ((name value) ...) reply; values are rational sexprs."""
-    tokens = reply.replace("(", " ( ").replace(")", " ) ").split()
-
-    def read(pos: int):
-        if tokens[pos] == "(":
-            items = []
-            pos += 1
-            while tokens[pos] != ")":
-                item, pos = read(pos)
-                items.append(item)
-            return items, pos + 1
-        return tokens[pos], pos + 1
-
-    try:
-        tree, _ = read(0)
-    except IndexError:
-        raise ExternalSolverError(f"malformed value reply: {reply}") from None
-
-    def to_fraction(node) -> Fraction:
-        if isinstance(node, str):
-            return Fraction(node.rstrip("?"))
-        if len(node) == 2 and node[0] == "-":
-            return -to_fraction(node[1])
-        if len(node) == 3 and node[0] == "/":
-            return to_fraction(node[1]) / to_fraction(node[2])
-        raise ExternalSolverError(f"unparseable value {node!r}")
-
-    out: Dict[str, Fraction] = {}
-    if not isinstance(tree, list):
-        raise ExternalSolverError(f"malformed value reply: {reply}")
-    for pair in tree:
-        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-            raise ExternalSolverError(f"malformed value pair {pair!r}")
-        out[pair[0]] = to_fraction(pair[1])
-    missing = [n for n in names if n not in out]
-    if missing:
-        raise ExternalSolverError(f"solver omitted values for {missing}")
-    return out

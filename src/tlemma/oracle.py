@@ -9,8 +9,9 @@ pairwise, both by integer cross-multiplication; disequalities (negated
 equalities) are case-split.  A derived constant constraint ``0 <= b`` /
 ``0 < b`` is contradictory iff ``b < 0``, or ``b = 0`` with the strict flag
 set.  Every scaling is by a positive factor, so a row keeps its solution set,
-the signs of its coefficients and its strictness.  ``Fraction``s appear only
-where a model is built.  The backend is a documented hot-swap point.
+the signs of its coefficients and its strictness.  An oracle answers with a
+verdict and, for an unsatisfiable query, a core; it builds no model, since
+the enumerator reads none.  The backend is a documented hot-swap point.
 
 Every row carries an origin mask, an ``int`` with one bit per query literal:
 the literals the row was derived from (Imbert's history sets).  Combining
@@ -29,8 +30,8 @@ A conjunction is consistent iff each of its restrictions to the
 symbol-disjoint components of ``partition_atoms`` is, since those share no
 variable.  The builtin backend therefore solves and memoizes each part of a
 query on its own: k components with m consistent parts each take k*m memo
-entries rather than m**k.  A query's witness is the first unsatisfiable
-part's, and its model the union of the parts' models.
+entries rather than m**k.  A query is satisfiable iff every part is, and its
+witness is the first unsatisfiable part's.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class TLemma:
 class TheoryVerdict:
     satisfiable: bool
     core: Optional[Tuple[Literal, ...]] = None  # unsat subset, present iff unsat
-    model: Optional[Dict[str, Fraction]] = None  # present iff sat and requested
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,6 @@ class OracleConfig:
     backend: str = "builtin"  # "builtin" or "external"
     command: Optional[str] = None  # solver command line for the external backend
     minimize_cores: bool = True
-    model_production: bool = False
     timeout_secs: float = 10.0
 
 
@@ -190,100 +189,21 @@ def _pick_var(rows: List[Row]) -> Optional[str]:
     return min(occurrence, key=lambda n: (occurrence[n][0] * occurrence[n][1], n))
 
 
-def _fm_eliminate(rows: List[Row], deadline: Optional[float], want_model: bool):
-    """A model dict for the row system (empty unless ``want_model``), or the
-    origin mask of a contradiction."""
+def _fm_eliminate(rows: List[Row], deadline: Optional[float]) -> Optional[int]:
+    """``None`` if the row system is satisfiable, else the origin mask of a
+    contradiction."""
     for coeffs, bound, mask, strict in rows:
         if not coeffs and _row_conflict(bound, strict):
             return mask
     work = [r for r in rows if r[0]]
-    original = work
     while True:
         _check_deadline(deadline)
         var = _pick_var(work)
         if var is None:
-            break
+            return None
         work = _eliminate_var(work, var, deadline)
         if isinstance(work, int):
             return work
-    if not want_model:
-        return {}
-    return _fm_model(original, deadline)
-
-
-def _var_interval(rows: List[Row], var: str, deadline: Optional[float]):
-    """Exact feasible interval of ``var`` after projecting the others away."""
-    work = list(rows)
-    while True:
-        other = None
-        for coeffs, _, _, _ in work:
-            for name in coeffs:
-                if name != var:
-                    other = name
-                    break
-            if other:
-                break
-        if other is None:
-            break
-        work = _eliminate_var(work, other, deadline)
-        assert not isinstance(work, int), "projection of a satisfiable system failed"
-    low = high = None
-    low_strict = high_strict = False
-    for coeffs, bound, _, strict in work:
-        k = coeffs.get(var)
-        if not k:
-            continue
-        limit = Fraction(bound, k)
-        if k > 0:
-            if high is None or limit < high or (limit == high and strict):
-                high, high_strict = limit, strict
-        else:
-            if low is None or limit > low or (limit == low and strict):
-                low, low_strict = limit, strict
-    return low, low_strict, high, high_strict
-
-
-def _fm_model(rows: List[Row], deadline: Optional[float]) -> Dict[str, Fraction]:
-    """A rational point satisfying a system already known to be consistent.
-
-    Variables are fixed one at a time (in name order) to a point of their
-    exactly-projected interval, then substituted out, which keeps the
-    remaining system consistent at every step.
-    """
-    model: Dict[str, Fraction] = {}
-    work = [r for r in rows if r[0]]
-    for var in sorted({n for r in rows for n in r[0]}):
-        _check_deadline(deadline)
-        if not any(var in r[0] for r in work):
-            model[var] = Fraction(0)
-            continue
-        low, low_strict, high, high_strict = _var_interval(work, var, deadline)
-        if low is None and high is None:
-            value = Fraction(0)
-        elif low is None:
-            value = high - 1 if high_strict else high
-        elif high is None:
-            value = low + 1 if low_strict else low
-        elif low == high:
-            value = low  # both bounds non-strict, else FM had found 0 < 0
-        else:
-            value = (low + high) / 2
-        model[var] = value
-        next_work: List[Row] = []
-        for row in work:
-            coeffs, bound, mask, strict = row
-            k = coeffs.get(var)
-            if not k:
-                next_work.append(row)
-                continue
-            rest = {n: c for n, c in coeffs.items() if n != var}
-            new_bound = bound - k * value
-            if rest:
-                next_work.append(_integral(rest, new_bound) + (mask, strict))
-            else:
-                assert not _row_conflict(new_bound, strict)
-        work = next_work
-    return model
 
 
 def _solve_system(
@@ -291,16 +211,14 @@ def _solve_system(
     eqs: List[EqRow],
     diseqs: List[Tuple[Dict[str, int], int, int, int]],
     deadline: Optional[float],
-    want_model: bool,
-):
-    """Satisfiability of ineqs & eqs & diseqs: a model dict (empty unless
-    ``want_model``), or the origin mask (an ``int``) of a contradiction.
+) -> Optional[int]:
+    """Satisfiability of ineqs & eqs & diseqs: ``None`` if satisfiable, else
+    the origin mask (an ``int``) of a contradiction.
 
     A disequality is ``(coeffs, bound, mask, bit)``, ``bit`` being its own
     literal's bit, which only rows derived from it carry.
     """
     _check_deadline(deadline)
-    substitutions: List[Tuple[str, Dict[str, int], int]] = []
     eqs = list(eqs)
     while eqs:
         eq = eqs.pop(0)
@@ -310,7 +228,6 @@ def _solve_system(
                 return mask
             continue
         var = min(coeffs)
-        substitutions.append((var, coeffs, bound))
         eqs = [_eliminate_eq(c, b, m, var, eq) for c, b, m in eqs]
         ineqs = [_eliminate_eq(c, b, m, var, eq) + (s,) for c, b, m, s in ineqs]
         diseqs = [_eliminate_eq(c, b, m, var, eq) + (bit,) for c, b, m, bit in diseqs]
@@ -318,33 +235,21 @@ def _solve_system(
         if not coeffs and bound == 0:
             return mask
     diseqs = [d for d in diseqs if d[0]]
-    if diseqs:
-        (coeffs, bound, mask, bit), rest = diseqs[0], diseqs[1:]
-        conflict = 0
-        for branch in (
-            (coeffs, bound, mask, True),
-            ({n: -c for n, c in coeffs.items()}, -bound, mask, True),
-        ):
-            model = _solve_system(ineqs + [branch], [], rest, deadline, want_model)
-            if not isinstance(model, int):
-                break
-            if not model & bit:
-                return model  # refutes the other branch too
-            conflict |= model
-        else:
-            return conflict
-    else:
-        model = _fm_eliminate(ineqs, deadline, want_model)
-        if isinstance(model, int):
-            return model
-    if want_model:
-        for var, coeffs, bound in reversed(substitutions):
-            value = Fraction(bound)
-            for n, c in coeffs.items():
-                if n != var:
-                    value -= c * model.setdefault(n, Fraction(0))
-            model[var] = value / coeffs[var]
-    return model
+    if not diseqs:
+        return _fm_eliminate(ineqs, deadline)
+    (coeffs, bound, mask, bit), rest = diseqs[0], diseqs[1:]
+    conflict = 0
+    for branch in (
+        (coeffs, bound, mask, True),
+        ({n: -c for n, c in coeffs.items()}, -bound, mask, True),
+    ):
+        found = _solve_system(ineqs + [branch], [], rest, deadline)
+        if found is None:
+            return None
+        if not found & bit:
+            return found  # refutes the other branch too
+        conflict |= found
+    return conflict
 
 
 def refine_literal(lit: Literal, atom: LinearAtom):
@@ -370,7 +275,7 @@ def refine_literal(lit: Literal, atom: LinearAtom):
 class TheoryOracle:
     """Behaviour shared by the backends.
 
-    A backend supplies ``_raw_check(lits)``: ``(True, model)``, or
+    A backend supplies ``_raw_check(lits)``: ``(True, None)``, or
     ``(False, witness)`` with ``witness`` an unsatisfiable subset of
     ``lits``.  Satisfiability, core minimization and lemma validity follow
     from it.  By default a backend shares no verdict memo.
@@ -466,19 +371,14 @@ class BuiltinOracle(TheoryOracle):
         return [frozenset(groups[c]) for c in sorted(groups)]
 
     def _raw_check(self, lits: FrozenSet[Literal]):
-        """Sat iff every part is; the witness of the first unsat part, else
-        the parts' models merged (``None`` without model production)."""
-        want_model = self.config.model_production
-        model: Optional[Dict[str, Fraction]] = {} if want_model else None
+        """Sat iff every part is; else the witness of the first unsat part."""
         for part in self._parts(lits):
             hit = self._raw.get(part)
-            if hit is None or (want_model and hit[1] is None):
+            if hit is None:
                 hit = self._solve(part)
             if not hit[0]:
                 return hit
-            if want_model:
-                model.update(hit[1])
-        return True, model
+        return True, None
 
     def _solve(self, lits: FrozenSet[Literal]):
         """Fourier-Motzkin on one part; bit i of an origin mask stands for
@@ -502,12 +402,11 @@ class BuiltinOracle(TheoryOracle):
             if self.config.timeout_secs
             else None
         )
-        want_model = self.config.model_production
-        out = _solve_system(ineqs, eqs, diseqs, deadline, want_model)
-        if isinstance(out, int):
-            result = (False, frozenset(l for i, l in enumerate(order) if out >> i & 1))
+        mask = _solve_system(ineqs, eqs, diseqs, deadline)
+        if mask is None:
+            result = (True, None)
         else:
-            result = (True, out if want_model else None)
+            result = (False, frozenset(l for i, l in enumerate(order) if mask >> i & 1))
         self._raw[lits] = result
         return result
 
@@ -516,14 +415,7 @@ class BuiltinOracle(TheoryOracle):
         for lit in lits:
             if self.table.kind_of(lit.atom_index).value != "theory":
                 raise OracleError(f"literal on non-theory atom {lit.atom_index}")
-        sat, model = self._raw_check(lits)
-        if sat:
-            if model is not None:
-                full = dict(model)
-                for lit in lits:
-                    for name in self.table.linear_atom(lit.atom_index).variables:
-                        full.setdefault(name, Fraction(0))
-                return TheoryVerdict(True, model=full)
+        if self._raw_check(lits)[0]:
             return TheoryVerdict(True)
         if self.config.minimize_cores:
             core = self.minimize_core(lits)

@@ -147,10 +147,12 @@ class TermBank:
     def __init__(self) -> None:
         self._table: Dict[tuple, Term] = {}
         self._next_id = 0
-        self._true = self._intern(TermKind.CONST, (), True)
-        self._false = self._intern(TermKind.CONST, (), False)
+        self._true = self.intern(TermKind.CONST, (), True)
+        self._false = self.intern(TermKind.CONST, (), False)
 
-    def _intern(self, kind: TermKind, args: Tuple[Term, ...], payload) -> Term:
+    def intern(self, kind: TermKind, args: Tuple[Term, ...], payload) -> Term:
+        """The unique node of ``kind`` over ``args`` with ``payload``, built
+        as given: the connectives below simplify, this does not."""
         key = (kind, payload, tuple(a.id for a in args))
         hit = self._table.get(key)
         if hit is not None:
@@ -166,13 +168,13 @@ class TermBank:
         return self._true if value else self._false
 
     def bool_atom(self, name: str) -> Term:
-        return self._intern(TermKind.BOOL_ATOM, (), name)
+        return self.intern(TermKind.BOOL_ATOM, (), name)
 
     def theory_atom(self, atom: LinearAtom) -> Term:
-        return self._intern(TermKind.THEORY_ATOM, (), atom)
+        return self.intern(TermKind.THEORY_ATOM, (), atom)
 
     def atom_ref(self, index: int) -> Term:
-        return self._intern(TermKind.ATOM_REF, (), index)
+        return self.intern(TermKind.ATOM_REF, (), index)
 
     # -- connectives -----------------------------------------------------
 
@@ -181,7 +183,7 @@ class TermBank:
             return self.const(not t.payload)
         if t.kind is TermKind.NOT:
             return t.args[0]
-        return self._intern(TermKind.NOT, (t,), None)
+        return self.intern(TermKind.NOT, (t,), None)
 
     def and_(self, children: Sequence[Term]) -> Term:
         kept = []
@@ -195,7 +197,7 @@ class TermBank:
             return self._true
         if len(kept) == 1:
             return kept[0]
-        return self._intern(TermKind.AND, tuple(kept), None)
+        return self.intern(TermKind.AND, tuple(kept), None)
 
     def or_(self, children: Sequence[Term]) -> Term:
         kept = []
@@ -209,14 +211,14 @@ class TermBank:
             return self._false
         if len(kept) == 1:
             return kept[0]
-        return self._intern(TermKind.OR, tuple(kept), None)
+        return self.intern(TermKind.OR, tuple(kept), None)
 
     def implies(self, a: Term, b: Term) -> Term:
         if a.kind is TermKind.CONST:
             return b if a.payload else self._true
         if b.kind is TermKind.CONST:
             return self._true if b.payload else self.not_(a)
-        return self._intern(TermKind.IMPLIES, (a, b), None)
+        return self.intern(TermKind.IMPLIES, (a, b), None)
 
     def iff(self, a: Term, b: Term) -> Term:
         if a.kind is TermKind.CONST:
@@ -225,14 +227,14 @@ class TermBank:
             return a if b.payload else self.not_(a)
         if a is b:
             return self._true
-        return self._intern(TermKind.IFF, (a, b), None)
+        return self.intern(TermKind.IFF, (a, b), None)
 
     def ite(self, cond: Term, then: Term, other: Term) -> Term:
         if cond.kind is TermKind.CONST:
             return then if cond.payload else other
         if then is other:
             return then
-        return self._intern(TermKind.ITE, (cond, then, other), None)
+        return self.intern(TermKind.ITE, (cond, then, other), None)
 
 
 def iter_dag(root: Term) -> Iterator[Term]:
@@ -251,13 +253,6 @@ def iter_dag(root: Term) -> Iterator[Term]:
             for child in node.args:
                 if child.id not in seen:
                     stack.append((child, False))
-
-
-def atoms_of(root: Term) -> Iterator[Term]:
-    """Atom leaves below ``root`` in first-occurrence (post-order) order."""
-    for node in iter_dag(root):
-        if node.is_atom():
-            yield node
 
 
 # -- SMT-LIB serialization helpers ---------------------------------------

@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import shlex
+import sys
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from tlemma.atoms import AtomTable, Literal, eval3
 from tlemma.problem import Problem
 from tlemma.terms import Term, TermKind
+
+# The reference simplex solver, run as an external SMT-LIB2 backend.
+REF_CMD = f"{shlex.quote(sys.executable)} -m tlemma.ref_solver"
 
 
 def L(i: int, polarity: bool = True) -> Literal:

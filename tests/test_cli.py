@@ -1,8 +1,11 @@
 import json
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+import tlemma.cli as cli
 from tlemma.cli import EXIT_TRUNCATED, main
 from tlemma.stats import RunStats, load_schema, lower_median
 
@@ -55,6 +58,12 @@ class TestEnumerate:
     def test_missing_input_file(self, tmp_path):
         assert main(["enumerate", "-i", str(tmp_path / "nope.smt2")]) == 1
 
+    def test_undecodable_input_is_an_error(self, tmp_path, capsys):
+        binary = tmp_path / "binary.smt2"
+        binary.write_bytes(b"\xff\xfe")
+        assert main(["enumerate", "-i", str(binary)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_budget_truncation_exit_code(self, tmp_path):
         from tlemma.generator import clausal_instance
 
@@ -73,6 +82,13 @@ class TestEnumerate:
         )
         assert rc == EXIT_TRUNCATED
         assert out.is_file()
+
+    @pytest.mark.parametrize("flag", ["-o", "--stats"])
+    def test_unwritable_output_is_an_error(self, tmp_path, instance, flag, capsys):
+        target = tmp_path / "missing" / "out"
+        assert main(["enumerate", "-i", str(instance), flag, str(target)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()
 
     def test_deterministic_output_bytes(self, tmp_path, instance):
         outs = []
@@ -135,6 +151,53 @@ class TestVerify:
         out = tmp_path / "ex.lemmas"
         main(["enumerate", "-i", str(instance), "-o", str(out)])
         assert main(["verify", "-i", str(instance), "-l", str(out), "--cap", "1"]) == 3
+
+    def test_unreadable_lemma_file(self, tmp_path, instance, capsys):
+        binary = tmp_path / "binary.lemmas"
+        binary.write_bytes(b"\xff\xfe")
+        for lemmas in (tmp_path / "missing.smt2", binary):
+            assert main(["verify", "-i", str(instance), "-l", str(lemmas)]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_solver_fault_is_an_error(self, tmp_path, instance, monkeypatch, capsys):
+        monkeypatch.delenv("TLEMMA_ORACLE_CMD", raising=False)
+        out = tmp_path / "ex.lemmas"
+        main(["enumerate", "-i", str(instance), "-o", str(out)])
+        dead = f"{shlex.quote(sys.executable)} -c pass"  # exits without a reply
+        rc = main(["verify", "-i", str(instance), "-l", str(out), "--oracle-cmd", dead])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("oracle error: ")
+
+    def test_oracle_closed_on_every_exit(self, tmp_path, instance, monkeypatch):
+        open_oracles = []
+        make_oracle = cli.make_oracle
+
+        def tracked(table, config):
+            oracle = make_oracle(table, config)
+            close = oracle.close
+            open_oracles.append(oracle)
+
+            def close_and_untrack():
+                open_oracles.remove(oracle)
+                close()
+
+            oracle.close = close_and_untrack
+            return oracle
+
+        monkeypatch.setattr(cli, "make_oracle", tracked)
+        good = tmp_path / "ex.lemmas"
+        main(["enumerate", "-i", str(instance), "-o", str(good)])
+        invalid = tmp_path / "invalid.lemmas"
+        invalid.write_text("(set-logic QF_LRA)\n(declare-const x Real)\n(assert (not (<= x 99)))\n")
+        cases = [
+            (good, [], 0),
+            (good, ["--cap", "1"], 3),
+            (invalid, [], 5),
+            (tmp_path / "missing.smt2", [], 1),
+        ]
+        for lemmas, extra, want in cases:
+            assert main(["verify", "-i", str(instance), "-l", str(lemmas), *extra]) == want
+            assert open_oracles == [], lemmas
 
 
 class TestGen:

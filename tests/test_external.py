@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from helpers import L, atoms_problem, random_theory_literals
+from helpers import REF_CMD, L, atoms_problem, random_theory_literals
 from tlemma.cli import EXIT_TRUNCATED, main
 from tlemma.external import ExternalSolverError
 from tlemma.generator import product_instance
@@ -13,11 +13,8 @@ from tlemma.problem import Problem
 from tlemma.strategies import StrategySpec, run_strategy
 
 
-REF_CMD = f"{shlex.quote(sys.executable)} -m tlemma.ref_solver"
-
-
-def ext_oracle(table, **kw):
-    cfg = OracleConfig(backend="external", command=REF_CMD, timeout_secs=30, **kw)
+def ext_oracle(table):
+    cfg = OracleConfig(backend="external", command=REF_CMD, timeout_secs=30)
     return make_oracle(table, cfg)
 
 
@@ -55,15 +52,6 @@ class TestProtocol:
         try:
             v = oracle.check([L(0), L(1), L(2)])
             assert set(v.core) == {L(0), L(1)}
-        finally:
-            oracle.close()
-
-    def test_model_production(self, xy):
-        oracle = ext_oracle(xy.table, model_production=True)
-        try:
-            v = oracle.check([L(0), L(2)])
-            assert v.satisfiable
-            assert v.model["x"] <= 0 and v.model["y"] <= 5
         finally:
             oracle.close()
 
