@@ -31,13 +31,20 @@ EXIT_INCOMPLETE = 4
 EXIT_INVALID_LEMMA = 5
 
 
+def _positive_secs(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
+    return value
+
+
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--oracle-cmd",
         default=None,
         help="external SMT-LIB2 solver command (TLEMMA_ORACLE_CMD overrides)",
     )
-    p.add_argument("--oracle-timeout-secs", type=float, default=10.0)
+    p.add_argument("--oracle-timeout-secs", type=_positive_secs, default=10.0)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -184,26 +191,26 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(path_str: str, name: str, args):
-    spec = _spec_from_args(args, name)
-    problem = Problem.from_file(path_str)
-    result = run_strategy(problem, spec, oracle_config=_oracle_config(args))
-    return _run_stats(path_str, spec, result)
-
-
 def cmd_bench(args) -> int:
     corpus = sorted(Path(args.corpus).glob("*.smt2"))
     if not corpus:
         print(f"error: no .smt2 files under {args.corpus}", file=sys.stderr)
         return EXIT_ERROR
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    try:
+        specs = [_spec_from_args(args, s.strip()) for s in args.strategies.split(",") if s.strip()]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     kept: List[RunStats] = []
     for path in corpus:
-        for name in strategies:
+        for spec in specs:
             try:
-                kept.append(_bench_one(str(path), name, args))
+                result = run_strategy(
+                    Problem.from_file(path), spec, oracle_config=_oracle_config(args)
+                )
+                kept.append(_run_stats(str(path), spec, result))
             except (ParseError, OracleError, ValueError, OSError) as exc:
-                print(f"skipping {path} [{name}]: {exc}", file=sys.stderr)
+                print(f"skipping {path} [{spec.name}]: {exc}", file=sys.stderr)
     out_prefix = Path(args.out)
     write_csv(out_prefix.with_suffix(".csv"), kept)
     write_jsonl(out_prefix.with_suffix(".jsonl"), kept)

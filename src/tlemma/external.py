@@ -1,13 +1,16 @@
 """External SMT-LIB2 solver backend over a persistent subprocess.
 
-One subprocess per oracle instance (hence per worker).  Each query is a
-``(push 1) (assert (! lit :named ...)) ... (check-sat) [(get-unsat-core)]
-(pop 1)`` exchange; the named core is mapped back to literals.  The session
-asks only for verdicts and unsat cores: nothing reads a theory model.  Solver
-misbehavior (``unknown``, protocol violations, early exit, timeouts) raises
-:class:`ExternalSolverError` and is never silently treated as a verdict; the
-session it happened in is killed, so a late reply cannot answer the next
-query, which starts a fresh session.
+The backend supplies only ``_solve``: the memo, the component split and
+core minimization are :class:`~tlemma.oracle.TheoryOracle`'s.  One
+subprocess per oracle instance (hence per worker).  Each part of a query is
+a ``(push 1) (assert (! lit :named ...)) ... (check-sat) [(get-unsat-core)]
+(pop 1)`` exchange; the named core, mapped back to literals, is the witness.
+Minimization trusts it, so a core smaller than the part is checked by one
+more exchange.  Nothing reads a theory model.  Solver misbehavior
+(``unknown``, protocol violations, a satisfiable core, early exit, timeouts)
+raises :class:`ExternalSolverError` and is never silently treated as a
+verdict; a failed exchange kills its session, so a late reply cannot answer
+the next query, which starts a fresh session.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import select
 import shlex
 import subprocess
 import time
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional
 
 from .atoms import Literal
-from .oracle import OracleConfig, OracleError, TheoryOracle, TheoryVerdict
+from .oracle import OracleConfig, OracleError, TheoryOracle
 from .terms import linear_atom_sexpr
 
 
@@ -151,11 +154,8 @@ class ExternalOracle(TheoryOracle):
     def __init__(self, table, config: OracleConfig):
         if not config.command:
             raise ExternalSolverError("external backend requires a solver command")
-        self.table = table
-        self.config = config
+        super().__init__(table, config)
         self.session: Optional[SolverSession] = None
-        self.n_raw_checks = 0
-        self._sat_memo: Set[FrozenSet[Literal]] = set()
 
     def _ensure_session(self) -> SolverSession:
         if self.session is None:
@@ -172,12 +172,17 @@ class ExternalOracle(TheoryOracle):
         atom = linear_atom_sexpr(self.table.linear_atom(lit.atom_index))
         return atom if lit.polarity else f"(not {atom})"
 
-    def _raw_check(self, lits: FrozenSet[Literal]) -> Tuple[bool, Optional[Tuple[Literal, ...]]]:
-        """``(True, None)``, or ``(False, core)`` with the solver's core."""
-        if lits in self._sat_memo:
-            return True, None
+    def _solve(self, part: FrozenSet[Literal]):
+        """``(True, None)``, or ``(False, core)`` with the solver's core,
+        checked on its own when smaller than the part."""
+        sat, core = self._exchange(part)
+        if not sat and core != part and self._exchange(core)[0]:
+            raise ExternalSolverError("solver returned a satisfiable unsat core")
+        return sat, core
+
+    def _exchange(self, lits: FrozenSet[Literal]):
+        """One check-sat of ``lits``, with the core if unsat."""
         s = self._ensure_session()
-        self.n_raw_checks += 1
         try:
             s.send("(push 1)")
             for lit in sorted(lits):
@@ -195,8 +200,6 @@ class ExternalOracle(TheoryOracle):
         except ExternalSolverError:
             self._drop_session()
             raise
-        if result[0]:
-            self._sat_memo.add(lits)
         return result
 
     def _drop_session(self) -> None:
@@ -207,27 +210,17 @@ class ExternalOracle(TheoryOracle):
         self.session = None
 
     @staticmethod
-    def _parse_core(reply: str, asked: FrozenSet[Literal]) -> Tuple[Literal, ...]:
+    def _parse_core(reply: str, asked: FrozenSet[Literal]) -> FrozenSet[Literal]:
         reply = reply.strip()
         if not (reply.startswith("(") and reply.endswith(")")):
             raise ExternalSolverError(f"malformed unsat core: {reply}")
-        names = reply[1:-1].split()
-        core = []
-        for name in names:
+        core = set()
+        for name in reply[1:-1].split():
             lit = _name_to_lit(name)
             if lit not in asked:
                 raise ExternalSolverError(f"core names unasserted literal {name}")
-            core.append(lit)
-        return tuple(sorted(core))
-
-    def check(self, literals: Iterable[Literal]) -> TheoryVerdict:
-        lits = frozenset(literals)
-        sat, core = self._raw_check(lits)
-        if sat:
-            return TheoryVerdict(True)
-        if self.config.minimize_cores:
-            core = self.minimize_core(core)
-        return TheoryVerdict(False, core=core)
+            core.add(lit)
+        return frozenset(core)
 
     def close(self) -> None:
         if self.session is not None:

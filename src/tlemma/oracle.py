@@ -1,5 +1,26 @@
 """Theory consistency of conjunctions of linear-rational literals.
 
+An oracle answers a query with a verdict and, if it is unsatisfiable, a
+core; it builds no model, since the enumerator reads none.
+:class:`TheoryOracle` is the front end of every backend: a backend only
+solves one part of a query, answering a verdict and, if unsat, a witness,
+an unsatisfiable subset of the part.  Backends are a documented hot-swap
+point: the builtin one is below, the external SMT-LIB2 one in ``external.py``.
+
+A conjunction is consistent iff each of its restrictions to the
+symbol-disjoint components of ``partition_atoms`` is, since those share no
+variable.  The front end therefore solves and memoizes each part of a query
+on its own: k components with m consistent parts each take k*m memo entries
+rather than m**k.  A query is satisfiable iff every part is, and its witness
+is the first unsatisfiable part's.
+
+Cores are minimized by deletion in ascending atom-index order over the whole
+query, so a core depends only on verdicts, not on the witnesses a backend
+returns, and identical queries yield identical lemmas on every backend.
+Deletion skips the check for a literal outside the last witness: the trial
+set still contains the witness, so it is unsatisfiable, and the core is
+exactly the one plain deletion returns.
+
 The builtin backend runs Fourier-Motzkin elimination with strictness
 tracking over integer rows.  A literal's row ``sum(c_i * x_i) REL b`` is
 scaled by the bound's denominator and divided by the gcd of its entries, so
@@ -9,9 +30,7 @@ pairwise, both by integer cross-multiplication; disequalities (negated
 equalities) are case-split.  A derived constant constraint ``0 <= b`` /
 ``0 < b`` is contradictory iff ``b < 0``, or ``b = 0`` with the strict flag
 set.  Every scaling is by a positive factor, so a row keeps its solution set,
-the signs of its coefficients and its strictness.  An oracle answers with a
-verdict and, for an unsatisfiable query, a core; it builds no model, since
-the enumerator reads none.  The backend is a documented hot-swap point.
+the signs of its coefficients and its strictness.
 
 Every row carries an origin mask, an ``int`` with one bit per query literal:
 the literals the row was derived from (Imbert's history sets).  Combining
@@ -19,19 +38,6 @@ two rows joins their masks, so a derived contradiction names an
 unsatisfiable subset of the query, its witness.  A disequality's split ends
 after the first branch when that branch's contradiction does not use the
 branch row: it refutes the other branch as well.
-
-Cores are minimized by deletion in ascending atom-index order, so identical
-queries always yield identical cores and therefore identical lemmas.
-Deletion skips the check for a literal outside the last witness: the trial
-set still contains the witness, so it is unsatisfiable, and the core is
-exactly the one plain deletion returns.
-
-A conjunction is consistent iff each of its restrictions to the
-symbol-disjoint components of ``partition_atoms`` is, since those share no
-variable.  The builtin backend therefore solves and memoizes each part of a
-query on its own: k components with m consistent parts each take k*m memo
-entries rather than m**k.  A query is satisfiable iff every part is, and its
-witness is the first unsatisfiable part's.
 """
 
 from __future__ import annotations
@@ -85,7 +91,11 @@ class OracleConfig:
     backend: str = "builtin"  # "builtin" or "external"
     command: Optional[str] = None  # solver command line for the external backend
     minimize_cores: bool = True
-    timeout_secs: float = 10.0
+    timeout_secs: float = 10.0  # per solve; must be > 0
+
+    def __post_init__(self):
+        if not self.timeout_secs > 0:
+            raise ValueError(f"oracle timeout must be > 0 seconds, got {self.timeout_secs}")
 
 
 # -- Fourier-Motzkin core ---------------------------------------------------
@@ -98,8 +108,8 @@ Row = Tuple[Dict[str, int], int, int, bool]
 EqRow = Tuple[Dict[str, int], int, int]
 
 
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() > deadline:
+def _check_deadline(deadline: float) -> None:
+    if time.monotonic() > deadline:
         raise OracleTimeoutError("theory query exceeded its time budget")
 
 
@@ -148,7 +158,7 @@ def _eliminate_eq(coeffs: Dict[str, int], bound: int, mask: int, var: str,
     return _reduced(out, m * bound - f * eq_bound) + (mask | eq_mask,)
 
 
-def _eliminate_var(rows: List[Row], var: str, deadline: Optional[float]):
+def _eliminate_var(rows: List[Row], var: str, deadline: float):
     """One Fourier-Motzkin step: the rows without ``var``, or the origin
     mask (an ``int``) of a derived contradiction."""
     upper = [r for r in rows if r[0].get(var, 0) > 0]
@@ -189,7 +199,7 @@ def _pick_var(rows: List[Row]) -> Optional[str]:
     return min(occurrence, key=lambda n: (occurrence[n][0] * occurrence[n][1], n))
 
 
-def _fm_eliminate(rows: List[Row], deadline: Optional[float]) -> Optional[int]:
+def _fm_eliminate(rows: List[Row], deadline: float) -> Optional[int]:
     """``None`` if the row system is satisfiable, else the origin mask of a
     contradiction."""
     for coeffs, bound, mask, strict in rows:
@@ -210,7 +220,7 @@ def _solve_system(
     ineqs: List[Row],
     eqs: List[EqRow],
     diseqs: List[Tuple[Dict[str, int], int, int, int]],
-    deadline: Optional[float],
+    deadline: float,
 ) -> Optional[int]:
     """Satisfiability of ineqs & eqs & diseqs: ``None`` if satisfiable, else
     the origin mask (an ``int``) of a contradiction.
@@ -273,13 +283,57 @@ def refine_literal(lit: Literal, atom: LinearAtom):
 
 
 class TheoryOracle:
-    """Behaviour shared by the backends.
+    """The front end every backend shares: the theory-atom check, the
+    component split, the verdict memo and core minimization.
 
-    A backend supplies ``_raw_check(lits)``: ``(True, None)``, or
+    A backend supplies only ``_solve(part)``: ``(True, None)``, or
     ``(False, witness)`` with ``witness`` an unsatisfiable subset of
-    ``lits``.  Satisfiability, core minimization and lemma validity follow
-    from it.  By default a backend shares no verdict memo.
+    ``part``.  ``n_raw_checks`` counts the ``_solve`` calls.
     """
+
+    def __init__(self, table, config: Optional[OracleConfig] = None):
+        self.table = table
+        self.config = config or OracleConfig()
+        self._raw: Dict[FrozenSet[Literal], tuple] = {}
+        self._component = [0] * len(table)
+        for ci, component in enumerate(partition_atoms(table).components):
+            for i in component:
+                self._component[i] = ci
+        self.n_raw_checks = 0
+
+    def _parts(self, lits: FrozenSet[Literal]):
+        """The query's restrictions to the components it touches, in
+        component order."""
+        groups: Dict[int, List[Literal]] = {}
+        for lit in lits:
+            groups.setdefault(self._component[lit.atom_index], []).append(lit)
+        if len(groups) <= 1:
+            return (lits,)
+        return [frozenset(groups[c]) for c in sorted(groups)]
+
+    def _raw_check(self, lits: FrozenSet[Literal]):
+        """Sat iff every part is; else the witness of the first unsat part."""
+        for part in self._parts(lits):
+            hit = self._raw.get(part)
+            if hit is None:
+                self.n_raw_checks += 1
+                hit = self._raw[part] = self._solve(part)
+            if not hit[0]:
+                return hit
+        return True, None
+
+    def check(self, literals: Iterable[Literal]) -> TheoryVerdict:
+        lits = frozenset(literals)
+        for lit in lits:
+            if self.table.kind_of(lit.atom_index).value != "theory":
+                raise OracleError(f"literal on non-theory atom {lit.atom_index}")
+        if self._raw_check(lits)[0]:
+            return TheoryVerdict(True)
+        if self.config.minimize_cores:
+            core = self.minimize_core(lits)
+        else:
+            core = tuple(sorted(lits))
+        return TheoryVerdict(False, core=core)
 
     def is_satisfiable(self, literals: Iterable[Literal]) -> bool:
         return self._raw_check(frozenset(literals))[0]
@@ -317,35 +371,26 @@ class TheoryOracle:
 
     def export_memo(self) -> Dict[FrozenSet[Literal], tuple]:
         """Verdicts another instance over the same atoms may import."""
-        return {}
+        return dict(self._raw)
 
     def import_memo(self, memo: Dict[FrozenSet[Literal], tuple]) -> None:
         """Adopt verdicts exported by another instance over the same atoms."""
+        self._raw.update(memo)
 
     def close(self) -> None:
         pass
 
 
 class BuiltinOracle(TheoryOracle):
-    """Exact LRA consistency checks with memoized verdicts.
+    """Exact LRA consistency checks by Fourier-Motzkin elimination.
 
-    One instance per worker; verdicts depend only on the literal set, so
-    memoization is sound.  A query is split by the symbol-disjoint atom
-    partition and each part is solved and memoized on its own, so
-    ``n_raw_checks`` counts per-component Fourier-Motzkin solves, and
-    ``timeout_secs`` bounds each of them.
+    One instance per worker; ``n_raw_checks`` counts per-component
+    Fourier-Motzkin solves, and ``timeout_secs`` bounds each of them.
     """
 
     def __init__(self, table, config: Optional[OracleConfig] = None):
-        self.table = table
-        self.config = config or OracleConfig()
-        self._raw: Dict[FrozenSet[Literal], tuple] = {}
+        super().__init__(table, config)
         self._rows: Dict[Literal, tuple] = {}
-        self._component = [0] * len(table)
-        for ci, component in enumerate(partition_atoms(table).components):
-            for i in component:
-                self._component[i] = ci
-        self.n_raw_checks = 0
 
     def _row(self, lit: Literal) -> tuple:
         """The literal's kind, integer coefficients, bound and strict flag,
@@ -360,31 +405,10 @@ class BuiltinOracle(TheoryOracle):
             hit = self._rows[lit] = (kind,) + _integral(*payload[:2]) + (strict,)
         return hit
 
-    def _parts(self, lits: FrozenSet[Literal]):
-        """The query's restrictions to the components it touches, in
-        component order."""
-        groups: Dict[int, List[Literal]] = {}
-        for lit in lits:
-            groups.setdefault(self._component[lit.atom_index], []).append(lit)
-        if len(groups) <= 1:
-            return (lits,)
-        return [frozenset(groups[c]) for c in sorted(groups)]
-
-    def _raw_check(self, lits: FrozenSet[Literal]):
-        """Sat iff every part is; else the witness of the first unsat part."""
-        for part in self._parts(lits):
-            hit = self._raw.get(part)
-            if hit is None:
-                hit = self._solve(part)
-            if not hit[0]:
-                return hit
-        return True, None
-
-    def _solve(self, lits: FrozenSet[Literal]):
+    def _solve(self, part: FrozenSet[Literal]):
         """Fourier-Motzkin on one part; bit i of an origin mask stands for
         the i-th literal in ascending order."""
-        self.n_raw_checks += 1
-        order = sorted(lits)
+        order = sorted(part)
         ineqs: List[Row] = []
         eqs: List[EqRow] = []
         diseqs: List[tuple] = []
@@ -397,37 +421,11 @@ class BuiltinOracle(TheoryOracle):
                 eqs.append((coeffs, bound, bit))
             else:
                 diseqs.append((coeffs, bound, bit, bit))
-        deadline = (
-            time.monotonic() + self.config.timeout_secs
-            if self.config.timeout_secs
-            else None
-        )
+        deadline = time.monotonic() + self.config.timeout_secs
         mask = _solve_system(ineqs, eqs, diseqs, deadline)
         if mask is None:
-            result = (True, None)
-        else:
-            result = (False, frozenset(l for i, l in enumerate(order) if mask >> i & 1))
-        self._raw[lits] = result
-        return result
-
-    def check(self, literals: Iterable[Literal]) -> TheoryVerdict:
-        lits = frozenset(literals)
-        for lit in lits:
-            if self.table.kind_of(lit.atom_index).value != "theory":
-                raise OracleError(f"literal on non-theory atom {lit.atom_index}")
-        if self._raw_check(lits)[0]:
-            return TheoryVerdict(True)
-        if self.config.minimize_cores:
-            core = self.minimize_core(lits)
-        else:
-            core = tuple(sorted(lits))
-        return TheoryVerdict(False, core=core)
-
-    def export_memo(self) -> Dict[FrozenSet[Literal], tuple]:
-        return dict(self._raw)
-
-    def import_memo(self, memo: Dict[FrozenSet[Literal], tuple]) -> None:
-        self._raw.update(memo)
+            return True, None
+        return False, frozenset(l for i, l in enumerate(order) if mask >> i & 1)
 
 
 def lemma_from_core(core: Iterable[Literal]) -> TLemma:

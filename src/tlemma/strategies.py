@@ -282,7 +282,6 @@ def enumerate_dnc(
     deadline: Optional[float] = None,
     counters: Optional[RunCounters] = None,
     stage: str = "dnc",
-    oracle_config: Optional[OracleConfig] = None,
 ) -> LemmaSet:
     """Divide & conquer: partial enumeration, then one seeded total
     enumeration per returned cube, on ``spec.workers`` parallel tasks.
@@ -334,7 +333,6 @@ def enumerate_dnc(
             spec.pruning_interval,
         )
     else:
-        config = oracle_config or getattr(oracle, "config", OracleConfig())
         view = TableView.from_table(table) if isinstance(table, AtomTable) else table
         shipped_cnf = cnf.without_source()
         # Warm each worker's verdict memo with what phase 1 already learned.
@@ -343,7 +341,7 @@ def enumerate_dnc(
             (
                 shipped_cnf,
                 view,
-                config,
+                oracle.config,
                 seeds,
                 cubes[w :: spec.workers],
                 list(proj),
@@ -401,15 +399,13 @@ def run_strategy(
     """
     own_oracle = oracle is None
     if own_oracle:
-        oracle = make_oracle(problem.table, oracle_config or OracleConfig())
+        oracle = make_oracle(problem.table, oracle_config)
     counters = RunCounters()
     deadline = (
         time.monotonic() + spec.budget_secs if spec.budget_secs is not None else None
     )
     inner = enumerate_baseline if spec.base == "baseline" else enumerate_dnc
     kw = dict(cnf=problem.cnf, spec=spec, deadline=deadline, counters=counters)
-    if spec.base == "dnc":
-        kw["oracle_config"] = oracle_config
     start = time.monotonic_ns()
     found: List[TLemma] = []
     provenance: List[LemmaProvenance] = []

@@ -22,6 +22,37 @@ from tlemma.terms import Term, TermKind
 # The reference simplex solver, run as an external SMT-LIB2 backend.
 REF_CMD = f"{shlex.quote(sys.executable)} -m tlemma.ref_solver"
 
+# The reference solver answering ``(get-unsat-core)`` with a minimal core
+# found by deletion in descending assertion order, rather than with every
+# named assertion.  Assertions arrive in ascending atom order, so its cores
+# differ from the ascending deletion of core minimization: lemmas that
+# depended on the solver's core would differ from the builtin backend's.
+_SUBSET_CORE_SOLVER = """
+from tlemma import ref_solver
+
+solver = ref_solver._Solver()
+read_sexpr = ref_solver._read_sexpr
+
+def subset_core():
+    asserted = [a for frame in solver.stack for a in frame]
+    for named in reversed([a for a in asserted if a[0]]):
+        trial = [a for a in asserted if a is not named]
+        if ref_solver.satisfiable([c for _, c in trial]) is None:
+            asserted = trial
+    return [name for name, _ in asserted if name]
+
+def read_command(stream):
+    node = read_sexpr(stream)
+    if node == ["get-unsat-core"]:
+        print("(" + " ".join(subset_core()) + ")", flush=True)
+        return ["set-info"]  # a command the solver ignores
+    return node
+
+ref_solver._read_sexpr = read_command
+solver.run()
+"""
+SUBSET_CORE_CMD = f"{shlex.quote(sys.executable)} -c {shlex.quote(_SUBSET_CORE_SOLVER)}"
+
 
 def L(i: int, polarity: bool = True) -> Literal:
     return Literal(i, polarity)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import REF_CMD
 import tlemma.cli as cli
 from tlemma.cli import EXIT_TRUNCATED, main
 from tlemma.stats import RunStats, load_schema, lower_median
@@ -82,6 +83,21 @@ class TestEnumerate:
         )
         assert rc == EXIT_TRUNCATED
         assert out.is_file()
+
+    @pytest.mark.parametrize("backend", [[], ["--oracle-cmd", REF_CMD]], ids=["builtin", "external"])
+    @pytest.mark.parametrize("secs", ["0", "-1", "nan"])
+    def test_nonpositive_oracle_timeout_is_usage_error(
+        self, tmp_path, instance, backend, secs, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("TLEMMA_ORACLE_CMD", raising=False)
+        out = tmp_path / "ex.lemmas"
+        rc = main(
+            ["enumerate", "-i", str(instance), "-o", str(out),
+             "--oracle-timeout-secs", secs, *backend]
+        )
+        assert rc == 1
+        assert "--oracle-timeout-secs: must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["-o", "--stats"])
     def test_unwritable_output_is_an_error(self, tmp_path, instance, flag, capsys):
@@ -274,6 +290,20 @@ class TestBench:
         csv_text = out.with_suffix(".csv").read_text().splitlines()
         assert len(csv_text) == 5  # header + 4 rows
         assert csv_text[0].split(",") == list(RunStats.FIELDS)
+
+    def test_unknown_strategy_fails_before_the_sweep(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "ex.smt2").write_text(EXAMPLE)
+        out = tmp_path / "sweep"
+        rc = main(
+            ["bench", "--corpus", str(corpus), "--strategies", "baseline,dcn",
+             "--workers", "1", "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown strategy 'dcn'" in err and "skipping" not in err
+        assert not out.with_suffix(".csv").exists()
 
     def test_empty_corpus_fails(self, tmp_path):
         assert main(["bench", "--corpus", str(tmp_path), "--out", str(tmp_path / "x")]) == 1

@@ -118,6 +118,31 @@ class TestMisbehavior:
         finally:
             oracle.close()
 
+    def test_satisfiable_core(self, xy, tmp_path):
+        # The reference solver, naming only the first assertion as the core.
+        script = tmp_path / "first_core.py"
+        script.write_text(
+            "from tlemma import ref_solver\n"
+            "solver = ref_solver._Solver()\n"
+            "read_sexpr = ref_solver._read_sexpr\n"
+            "def read_command(stream):\n"
+            "    node = read_sexpr(stream)\n"
+            "    if node != ['get-unsat-core']:\n"
+            "        return node\n"
+            "    print('(' + solver.stack[-1][0][0] + ')', flush=True)\n"
+            "    return ['set-info']\n"
+            "ref_solver._read_sexpr = read_command\n"
+            "solver.run()\n"
+        )
+        cfg = OracleConfig(
+            backend="external", command=f"{shlex.quote(sys.executable)} {script}"
+        )
+        oracle = make_oracle(xy.table, cfg)
+        try:
+            with pytest.raises(ExternalSolverError, match="satisfiable unsat core"):
+                oracle.check([L(0), L(1)])
+        finally:
+            oracle.close()
 
     def test_late_reply_does_not_answer_the_next_query(self, xy, tmp_path):
         # The first session answers its check-sat only after the read has
@@ -176,11 +201,16 @@ class TestSolverFault:
     """A solver that dies mid-run truncates the run; the lemmas found before
     the fault are kept."""
 
+    # 20 replies end the session mid-run: 2 of the 6 lemmas of the product
+    # instance under baseline.  The memo answers repeated queries, so 40
+    # replies reach all 6.
+    REPLIES = 20
+
     @pytest.mark.parametrize("name", ["baseline", "dnc", "baseline-proj-part"])
     def test_run_strategy_keeps_lemmas(self, tmp_path, name):
         p = Problem.from_text(product_instance(1, n_groups=2))
         cfg = OracleConfig(
-            backend="external", command=exiting_solver(tmp_path, 40), timeout_secs=30
+            backend="external", command=exiting_solver(tmp_path, self.REPLIES), timeout_secs=30
         )
         res = run_strategy(p, StrategySpec.from_name(name), oracle_config=cfg)
         assert res.truncated
@@ -197,7 +227,7 @@ class TestSolverFault:
         out = tmp_path / "product.lemmas"
         rc = main(
             ["enumerate", "-i", str(instance), "-o", str(out), "--workers", "1",
-             "--oracle-cmd", exiting_solver(tmp_path, 40)]
+             "--oracle-cmd", exiting_solver(tmp_path, self.REPLIES)]
         )
         assert rc == EXIT_TRUNCATED
         assert "(assert" in out.read_text()

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import L, atoms_problem, random_theory_literals, simplex_satisfiable
+from helpers import (
+    SUBSET_CORE_CMD,
+    L,
+    atoms_problem,
+    random_theory_literals,
+    simplex_satisfiable,
+)
 from tlemma.atoms import Literal
 from tlemma.oracle import (
     BuiltinOracle,
@@ -238,7 +244,15 @@ class TestExplainedConflicts:
         assert v.satisfiable == w.satisfiable == simplex_satisfiable(lits, p.table)
         assert v.core == w.core
 
-    def test_memo_holds_parts_and_round_trips(self):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OracleConfig(),
+            OracleConfig(backend="external", command=SUBSET_CORE_CMD, timeout_secs=30),
+        ],
+        ids=["builtin", "external"],
+    )
+    def test_memo_holds_parts_and_round_trips(self, config):
         p = atoms_problem("(<= x 0)", "(>= x 1)", "(<= y 0)", "(>= y 1)", "(= z 2)")
         queries = [
             [L(0), L(1, False), L(2), L(3, False), L(4)],
@@ -246,17 +260,26 @@ class TestExplainedConflicts:
             [L(0), L(1, False), L(2, False), L(3), L(4, False)],
             [L(0), L(1), L(2), L(3), L(4)],
         ]
-        first = BuiltinOracle(p.table)
-        verdicts = [first.check(q) for q in queries]
-        memo = first.export_memo()
-        # Entries are per part: each key lies inside one component.
-        components = [{0, 1}, {2, 3}, {4}]
-        for key in memo:
-            assert any({l.atom_index for l in key} <= c for c in components)
-        second = BuiltinOracle(p.table)
-        second.import_memo(memo)
-        assert [second.check(q) for q in queries] == verdicts
-        assert second.n_raw_checks == 0
+        first = make_oracle(p.table, config)
+        second = make_oracle(p.table, config)
+        try:
+            verdicts = [first.check(q) for q in queries]
+            solved = first.n_raw_checks
+            # Repeated queries, unsat ones included, are answered by the memo.
+            assert [first.check(q) for q in queries] == verdicts
+            assert first.n_raw_checks == solved
+            memo = first.export_memo()
+            # Entries are per part: each key lies inside one component.
+            components = [{0, 1}, {2, 3}, {4}]
+            for key in memo:
+                assert any({l.atom_index for l in key} <= c for c in components)
+            second.import_memo(memo)
+            assert [second.check(q) for q in queries] == verdicts
+            assert second.n_raw_checks == 0
+            assert getattr(second, "session", None) is None  # no solver started
+        finally:
+            first.close()
+            second.close()
 
 
 class TestMinimizeCore:
@@ -345,3 +368,8 @@ class TestConfig:
         p = atoms_problem("(= x 0)")
         with pytest.raises(ValueError):
             make_oracle(p.table, OracleConfig(backend="magic"))
+
+    @pytest.mark.parametrize("secs", [0, -1.0, float("nan")])
+    def test_nonpositive_timeout_rejected(self, secs):
+        with pytest.raises(ValueError):
+            OracleConfig(timeout_secs=secs)
