@@ -18,6 +18,13 @@ chronological backtracking keeps every later path on the other side of one
 of them.  A TOTAL-mode blocking clause would never be unit and never
 falsified.
 
+The candidate path builds no literal objects of its own: the engine
+interns one :class:`Literal` per literal code (``2*i`` for atom ``i`` true,
+``2*i + 1`` for false) when it is built, and a theory query or a recorded
+cube indexes that table.  A TOTAL-mode cube's blocking codes, the negations
+of its literals, are read straight off the value array (``2*i + values[i]``),
+and every recorded :class:`Assignment` shares the engine's one scope set.
+
 In PARTIAL mode the recorded cube is minimized, so later paths may still
 extend it; it is blocked by a clause, added verbatim rather than fed through
 conflict analysis, which keeps runs reproducible.  Minimization checks each
@@ -47,22 +54,27 @@ class EnumerationMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Assignment:
-    """A set of literals over a designated scope of atom indices."""
+    """A set of literals over a designated scope of atom indices.
+
+    :meth:`of` is the validating constructor: it rejects a literal outside
+    the scope and two literals of opposite polarity on one atom.  The engine
+    builds assignments directly, from literals it read off a consistent
+    trail, so the constructor itself checks nothing.
+    """
 
     literals: FrozenSet[Literal]
     scope: FrozenSet[int]
 
-    def __post_init__(self):
+    @classmethod
+    def of(cls, literals: Iterable[Literal], scope: Iterable[int]) -> "Assignment":
+        literals, scope = frozenset(literals), frozenset(scope)
         by_atom: Dict[int, bool] = {}
-        for lit in self.literals:
-            if lit.atom_index not in self.scope:
+        for lit in literals:
+            if lit.atom_index not in scope:
                 raise ValueError(f"literal {lit} outside scope")
             if by_atom.setdefault(lit.atom_index, lit.polarity) != lit.polarity:
                 raise ValueError(f"conflicting polarities for atom {lit.atom_index}")
-
-    @classmethod
-    def of(cls, literals: Iterable[Literal], scope: Iterable[int]) -> "Assignment":
-        return cls(frozenset(literals), frozenset(scope))
+        return cls(literals, scope)
 
     def as_map(self) -> Dict[int, bool]:
         return {lit.atom_index: lit.polarity for lit in self.literals}
@@ -172,7 +184,7 @@ class _CubeMinimizer:
             val[node] = self._eval(node)
         if val[self._root] != 1:
             return current
-        true_codes = {_code(Literal(i, v)) for i, v in current.items()}
+        true_codes = {i * 2 + (0 if v else 1) for i, v in current.items()}
         counts = [len(clause & true_codes) for clause in self._blocking]
         if 0 in counts:
             return current
@@ -180,7 +192,7 @@ class _CubeMinimizer:
             v = current.get(idx)
             if v is None:
                 continue
-            holding = self._holding.get(_code(Literal(idx, v)), ())
+            holding = self._holding.get(idx * 2 + (0 if v else 1), ())
             if any(counts[cid] < 2 for cid in holding) or not self._drop(idx):
                 continue
             del current[idx]
@@ -289,6 +301,9 @@ class _Engine:
         self.n_atoms = len(cnf.alpha_indices)
         self.n_vars = cnf.n_vars
         self.proj_sorted = sorted(set(proj))
+        self.scope = frozenset(self.proj_sorted)  # shared by every recorded cube
+        # Interned literals by code: 2*i is atom i true, 2*i + 1 false.
+        self.literal_of = [Literal(c >> 1, not c & 1) for c in range(2 * self.n_atoms)]
         self.minimizer: Optional[_CubeMinimizer] = None
         if mode is EnumerationMode.PARTIAL:
             if cnf.source is None:
@@ -478,16 +493,14 @@ class _Engine:
 
     # -- theory interaction ---------------------------------------------------
 
-    def _assigned_theory_literals(self, total: bool) -> List[Literal]:
-        lits = []
-        for i in self.theory_vars:
-            v = self.values[i]
-            if v == UNASSIGNED:
-                if total:
-                    raise AssertionError("candidate is not total on the atoms")
-                continue
-            lits.append(Literal(i, v == 1))
-        return lits
+    def _assigned_theory_literals(self) -> List[Literal]:
+        values = self.values
+        literal_of = self.literal_of
+        return [
+            literal_of[2 * i + 1 - values[i]]
+            for i in self.theory_vars
+            if values[i] != UNASSIGNED
+        ]
 
     def _emit_lemma(self, verdict: TheoryVerdict) -> List[int]:
         lemma = lemma_from_core(verdict.core)
@@ -506,23 +519,26 @@ class _Engine:
         rules it out (a lemma, or the negation of the recorded cube), or
         None when the search is finished or truncated."""
         self.stats.n_candidates += 1
-        theory_lits = self._assigned_theory_literals(total=True)
+        theory_lits = self._assigned_theory_literals()
         verdict = self._theory_check(theory_lits) if theory_lits else TheoryVerdict(True)
         if verdict is None:
             return None
         if not verdict.satisfiable:
             return self._emit_lemma(verdict)
+        values = self.values
         if self.minimizer is None:
-            mu_lits = [Literal(i, self.values[i] == 1) for i in self.proj_sorted]
+            kept = self.proj_sorted
         else:
-            alpha_map = {i: self.values[i] == 1 for i in range(self.n_atoms)}
-            kept = self.minimizer.minimize(alpha_map, self.proj_sorted)
-            mu_lits = [Literal(i, kept[i]) for i in self.proj_sorted if i in kept]
-        self.out_assignments.append(Assignment.of(mu_lits, self.proj_sorted))
+            alpha_map = {i: values[i] == 1 for i in range(self.n_atoms)}
+            in_cube = self.minimizer.minimize(alpha_map, self.proj_sorted)
+            kept = [i for i in self.proj_sorted if i in in_cube]
+        literal_of = self.literal_of
+        cube = frozenset([literal_of[2 * i + 1 - values[i]] for i in kept])
+        self.out_assignments.append(Assignment(cube, self.scope))
         self.stats.n_blocking_clauses += 1
-        if not mu_lits:
+        if not kept:
             return None  # empty blocking clause: nothing left to enumerate
-        codes = [_code(l) ^ 1 for l in mu_lits]
+        codes = [2 * i + values[i] for i in kept]  # the cube's negation
         if self.minimizer is not None:
             assert all(self._lit_value(c) == 0 for c in codes)
             self._add_dynamic(codes)
@@ -532,7 +548,7 @@ class _Engine:
     def _early_prune(self) -> Optional[List[int]]:
         """Theory-check the current partial assignment; lemma codes on
         conflict, None otherwise."""
-        lits = self._assigned_theory_literals(total=False)
+        lits = self._assigned_theory_literals()
         if not lits:
             return None
         verdict = self._theory_check(lits)

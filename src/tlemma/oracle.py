@@ -14,6 +14,14 @@ on its own: k components with m consistent parts each take k*m memo entries
 rather than m**k.  A query is satisfiable iff every part is, and its witness
 is the first unsatisfiable part's.
 
+In front of the per-part memo sits a whole-query memo: a verdict, core
+included, keyed by the query's literal set and consulted before the
+theory-atom check, the split and minimization.  It changes no count and no
+core: a repeated query would find each of its parts, and each of the
+minimization trials it made the first time, in the per-part memo, and
+deletion is deterministic, so it would solve nothing and rebuild the same
+core.  A query that raised (a non-theory literal, a timeout) is not stored.
+
 Cores are minimized by deletion in ascending atom-index order over the whole
 query, so a core depends only on verdicts, not on the witnesses a backend
 returns, and identical queries yield identical lemmas on every backend.
@@ -80,7 +88,7 @@ class TLemma:
         return len(self.literals)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoryVerdict:
     satisfiable: bool
     core: Optional[Tuple[Literal, ...]] = None  # unsat subset, present iff unsat
@@ -284,16 +292,24 @@ def refine_literal(lit: Literal, atom: LinearAtom):
 
 class TheoryOracle:
     """The front end every backend shares: the theory-atom check, the
-    component split, the verdict memo and core minimization.
+    component split, the verdict memos and core minimization.
 
     A backend supplies only ``_solve(part)``: ``(True, None)``, or
     ``(False, witness)`` with ``witness`` an unsatisfiable subset of
     ``part``.  ``n_raw_checks`` counts the ``_solve`` calls.
+
+    :meth:`check` answers a repeated query from a whole-query memo of
+    verdicts before any other work; its first answer came from the per-part
+    memo ``_raw``, which holds every part and minimization trial the query
+    needed, so a repeat would have solved nothing and found the same core.
+    Only ``_raw`` is exported to other instances.
     """
 
     def __init__(self, table, config: Optional[OracleConfig] = None):
         self.table = table
         self.config = config or OracleConfig()
+        self._theory = frozenset(table.theory_indices())
+        self._verdicts: Dict[FrozenSet[Literal], TheoryVerdict] = {}
         self._raw: Dict[FrozenSet[Literal], tuple] = {}
         self._component = [0] * len(table)
         for ci, component in enumerate(partition_atoms(table).components):
@@ -324,16 +340,21 @@ class TheoryOracle:
 
     def check(self, literals: Iterable[Literal]) -> TheoryVerdict:
         lits = frozenset(literals)
+        verdict = self._verdicts.get(lits)
+        if verdict is not None:
+            return verdict
+        theory = self._theory
         for lit in lits:
-            if self.table.kind_of(lit.atom_index).value != "theory":
+            if lit.atom_index not in theory:
                 raise OracleError(f"literal on non-theory atom {lit.atom_index}")
         if self._raw_check(lits)[0]:
-            return TheoryVerdict(True)
-        if self.config.minimize_cores:
-            core = self.minimize_core(lits)
+            verdict = TheoryVerdict(True)
+        elif self.config.minimize_cores:
+            verdict = TheoryVerdict(False, core=self.minimize_core(lits))
         else:
-            core = tuple(sorted(lits))
-        return TheoryVerdict(False, core=core)
+            verdict = TheoryVerdict(False, core=tuple(sorted(lits)))
+        self._verdicts[lits] = verdict
+        return verdict
 
     def is_satisfiable(self, literals: Iterable[Literal]) -> bool:
         return self._raw_check(frozenset(literals))[0]

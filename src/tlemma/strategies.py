@@ -14,8 +14,9 @@ symbol-disjoint theory component (partitioning).
 
 Phase-2 cubes are assigned to workers by static round-robin on the cube
 ordinal, and results are merged in ordinal order, so provenance and output
-are reproducible.  Workers are separate processes with their own oracle; the
-clause set and atom view they receive are immutable snapshots.
+are reproducible.  Workers are separate processes with their own oracle,
+whose solve count is added to the caller's oracle; the clause set and atom
+view they receive are immutable snapshots.
 """
 
 from __future__ import annotations
@@ -255,6 +256,9 @@ def _run_cubes(cnf, table, oracle, seeds, cubes, proj, deadline, early, interval
 def _phase2_worker(payload):
     """Run one worker's share of the cubes with its own oracle.
 
+    Returns the cube records and the number of solves the worker's oracle
+    made, which the caller adds to its own oracle's count.
+
     ``deadline`` is the parent's absolute ``time.monotonic()`` deadline: the
     processes of one host share that clock, so pool spawn and unpickling
     time count against the budget.
@@ -263,9 +267,10 @@ def _phase2_worker(payload):
     oracle = make_oracle(view, config)
     oracle.import_memo(memo)
     try:
-        return _run_cubes(
+        records = _run_cubes(
             cnf, view, oracle, seeds, cubes, proj, deadline, early, interval
         )
+        return records, oracle.n_raw_checks
     finally:
         oracle.close()
 
@@ -352,12 +357,15 @@ def enumerate_dnc(
             )
             for w in range(min(spec.workers, len(cubes)))
         ]
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # One process per payload: a fork pool starts all of its workers up front.
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             futures = [pool.submit(_phase2_worker, p) for p in payloads]
-            records = sorted(
-                (record for fut in futures for record in fut.result()),
-                key=lambda record: record[0],
-            )
+            records = []
+            for fut in futures:
+                worker_records, n_raw_checks = fut.result()
+                records.extend(worker_records)
+                oracle.n_raw_checks += n_raw_checks
+            records.sort(key=lambda record: record[0])
 
     truncated = False
     oracle_error = None

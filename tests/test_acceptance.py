@@ -5,10 +5,14 @@ tolerances are fixed here; the random corpora are fully seeded so every run
 sees the same instances.
 """
 
+import hashlib
+import importlib.util
+import json
 import os
 import shlex
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -292,4 +296,47 @@ def test_criterion_8_determinism(completeness_runs):
         "criterion-8",
         f"byte-identical lemma files across {len(completeness_runs)} instances x "
         f"{len(STRATEGIES)} strategies",
+    )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, loaded without putting the benchmark's
+    directory on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_criterion_8_benchmark_reference_digests():
+    """The first three operations of every benchmark workload render lemma
+    files whose sha256 matches the recorded reference, run the way the
+    benchmark runs them (``dnc-pool`` on its 2 workers)."""
+    start = time.monotonic()
+    workloads = _perfbench_workloads()
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    mismatches = []
+    n_ops = 0
+    for name, build in sorted(workloads.WORKLOADS.items()):
+        expected = reference["workloads"][name]["ops"]
+        for op in build().ops[:3]:
+            problem = Problem.from_text(op.text)
+            spec = StrategySpec.from_name(op.strategy, workers=op.workers)
+            result = run_strategy(problem, spec)
+            assert not result.truncated, op.op_id
+            text = render_lemma_script(result.lemma_set.lemmas, problem.table)
+            if hashlib.sha256(text.encode("utf-8")).hexdigest() != expected[op.op_id]["digest"]:
+                mismatches.append(op.op_id)
+            n_ops += 1
+    assert not mismatches, mismatches
+    report(
+        "criterion-8",
+        f"{n_ops} benchmark operations match reference.json digests "
+        f"in {time.monotonic() - start:.1f} s",
     )

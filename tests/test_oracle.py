@@ -23,6 +23,17 @@ from tlemma.oracle import (
 )
 
 
+# Both backends, for tests of the front end they share.
+BACKENDS = pytest.mark.parametrize(
+    "config",
+    [
+        OracleConfig(),
+        OracleConfig(backend="external", command=SUBSET_CORE_CMD, timeout_secs=30),
+    ],
+    ids=["builtin", "external"],
+)
+
+
 @pytest.fixture
 def xy():
     # atom order: (x <= 0), (x = 1), (y <= 5)
@@ -244,14 +255,7 @@ class TestExplainedConflicts:
         assert v.satisfiable == w.satisfiable == simplex_satisfiable(lits, p.table)
         assert v.core == w.core
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            OracleConfig(),
-            OracleConfig(backend="external", command=SUBSET_CORE_CMD, timeout_secs=30),
-        ],
-        ids=["builtin", "external"],
-    )
+    @BACKENDS
     def test_memo_holds_parts_and_round_trips(self, config):
         p = atoms_problem("(<= x 0)", "(>= x 1)", "(<= y 0)", "(>= y 1)", "(= z 2)")
         queries = [
@@ -280,6 +284,62 @@ class TestExplainedConflicts:
         finally:
             first.close()
             second.close()
+
+
+class TestVerdictMemo:
+    """The whole-query memo in front of the per-part one answers a repeated
+    query with the first verdict and no solve."""
+
+    @BACKENDS
+    def test_repeated_queries_solve_nothing(self, config):
+        p = atoms_problem("(<= x 0)", "(>= x 1)", "(<= y 0)", "(>= y 1)", "(= z 2)")
+        sat_query = [L(0), L(1, False), L(2), L(3, False), L(4)]
+        unsat_query = [L(0), L(1), L(2, False), L(3), L(4)]
+        oracle = make_oracle(p.table, config)
+        try:
+            sat, unsat = oracle.check(sat_query), oracle.check(unsat_query)
+            assert sat.satisfiable and not unsat.satisfiable
+            assert unsat.core == (L(0), L(1))
+            solved = oracle.n_raw_checks
+            assert solved > 0
+            for _ in range(2):
+                assert oracle.check(reversed(sat_query)) is sat
+                assert oracle.check(unsat_query) is unsat
+            assert oracle.n_raw_checks == solved
+        finally:
+            oracle.close()
+
+    @BACKENDS
+    def test_non_theory_literal_raises_every_time(self, config):
+        p = atoms_problem("(<= x 0)", bools=["b"])
+        oracle = make_oracle(p.table, config)
+        try:
+            for _ in range(2):
+                with pytest.raises(OracleError):
+                    oracle.check([L(0), L(1)])  # index 0 is the Boolean atom b
+            assert oracle.n_raw_checks == 0
+        finally:
+            oracle.close()
+
+    @BACKENDS
+    def test_unminimized_core_stays_the_whole_query(self, config):
+        p = atoms_problem("(<= x 0)", "(= x 1)", "(<= y 5)")
+        config = OracleConfig(
+            backend=config.backend,
+            command=config.command,
+            minimize_cores=False,
+            timeout_secs=config.timeout_secs,
+        )
+        oracle = make_oracle(p.table, config)
+        try:
+            query = [L(2), L(1), L(0)]
+            first = oracle.check(query)
+            solved = oracle.n_raw_checks
+            assert first.core == (L(0), L(1), L(2))
+            assert oracle.check(query) is first
+            assert oracle.n_raw_checks == solved
+        finally:
+            oracle.close()
 
 
 class TestMinimizeCore:

@@ -194,9 +194,42 @@ class TestDnc:
             8,
             {},
         )
-        records = strategies._phase2_worker(payload)
+        records, _ = strategies._phase2_worker(payload)
         assert [r[0] for r in records] == [0, 1]
         assert all(r[4] for r in records)
+
+    def test_phase2_solves_are_counted_on_the_callers_oracle(self):
+        # A worker's oracle solves what the caller's would have; the caller
+        # adds the workers' counts to its own, so more workers never read
+        # fewer solves (the workers do not share their memos).
+        p = Problem.from_text(
+            clausal_instance(3, n_bool=2, n_real=3, n_theory=8, n_clauses=16)
+        )
+        counts = {}
+        for workers in (1, 2):
+            oracle = oracle_for(p)
+            run_strategy(p, StrategySpec.from_name("dnc", workers=workers), oracle=oracle)
+            counts[workers] = oracle.n_raw_checks
+        assert counts[2] >= counts[1] > 0
+
+    def test_pool_forks_one_process_per_payload(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(strategies.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(strategies, "ProcessPoolExecutor", RecordingPool)
+        p = Problem.from_text(random_instance(3, 4, 4, 7000, 10))
+        phase1 = projected_allsmt(
+            p.cnf, p.table, p.cnf.alpha_indices, EnumerationMode.PARTIAL, oracle_for(p)
+        )
+        assert len(phase1.assignments) == 2
+        res = run_strategy(p, StrategySpec.from_name("dnc", workers=4))
+        assert sizes == [2]
+        serial = run_strategy(p, StrategySpec.from_name("dnc"))
+        assert res.lemma_set.keys() == serial.lemma_set.keys()
 
     def test_phase2_provenance_records_cubes_and_workers(self):
         p = random_problem(depth=4, seed=88)
