@@ -96,45 +96,6 @@ class AtomTable:
         return [a.payload for a, k in zip(self.atoms, self._kinds) if k is AtomKind.BOOLEAN]
 
 
-class TableView:
-    """Picklable, bank-free snapshot of an atom table.
-
-    Carries exactly what the oracle and a total-mode engine need in a worker
-    process: per-index kinds, the linear atoms, and the variable names.
-    """
-
-    def __init__(self, kinds, linear_atoms, variables):
-        self._kinds = list(kinds)
-        self._linear = dict(linear_atoms)
-        self._variables = list(variables)
-
-    @classmethod
-    def from_table(cls, table: "AtomTable") -> "TableView":
-        linear = {
-            i: table.linear_atom(i)
-            for i in range(len(table))
-            if table.kind_of(i) is AtomKind.THEORY
-        }
-        return cls(table._kinds, linear, table.variables())
-
-    def __len__(self) -> int:
-        return len(self._kinds)
-
-    def kind_of(self, index: int) -> AtomKind:
-        if index >= len(self._kinds):
-            return AtomKind.LABEL
-        return self._kinds[index]
-
-    def linear_atom(self, index: int) -> LinearAtom:
-        return self._linear[index]
-
-    def theory_indices(self) -> List[int]:
-        return sorted(self._linear)
-
-    def variables(self) -> List[str]:
-        return list(self._variables)
-
-
 def boolean_abstraction(term: Term, table: AtomTable) -> Term:
     """Replace every atom leaf by its abstraction index, homomorphically."""
     bank = table.bank

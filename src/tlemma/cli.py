@@ -111,6 +111,8 @@ def cmd_enumerate(args) -> int:
         return EXIT_ERROR
     if result.oracle_error:
         print(f"oracle error: {result.oracle_error}", file=sys.stderr)
+    if result.worker_error:
+        print(f"worker failure: {result.worker_error}", file=sys.stderr)
     meta = {
         "instance": str(args.input),
         "strategy": spec.name,

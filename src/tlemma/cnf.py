@@ -34,10 +34,6 @@ class CnfProblem:
     def n_labels(self) -> int:
         return self.n_vars - len(self.alpha_indices)
 
-    def without_source(self) -> "CnfProblem":
-        """Copy safe to ship to worker processes (no term DAG attached)."""
-        return CnfProblem(self.clauses, self.n_vars, self.alpha_indices, None)
-
 
 class _Builder:
     def __init__(self, n_atoms: int):

@@ -30,6 +30,11 @@ extend it; it is blocked by a clause, added verbatim rather than fed through
 conflict analysis, which keeps runs reproducible.  Minimization checks each
 trial drop incrementally against the formula and the blocking clauses so
 far (:class:`_CubeMinimizer`), which also keeps the cubes pairwise disjoint.
+
+An engine installs its CNF and seed lemmas once.  :func:`projected_allsmt`
+runs it once; :func:`enumerate_cubes` re-runs it under each of a list of
+cubes, dropping what the previous run added, so that each outcome equals a
+fresh engine's.
 """
 
 from __future__ import annotations
@@ -278,6 +283,18 @@ class EnumerationOutcome:
 
 
 class _Engine:
+    """The search over one CNF and one set of seed lemmas.
+
+    The CNF and the seeds are installed once; :meth:`run` searches under a
+    set of assumptions and can be called again for another set.  Each run
+    starts from what a freshly built engine holds: the installed clauses,
+    with the clauses, root units and outputs of the last run dropped.  Only
+    the order of the watch lists and of the literals inside the installed
+    clauses may differ, and neither changes a run's outcome: the closure of
+    unit propagation, whether it conflicts, and the decision level of a
+    clause's deepest literal do not depend on them.
+    """
+
     def __init__(
         self,
         cnf: CnfProblem,
@@ -286,7 +303,6 @@ class _Engine:
         mode: EnumerationMode,
         oracle,
         seed_lemmas: Sequence[TLemma],
-        assumptions: Sequence[Literal],
         deadline: Optional[float],
         early_pruning: bool,
         pruning_interval: int,
@@ -304,11 +320,12 @@ class _Engine:
         self.scope = frozenset(self.proj_sorted)  # shared by every recorded cube
         # Interned literals by code: 2*i is atom i true, 2*i + 1 false.
         self.literal_of = [Literal(c >> 1, not c & 1) for c in range(2 * self.n_atoms)]
-        self.minimizer: Optional[_CubeMinimizer] = None
+        self.source: Optional[Term] = None  # the formula PARTIAL mode minimizes against
         if mode is EnumerationMode.PARTIAL:
             if cnf.source is None:
                 raise ValueError("partial mode needs the source formula for minimization")
-            self.minimizer = _CubeMinimizer(cnf.source)
+            self.source = cnf.source
+        self.minimizer: Optional[_CubeMinimizer] = None
 
         self.theory_vars = [
             i for i in range(self.n_atoms) if table.kind_of(i) is AtomKind.THEORY
@@ -323,7 +340,8 @@ class _Engine:
         self.pos_in_trail = [0] * self.n_vars
         self.trail: List[int] = []
         self.qhead = 0
-        self.decisions: List[List[int]] = []  # [trail_pos, flipped]
+        # [trail_pos, flipped, index of the decided variable in branch_order]
+        self.decisions: List[List[int]] = []
         self.watches: List[List[int]] = [[] for _ in range(2 * self.n_vars)]
         self.clauses: List[List[int]] = []
         self.root_units: List[int] = []
@@ -335,9 +353,24 @@ class _Engine:
         for lemma in seed_lemmas:
             self.seed_keys.add(lemma.key)
             self._install([_code(l) for l in lemma.literals])
-        for lit in assumptions:
-            self.root_units.append(_code(lit))
+        # What every run starts from; a run appends past these marks.
+        self.n_installed = len(self.clauses)
+        self.n_installed_units = len(self.root_units)
 
+    def _reset(self, assumptions: Sequence[Literal]) -> None:
+        """Drop the last run's search state, clauses, root units and
+        outputs, and take ``assumptions`` as root units."""
+        self._unwind_to(0)
+        self.decisions.clear()
+        for ci in range(self.n_installed, len(self.clauses)):
+            clause = self.clauses[ci]
+            self.watches[clause[0]].remove(ci)
+            self.watches[clause[1]].remove(ci)
+        del self.clauses[self.n_installed :]
+        del self.root_units[self.n_installed_units :]
+        self.root_units.extend(_code(lit) for lit in assumptions)
+        if self.source is not None:
+            self.minimizer = _CubeMinimizer(self.source)
         self.out_assignments: List[Assignment] = []
         self.out_lemmas: List[TLemma] = []
         self.lemma_keys = set()
@@ -401,42 +434,48 @@ class _Engine:
         self.trail.append(code)
 
     def _propagate(self) -> bool:
-        """Closure under unit propagation; True iff a conflict was found."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
+        """Closure under unit propagation; True iff a conflict was found.
+
+        Literal values are read off ``values`` inline: code ``c`` is false
+        iff ``values[c >> 1] == c & 1``, and true iff it equals
+        ``(c & 1) ^ 1``.
+        """
+        values = self.values
+        trail = self.trail
+        watches = self.watches
+        clauses = self.clauses
+        while self.qhead < len(trail):
+            fal = trail[self.qhead] ^ 1
             self.qhead += 1
-            fal = lit ^ 1
-            ws = self.watches[fal]
+            ws = watches[fal]
             kept: List[int] = []
             i = 0
             n = len(ws)
             while i < n:
                 ci = ws[i]
                 i += 1
-                clause = self.clauses[ci]
+                clause = clauses[ci]
                 if clause[0] == fal:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0], clause[1] = clause[1], fal
                 first = clause[0]
-                fv = self._lit_value(first)
-                if fv == 1:
+                fv = values[first >> 1]
+                if fv == (first & 1) ^ 1:
                     kept.append(ci)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(ci)
-                        moved = True
+                    c = clause[k]
+                    if values[c >> 1] != c & 1:
+                        clause[1], clause[k] = c, fal
+                        watches[c].append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if fv == 0:
-                    kept.extend(ws[i:])
-                    self.watches[fal] = kept
-                    return True
-                self._assign(first)
-            self.watches[fal] = kept
+                else:
+                    kept.append(ci)
+                    if fv == first & 1:
+                        kept.extend(ws[i:])
+                        watches[fal] = kept
+                        return True
+                    self._assign(first)
+            watches[fal] = kept
         return False
 
     def _replay_root_units(self) -> bool:
@@ -459,36 +498,48 @@ class _Engine:
         """Chronological backtracking; take the untried branch of the
         deepest open decision.  False when the search space is exhausted."""
         while self.decisions:
-            pos, flipped = self.decisions.pop()
+            pos, flipped, rank = self.decisions.pop()
             lit = self.trail[pos]
             self._unwind_to(pos)
             if flipped:
                 continue
-            self.decisions.append([len(self.trail), 1])
+            self.decisions.append([len(self.trail), 1, rank])
             self._assign(lit ^ 1)
             if self._replay_root_units():
                 return True
             # a permanent unit contradicts this branch; keep unwinding
         return False
 
-    def _backtrack_clause(self, codes: List[int]) -> bool:
-        """Backtrack after adding a clause whose literals are all false.
+    def _backtrack_below(self, deepest: int) -> bool:
+        """Backtrack after adding a clause whose literals are all false, the
+        deepest of them at trail position ``deepest``.
 
         Every branch below the deepest falsifying assignment extends the
         assignments that falsify the clause, so those subtrees are dead and
         are discarded without exploring their other halves; then the search
         flips the deepest surviving decision as usual.
         """
-        deepest = max(self.pos_in_trail[c >> 1] for c in codes)
         while self.decisions and self.decisions[-1][0] > deepest:
-            pos, _ = self.decisions.pop()
+            pos, _, _ = self.decisions.pop()
             self._unwind_to(pos)
         return self._backtrack_flip()
 
-    def _next_branch_var(self) -> Optional[int]:
-        for var in self.branch_order:
-            if self.values[var] == UNASSIGNED:
-                return var
+    def _deepest(self, codes: List[int]) -> int:
+        return max(self.pos_in_trail[c >> 1] for c in codes)
+
+    def _next_branch_rank(self) -> Optional[int]:
+        """The index in ``branch_order`` of the first unassigned variable.
+
+        The scan resumes after the last decision's variable: every variable
+        before it was assigned when it was decided, on a lower level, and
+        chronological backtracking unwinds no lower level without popping
+        that decision.
+        """
+        values = self.values
+        order = self.branch_order
+        for rank in range(self.decisions[-1][2] + 1 if self.decisions else 0, len(order)):
+            if values[order[rank]] == UNASSIGNED:
+                return rank
         return None
 
     # -- theory interaction ---------------------------------------------------
@@ -502,7 +553,9 @@ class _Engine:
             if values[i] != UNASSIGNED
         ]
 
-    def _emit_lemma(self, verdict: TheoryVerdict) -> List[int]:
+    def _emit_lemma(self, verdict: TheoryVerdict) -> int:
+        """Record the core's lemma and add its clause; returns the trail
+        position of the clause's deepest literal."""
         lemma = lemma_from_core(verdict.core)
         assert lemma.key not in self.seed_keys, "seed lemma rediscovered"
         assert lemma.key not in self.lemma_keys, "lemma clause was already active"
@@ -512,12 +565,13 @@ class _Engine:
         codes = [_code(l) for l in lemma.literals]
         assert all(self._lit_value(c) == 0 for c in codes)
         self._add_dynamic(codes)
-        return codes
+        return self._deepest(codes)
 
-    def _handle_candidate(self) -> Optional[List[int]]:
-        """Process a total candidate.  Returns the codes of the clause that
-        rules it out (a lemma, or the negation of the recorded cube), or
-        None when the search is finished or truncated."""
+    def _handle_candidate(self) -> Optional[int]:
+        """Process a total candidate.  Returns the trail position of the
+        deepest literal of the clause that rules it out (a lemma, or the
+        negation of the recorded cube), or None when the search is finished
+        or truncated."""
         self.stats.n_candidates += 1
         theory_lits = self._assigned_theory_literals()
         verdict = self._theory_check(theory_lits) if theory_lits else TheoryVerdict(True)
@@ -538,16 +592,25 @@ class _Engine:
         self.stats.n_blocking_clauses += 1
         if not kept:
             return None  # empty blocking clause: nothing left to enumerate
-        codes = [2 * i + values[i] for i in kept]  # the cube's negation
         if self.minimizer is not None:
+            codes = [2 * i + values[i] for i in kept]  # the cube's negation
             assert all(self._lit_value(c) == 0 for c in codes)
             self._add_dynamic(codes)
             self.minimizer.add_blocking(codes)
-        return codes
+            return self._deepest(codes)
+        # A TOTAL-mode cube holds every projection atom, and those are all
+        # assigned before the first decision on any other variable.
+        deepest = len(self.trail) - 1
+        n_proj = len(self.proj_sorted)
+        for pos, _, rank in reversed(self.decisions):
+            if rank < n_proj:
+                break
+            deepest = pos - 1
+        return deepest
 
-    def _early_prune(self) -> Optional[List[int]]:
-        """Theory-check the current partial assignment; lemma codes on
-        conflict, None otherwise."""
+    def _early_prune(self) -> Optional[int]:
+        """Theory-check the current partial assignment; on conflict, the
+        trail position of the lemma's deepest literal, else None."""
         lits = self._assigned_theory_literals()
         if not lits:
             return None
@@ -570,7 +633,9 @@ class _Engine:
 
     # -- main loop --------------------------------------------------------------
 
-    def run(self) -> EnumerationOutcome:
+    def run(self, assumptions: Sequence[Literal] = ()) -> EnumerationOutcome:
+        """Search under ``assumptions``, from the installed clauses alone."""
+        self._reset(assumptions)
         start = time.monotonic_ns()
         alive = not self.has_empty and self._replay_root_units()
         while alive:
@@ -582,20 +647,21 @@ class _Engine:
                 continue
             if self.early_pruning and self.since_prune >= self.pruning_interval:
                 self.since_prune = 0
-                lemma_codes = self._early_prune()
+                deepest = self._early_prune()
                 if self.truncated:
                     break
-                if lemma_codes is not None:
-                    alive = self._backtrack_clause(lemma_codes)
+                if deepest is not None:
+                    alive = self._backtrack_below(deepest)
                     continue
-            var = self._next_branch_var()
-            if var is None:
-                blocking_codes = self._handle_candidate()
-                if blocking_codes is None:
+            rank = self._next_branch_rank()
+            if rank is None:
+                deepest = self._handle_candidate()
+                if deepest is None:
                     break
-                alive = self._backtrack_clause(blocking_codes)
+                alive = self._backtrack_below(deepest)
                 continue
-            self.decisions.append([len(self.trail), 0])
+            var = self.branch_order[rank]
+            self.decisions.append([len(self.trail), 0, rank])
             self._assign(var * 2 if self.positive_first else var * 2 + 1)
             self.since_prune += 1
         self.stats.elapsed_ns = time.monotonic_ns() - start
@@ -606,6 +672,13 @@ class _Engine:
             truncated=self.truncated,
             oracle_error=self.oracle_error,
         )
+
+
+def _checked_projection(cnf: CnfProblem, proj: Iterable[int]) -> List[int]:
+    proj = sorted(set(proj))
+    if not set(proj) <= set(cnf.alpha_indices):
+        raise ValueError("projection atoms must belong to the atom set")
+    return proj
 
 
 def projected_allsmt(
@@ -630,21 +703,50 @@ def projected_allsmt(
     partial results are returned with ``truncated`` set, and an oracle
     failure's message in ``oracle_error``.
     """
-    proj = sorted(set(proj))
-    alpha = set(cnf.alpha_indices)
-    if not set(proj) <= alpha:
-        raise ValueError("projection atoms must belong to the atom set")
     engine = _Engine(
         cnf,
         table,
-        proj,
+        _checked_projection(cnf, proj),
         mode,
         oracle,
         seed_lemmas,
-        assumptions,
         deadline,
         early_pruning,
         pruning_interval,
         positive_first,
     )
-    return engine.run()
+    return engine.run(assumptions)
+
+
+def enumerate_cubes(
+    cnf: CnfProblem,
+    table,
+    proj: Iterable[int],
+    oracle,
+    seed_lemmas: Sequence[TLemma],
+    cubes: Iterable[Sequence[Literal]],
+    *,
+    deadline: Optional[float] = None,
+    early_pruning: bool = False,
+    pruning_interval: int = 8,
+) -> List[EnumerationOutcome]:
+    """One TOTAL-mode enumeration per cube, each under the cube's literals
+    as assumptions; one outcome per cube, in order.
+
+    Each outcome is the one :func:`projected_allsmt` returns for the cube,
+    but the CNF and the seeds are installed once, into one engine that is
+    re-run per cube.  Every cube runs, even after an earlier one truncated.
+    """
+    engine = _Engine(
+        cnf,
+        table,
+        _checked_projection(cnf, proj),
+        EnumerationMode.TOTAL,
+        oracle,
+        seed_lemmas,
+        deadline,
+        early_pruning,
+        pruning_interval,
+        True,
+    )
+    return [engine.run(cube) for cube in cubes]

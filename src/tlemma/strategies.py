@@ -5,30 +5,40 @@ Two base strategies enumerate the lemmas over one projection set:
 * baseline: one total enumeration; keep only the lemmas.
 * divide & conquer: a partial enumeration decomposes the search space into
   cubes, then one total enumeration per cube (seeded with the already-known
-  lemmas) runs on a pool of workers.
+  lemmas) runs on ``workers`` parallel workers.
 
 ``run_strategy`` runs the base strategy once per pass, seeds each pass with
 every lemma found so far and deduplicates once at the end.  There is one pass
 over all atoms (plain), one over the theory atoms (projection), or one per
 symbol-disjoint theory component (partitioning).
 
-Phase-2 cubes are assigned to workers by static round-robin on the cube
-ordinal, and results are merged in ordinal order, so provenance and output
-are reproducible.  Workers are separate processes with their own oracle,
-whose solve count is added to the caller's oracle; the clause set and atom
-view they receive are immutable snapshots.
+Phase-2 cubes are assigned to worker shares by static round-robin on the
+cube ordinal, and results are merged in ordinal order, so provenance and
+output are reproducible for any worker count.  Each share runs on one
+engine, installed once and re-run per cube.  The caller runs share 0 on its
+own oracle; every other share runs in a child process forked for it, which
+inherits the CNF, the atom table, the seeds, its cubes and the caller's
+oracle memo, so nothing is unpickled on the way in.  A child builds its own
+oracle, since an external solver session is never shared, and sends back
+its cube records and solve count through a one-way pipe; the solve count
+is added to the caller's oracle.  The caller joins every child before phase
+2 returns.  A child that dies without sending truncates the run: the lemmas
+of phase 1 and of every share that finished are kept.
+
+A run with more than one worker therefore needs the ``fork`` start method
+(POSIX).  Forking is safe here because tlemma starts no threads.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .atoms import AtomTable, Literal, TableView
+from .atoms import AtomTable, Literal
 from .cnf import CnfProblem
-from .enumeration import EnumerationMode, EnumerationOutcome, projected_allsmt
+from .enumeration import EnumerationMode, EnumerationOutcome, enumerate_cubes, projected_allsmt
 from .oracle import OracleConfig, TLemma, make_oracle
 from .partition import partition_atoms
 from .problem import Problem
@@ -159,20 +169,26 @@ class RunCounters:
 
 
 class BudgetExceeded(Exception):
-    """Raised when a strategy run outlives its budget or its oracle fails.
+    """Raised when a strategy run outlives its budget, its oracle fails or a
+    phase-2 worker dies.
 
     Carries the lemmas found so far; no completeness claim is attached to
-    them.  ``oracle_error`` is the oracle failure's message, if one stopped
-    the run.
+    them.  ``oracle_error`` is the oracle failure's message, and
+    ``worker_error`` names the worker that died, if one stopped the run.
     """
 
     def __init__(
-        self, partial: LemmaSet, counters: RunCounters, oracle_error: Optional[str] = None
+        self,
+        partial: LemmaSet,
+        counters: RunCounters,
+        oracle_error: Optional[str] = None,
+        worker_error: Optional[str] = None,
     ):
-        super().__init__(oracle_error or "enumeration budget exceeded")
+        super().__init__(oracle_error or worker_error or "enumeration budget exceeded")
         self.partial = partial
         self.counters = counters
         self.oracle_error = oracle_error
+        self.worker_error = worker_error
 
 
 def _provenance_for(outcome: EnumerationOutcome, stage: str, worker: int):
@@ -218,61 +234,103 @@ def enumerate_baseline(
     return lemma_set
 
 
-def _run_cubes(cnf, table, oracle, seeds, cubes, proj, deadline, early, interval):
-    """Run one seeded total enumeration per ``(ordinal, literals)`` cube.
+def _share_records(cnf, table, oracle, seeds, share, proj, deadline, early, interval):
+    """Run one seeded total enumeration per ``(ordinal, literals)`` cube of
+    ``share``, on one engine.
 
     Returns lean per-cube records ``(ordinal, lemmas, stats, n_assignments,
     truncated, oracle_error)``: divide & conquer keeps only the lemmas, so
-    the enumerated assignments are dropped here rather than being shipped
-    back from a worker.
+    the enumerated assignments are dropped here rather than being sent back
+    from a worker.
     """
-    records = []
-    for ordinal, cube in cubes:
-        outcome = projected_allsmt(
-            cnf,
-            table,
-            proj,
-            EnumerationMode.TOTAL,
-            oracle,
-            seed_lemmas=seeds,
-            assumptions=cube,
-            deadline=deadline,
-            early_pruning=early,
-            pruning_interval=interval,
-        )
-        records.append(
-            (
-                ordinal,
-                outcome.lemmas,
-                outcome.stats,
-                len(outcome.assignments),
-                outcome.truncated,
-                outcome.oracle_error,
-            )
-        )
-    return records
+    outcomes = enumerate_cubes(
+        cnf,
+        table,
+        proj,
+        oracle,
+        seeds,
+        [cube for _, cube in share],
+        deadline=deadline,
+        early_pruning=early,
+        pruning_interval=interval,
+    )
+    return [
+        (ordinal, o.lemmas, o.stats, len(o.assignments), o.truncated, o.oracle_error)
+        for (ordinal, _), o in zip(share, outcomes)
+    ]
 
 
-def _phase2_worker(payload):
-    """Run one worker's share of the cubes with its own oracle.
+def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline, early, interval):
+    """Run one share of the cubes on a new oracle warmed with
+    ``parent_oracle``'s memo, the entry of a forked phase-2 child.
 
-    Returns the cube records and the number of solves the worker's oracle
-    made, which the caller adds to its own oracle's count.
+    The child builds its own oracle because an external solver session is
+    never shared between processes.  Returns the cube records and the number
+    of solves the new oracle made, which the caller adds to its own count.
 
-    ``deadline`` is the parent's absolute ``time.monotonic()`` deadline: the
-    processes of one host share that clock, so pool spawn and unpickling
-    time count against the budget.
+    ``deadline`` is the caller's absolute ``time.monotonic()`` deadline: the
+    processes of one host share that clock, so the fork counts against the
+    budget.
     """
-    (cnf, view, config, seeds, cubes, proj, deadline, early, interval, memo) = payload
-    oracle = make_oracle(view, config)
-    oracle.import_memo(memo)
+    oracle = make_oracle(table, parent_oracle.config)
     try:
-        records = _run_cubes(
-            cnf, view, oracle, seeds, cubes, proj, deadline, early, interval
+        oracle.import_memo(parent_oracle.export_memo())
+        records = _share_records(
+            cnf, table, oracle, seeds, share, proj, deadline, early, interval
         )
         return records, oracle.n_raw_checks
     finally:
         oracle.close()
+
+
+def _phase2_child(conn, *args) -> None:
+    conn.send(_phase2_worker(*args))
+    conn.close()
+
+
+def _run_shares(cnf, table, oracle, seeds, shares, *args):
+    """Run share 0 on ``oracle`` in this process and every other share in a
+    forked child, which inherits its input rather than unpickling it.
+    ``args`` are :func:`_share_records`' arguments after the share.
+
+    Returns the records of every share that finished, in cube-ordinal
+    order, and a message naming the first child that died without sending
+    its records, or None.  Every child is joined before this returns.
+    """
+    fork = multiprocessing.get_context("fork") if len(shares) > 1 else None
+    children = []
+    try:
+        for w, share in enumerate(shares[1:], 1):
+            recv_end, send_end = fork.Pipe(duplex=False)
+            child = fork.Process(
+                target=_phase2_child,
+                args=(send_end, cnf, table, oracle, seeds, share) + args,
+            )
+            child.start()
+            # The child now holds the only write end, so its death reads as EOF.
+            send_end.close()
+            children.append((w, child, recv_end))
+        records = _share_records(cnf, table, oracle, seeds, shares[0], *args) if shares else []
+        worker_error = None
+        for w, child, recv_end in children:
+            try:
+                share_records, n_raw_checks = recv_end.recv()
+            except EOFError:
+                child.join()
+                worker_error = worker_error or (
+                    f"phase-2 worker {w} exited with code {child.exitcode}"
+                )
+                continue
+            records.extend(share_records)
+            oracle.n_raw_checks += n_raw_checks
+    finally:
+        # A child whose read end is closed fails its send instead of
+        # blocking this join.
+        for _, child, recv_end in children:
+            recv_end.close()
+            child.join()
+    records.sort(key=lambda record: record[0])
+    return records, worker_error
 
 
 def enumerate_dnc(
@@ -325,49 +383,20 @@ def enumerate_dnc(
         (ordinal, cube.sorted_literals())
         for ordinal, cube in enumerate(phase1.assignments)
     ]
-    if spec.workers == 1 or len(cubes) <= 1:
-        records = _run_cubes(
-            cnf,
-            table,
-            oracle,
-            seeds,
-            cubes,
-            proj,
-            deadline,
-            spec.early_pruning,
-            spec.pruning_interval,
-        )
-    else:
-        view = TableView.from_table(table) if isinstance(table, AtomTable) else table
-        shipped_cnf = cnf.without_source()
-        # Warm each worker's verdict memo with what phase 1 already learned.
-        memo = oracle.export_memo()
-        payloads = [
-            (
-                shipped_cnf,
-                view,
-                oracle.config,
-                seeds,
-                cubes[w :: spec.workers],
-                list(proj),
-                deadline,
-                spec.early_pruning,
-                spec.pruning_interval,
-                memo,
-            )
-            for w in range(min(spec.workers, len(cubes)))
-        ]
-        # One process per payload: a fork pool starts all of its workers up front.
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            futures = [pool.submit(_phase2_worker, p) for p in payloads]
-            records = []
-            for fut in futures:
-                worker_records, n_raw_checks = fut.result()
-                records.extend(worker_records)
-                oracle.n_raw_checks += n_raw_checks
-            records.sort(key=lambda record: record[0])
+    shares = [cubes[w :: spec.workers] for w in range(min(spec.workers, len(cubes)))]
+    records, worker_error = _run_shares(
+        cnf,
+        table,
+        oracle,
+        seeds,
+        shares,
+        proj,
+        deadline,
+        spec.early_pruning,
+        spec.pruning_interval,
+    )
 
-    truncated = False
+    truncated = worker_error is not None
     oracle_error = None
     for ordinal, lemmas, stats, n_assignments, cube_truncated, cube_error in records:
         counters.absorb_stats(stats, n_assignments)
@@ -381,7 +410,7 @@ def enumerate_dnc(
 
     lemma_set = dedup_lemmas(collected, provenance, spec.subsume)
     if truncated:
-        raise BudgetExceeded(lemma_set, counters, oracle_error)
+        raise BudgetExceeded(lemma_set, counters, oracle_error, worker_error)
     return lemma_set
 
 
@@ -392,6 +421,7 @@ class StrategyResult:
     truncated: bool
     elapsed_ms: int
     oracle_error: Optional[str] = None
+    worker_error: Optional[str] = None  # the phase-2 worker whose death truncated the run
 
 
 def run_strategy(
@@ -418,7 +448,7 @@ def run_strategy(
     found: List[TLemma] = []
     provenance: List[LemmaProvenance] = []
     truncated = False
-    oracle_error = None
+    oracle_error = worker_error = None
     try:
         if spec.partitioning:
             # The Boolean component is never enumerated: its atoms cannot
@@ -451,9 +481,12 @@ def run_strategy(
         provenance.extend(exc.partial.provenance)
         truncated = True
         oracle_error = exc.oracle_error
+        worker_error = exc.worker_error
     finally:
         if own_oracle:
             oracle.close()
     lemma_set = dedup_lemmas(found, provenance, spec.subsume)
     elapsed_ms = (time.monotonic_ns() - start) // 1_000_000
-    return StrategyResult(lemma_set, counters, truncated, elapsed_ms, oracle_error)
+    return StrategyResult(
+        lemma_set, counters, truncated, elapsed_ms, oracle_error, worker_error
+    )

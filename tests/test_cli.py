@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -83,6 +84,26 @@ class TestEnumerate:
         )
         assert rc == EXIT_TRUNCATED
         assert out.is_file()
+
+    def test_dead_worker_exit_code_writes_lemmas(self, tmp_path, monkeypatch, capsys):
+        import tlemma.strategies as strategies
+        from tlemma.generator import clausal_instance
+
+        monkeypatch.delenv("TLEMMA_ORACLE_CMD", raising=False)
+        monkeypatch.setattr(strategies, "_phase2_worker", lambda *args: os._exit(3))
+        instance = tmp_path / "c6.smt2"
+        instance.write_text(
+            clausal_instance(6, n_bool=2, n_real=3, n_theory=8, n_clauses=16)
+        )
+        out = tmp_path / "c6.lemmas"
+        rc = main(
+            ["enumerate", "--strategy", "dnc", "-i", str(instance), "-o", str(out),
+             "--workers", "2"]
+        )
+        assert rc == EXIT_TRUNCATED
+        assert "(assert" in out.read_text()
+        err = capsys.readouterr().err
+        assert "worker failure: phase-2 worker 1 exited with code 3" in err
 
     @pytest.mark.parametrize("backend", [[], ["--oracle-cmd", REF_CMD]], ids=["builtin", "external"])
     @pytest.mark.parametrize("secs", ["0", "-1", "nan"])

@@ -75,9 +75,3 @@ class TestToCnf:
         from tlemma.atoms import AtomKind
 
         assert p.table.kind_of(p.cnf.n_vars - 1) is AtomKind.LABEL
-
-    def test_without_source_for_workers(self):
-        p = Problem.from_text("(declare-const a Bool)(assert a)")
-        stripped = p.cnf.without_source()
-        assert stripped.source is None
-        assert stripped.clauses == p.cnf.clauses

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,11 @@ from tlemma.atoms import AtomTable, eval3
 from tlemma.enumeration import (
     Assignment,
     EnumerationMode,
+    enumerate_cubes,
     minimize_assignment,
     projected_allsmt,
 )
-from tlemma.generator import product_instance
+from tlemma.generator import clausal_instance, product_instance
 from tlemma.oracle import BuiltinOracle
 from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
@@ -127,6 +130,43 @@ class TestTotalMode:
                         assert len(set(got)) == len(got), (proj, assumptions, early)
                         assert set(got) == want, (proj, assumptions, early)
                         assert out.stats.n_blocking_clauses == len(got)
+
+    def test_one_engine_over_cubes_matches_a_fresh_engine_per_cube(self):
+        # enumerate_cubes installs the CNF and the seeds once and re-runs
+        # one engine per cube; each cube must see only the CNF, the seeds,
+        # its assumptions and its own lemmas, as a fresh engine does.
+        problems = [random_problem(depth=4, seed=7000 + k) for k in range(25)]
+        # The first instance criterion 5 selects.
+        problems.append(
+            Problem.from_text(
+                clausal_instance(2, n_bool=12, n_real=3, n_theory=6, n_clauses=20)
+            )
+        )
+        for p in problems:
+            oracle = BuiltinOracle(p.table)
+            proj = list(p.cnf.alpha_indices)
+            phase1 = run(p, EnumerationMode.PARTIAL, oracle=oracle)
+            cubes = [a.sorted_literals() for a in phase1.assignments]
+            for early in (False, True):
+                shared = enumerate_cubes(
+                    p.cnf, p.table, proj, oracle, phase1.lemmas, cubes, early_pruning=early
+                )
+                assert len(shared) == len(cubes)
+                for cube, got in zip(cubes, shared):
+                    want = run(
+                        p,
+                        EnumerationMode.TOTAL,
+                        oracle=oracle,
+                        seed_lemmas=phase1.lemmas,
+                        assumptions=cube,
+                        early_pruning=early,
+                    )
+                    assert got.assignments == want.assignments, (cube, early)
+                    assert got.lemmas == want.lemmas, (cube, early)
+                    assert replace(got.stats, elapsed_ns=0) == replace(
+                        want.stats, elapsed_ns=0
+                    ), (cube, early)
+                    assert got.truncated == want.truncated
 
 
 class TestPartialMode:

@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import SUBSET_CORE_CMD, L, random_problem
 from tlemma import strategies
-from tlemma.atoms import TableView
 from tlemma.enumeration import EnumerationMode, projected_allsmt
 from tlemma.generator import clausal_instance, product_instance, random_instance
 from tlemma.lemma_io import render_lemma_script
@@ -182,19 +182,17 @@ class TestDnc:
         # the worker starts must truncate every cube rather than restart
         # the clock.
         cubes = [(0, [L(0)]), (1, [L(0, False)])]
-        payload = (
-            two_vals.cnf.without_source(),
-            TableView.from_table(two_vals.table),
-            OracleConfig(),
+        records, _ = strategies._phase2_worker(
+            two_vals.cnf,
+            two_vals.table,
+            oracle_for(two_vals),
             (),
             cubes,
             list(two_vals.cnf.alpha_indices),
             time.monotonic() - 1.0,
             False,
             8,
-            {},
         )
-        records, _ = strategies._phase2_worker(payload)
         assert [r[0] for r in records] == [0, 1]
         assert all(r[4] for r in records)
 
@@ -212,24 +210,48 @@ class TestDnc:
             counts[workers] = oracle.n_raw_checks
         assert counts[2] >= counts[1] > 0
 
-    def test_pool_forks_one_process_per_payload(self, monkeypatch):
-        sizes = []
+    def test_phase2_forks_a_child_per_share_but_the_first(self, monkeypatch):
+        # The caller runs share 0 itself, so w workers over c cubes start
+        # min(w, c) - 1 children, each joined before the run returns.
+        children = []
+        real_fork = os.fork
 
-        class RecordingPool(strategies.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kw):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kw)
+        def recording_fork():
+            pid = real_fork()
+            if pid:
+                children.append(pid)
+            return pid
 
-        monkeypatch.setattr(strategies, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", recording_fork)
         p = Problem.from_text(random_instance(3, 4, 4, 7000, 10))
         phase1 = projected_allsmt(
             p.cnf, p.table, p.cnf.alpha_indices, EnumerationMode.PARTIAL, oracle_for(p)
         )
         assert len(phase1.assignments) == 2
         res = run_strategy(p, StrategySpec.from_name("dnc", workers=4))
-        assert sizes == [2]
+        assert len(children) == 1
+        for pid in children:  # already reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
         serial = run_strategy(p, StrategySpec.from_name("dnc"))
+        assert len(children) == 1
         assert res.lemma_set.keys() == serial.lemma_set.keys()
+
+    def test_dead_worker_truncates_the_run(self, monkeypatch):
+        # Worker 1, the only child of a 2-worker run, dies before sending
+        # its records: the lemmas of phase 1 and of share 0 are kept.
+        p = Problem.from_text(
+            clausal_instance(6, n_bool=2, n_real=3, n_theory=8, n_clauses=16)
+        )
+        spec = StrategySpec.from_name("dnc", workers=2)
+        full = run_strategy(p, spec)
+        assert not full.truncated and full.worker_error is None
+        monkeypatch.setattr(strategies, "_phase2_worker", lambda *args: os._exit(3))
+        res = run_strategy(p, spec)
+        assert res.truncated
+        assert res.worker_error == "phase-2 worker 1 exited with code 3"
+        assert 0 < len(res.lemma_set)
+        assert res.lemma_set.keys() < full.lemma_set.keys()
 
     def test_phase2_provenance_records_cubes_and_workers(self):
         p = random_problem(depth=4, seed=88)
