@@ -49,7 +49,13 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", default="baseline", help="one of: " + ", ".join(STRATEGY_NAMES))
-    p.add_argument("--workers", type=int, default=min(os.cpu_count() or 1, 8))
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=min(os.cpu_count() or 1, 8),
+        help="DnC phase-2 workers; the processes are capped at the usable CPUs, "
+        "and lemma provenance names the worker, whatever process ran its cube",
+    )
     p.add_argument("--budget-secs", type=float, default=60.0)
     p.add_argument("--early-pruning", choices=("on", "off"), default="off")
     p.add_argument("--pruning-interval", type=int, default=8)

@@ -28,8 +28,15 @@ and every recorded :class:`Assignment` shares the engine's one scope set.
 In PARTIAL mode the recorded cube is minimized, so later paths may still
 extend it; it is blocked by a clause, added verbatim rather than fed through
 conflict analysis, which keeps runs reproducible.  Minimization checks each
-trial drop incrementally against the formula and the blocking clauses so
-far (:class:`_CubeMinimizer`), which also keeps the cubes pairwise disjoint.
+trial drop against the formula and the blocking clauses so far, which also
+keeps the cubes pairwise disjoint.  One :class:`_CubeMinimizer` serves a
+whole run and reads the engine's value array directly.  It keeps its
+formula node values from one candidate to the next, so a candidate costs
+only the leaves that differ from the last cube, and AND/OR nodes keep counts
+of their absorbing and unknown children, so a trial drop updates each
+ancestor in O(1) and stops where a value does not change.  Blocking clauses
+are bitmasks over literal codes, checked through one mask of the literals
+that are the sole true literal of some clause.
 
 An engine installs its CNF and seed lemmas once.  :func:`projected_allsmt`
 runs it once; :func:`enumerate_cubes` re-runs it under each of a list of
@@ -41,8 +48,9 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .atoms import AtomKind, AtomTable, Literal
 from .cnf import CnfProblem
@@ -112,13 +120,18 @@ def minimize_assignment(
     minimizer = _CubeMinimizer(phi, table)
     for clause in blocking:
         minimizer.add_blocking(_code(l) for l in clause)
-    kept = minimizer.minimize(assignment.as_map(), sorted(set(proj)))
+    proj = sorted(set(proj))
+    current = assignment.as_map()
+    values = defaultdict(lambda: _UNKNOWN, {i: int(v) for i, v in current.items()})
+    kept = set(minimizer.minimize(values, proj))
+    dropped = set(proj) - kept
     return Assignment(
-        frozenset(Literal(i, v) for i, v in kept.items()), assignment.scope
+        frozenset(Literal(i, v) for i, v in current.items() if i not in dropped),
+        assignment.scope,
     )
 
 
-_UNKNOWN = 2
+_UNKNOWN = UNASSIGNED  # so that the engine's value array is a minimizer input
 
 
 class _CubeMinimizer:
@@ -126,125 +139,170 @@ class _CubeMinimizer:
     blocking clauses.
 
     The formula's DAG is flattened once into node arrays in topological
-    order (children first).  Each :meth:`minimize` call evaluates every node
-    once under the full assignment, with values 0, 1 and ``_UNKNOWN``.  A
-    trial drop sets the atom's leaves to unknown and re-evaluates only the
-    ancestors (the atom's cone) whose inputs changed; the values are rolled
-    back when the drop is rejected.  Kleene evaluation is monotone, so a drop
-    can only turn known values into unknown ones and each node changes at
-    most once per trial.
+    order (children first), with values 0, 1 and ``_UNKNOWN``.  An AND or OR
+    node keeps two counts of its children, with multiplicity: those holding
+    its absorbing value (0 for AND, 1 for OR) and those unknown, from which
+    its value follows in O(1); the other connectives are re-evaluated from
+    their children (:meth:`_eval`).  When a node's value changes, each parent
+    is updated and the change travels up only as far as values change
+    (:meth:`_assign`).
 
-    Blocking clauses are sets of literal codes, indexed by code.  Each call
-    counts every clause's satisfied literals once; a drop is allowed iff
-    every clause holding the dropped literal has another satisfied literal.
+    The node values persist from one :meth:`minimize` call to the next: a
+    call re-sets only the leaves whose atom value differs from the one the
+    previous call left, which is the previous cube.  A trial drop makes the
+    atom's leaves unknown; a rejected drop sets them back.
+
+    Blocking clauses are ``int`` bitmasks over literal codes.  Each call
+    builds the mask of the true literals and, from it, the mask of the
+    literals that are the only true literal of some clause; a literal in that
+    mask cannot be dropped.  An accepted drop updates both masks through the
+    clauses that hold the dropped literal.
     """
 
     def __init__(self, phi: Term, table: Optional[AtomTable] = None):
         position: Dict[int, int] = {}
         self._kind: List[TermKind] = []
         self._args: List[Tuple[int, ...]] = []
-        self._val: List[int] = []
         self._leaves: Dict[int, List[int]] = {}
-        self._inner: List[int] = []
+        consts: List[Tuple[int, int]] = []
         for t in iter_dag(phi):
             node = len(self._kind)
             position[t.id] = node
             self._kind.append(t.kind)
             self._args.append(tuple(position[a.id] for a in t.args))
-            self._val.append(int(t.payload) if t.kind is TermKind.CONST else _UNKNOWN)
             if t.kind is TermKind.ATOM_REF:
                 self._leaves.setdefault(t.payload, []).append(node)
             elif t.is_atom():
                 if table is None:
                     raise ValueError("minimizing over concrete atoms requires the atom table")
                 self._leaves.setdefault(table.index_of[t.id], []).append(node)
-            elif t.kind is not TermKind.CONST:
-                self._inner.append(node)
+            elif t.kind is TermKind.CONST:
+                consts.append((node, int(t.payload)))
         self._root = position[phi.id]
+        # One parent entry per occurrence, so that counts keep multiplicity.
         self._parents: List[List[int]] = [[] for _ in self._kind]
-        for node in self._inner:
-            for child in set(self._args[node]):
+        for node, args in enumerate(self._args):
+            for child in args:
                 self._parents[child].append(node)
-        self._blocking: List[FrozenSet[int]] = []
-        self._holding: Dict[int, List[int]] = {}  # literal code -> clause ids
+        # An AND/OR node's absorbing value, -1 for the other nodes.
+        self._absorbing = [
+            0 if kind is TermKind.AND else 1 if kind is TermKind.OR else -1
+            for kind in self._kind
+        ]
+        # Every node starts unknown, constants too, which is consistent:
+        # every connective maps unknown inputs to unknown.
+        self._val = [_UNKNOWN] * len(self._kind)
+        self._n_absorbing = [0] * len(self._kind)
+        self._n_unknown = [len(args) for args in self._args]
+        for node, value in consts:
+            self._assign([node], value)
+        self._blocking: List[int] = []
+        self._holding: Dict[int, List[int]] = {}  # literal code -> clause masks
+        self._clause_atoms: Set[int] = set()
 
     def add_blocking(self, codes: Iterable[int]) -> None:
-        clause = frozenset(codes)
-        cid = len(self._blocking)
-        self._blocking.append(clause)
-        for code in clause:
-            self._holding.setdefault(code, []).append(cid)
+        codes = set(codes)
+        mask = 0
+        for code in codes:
+            mask |= 1 << code
+        self._blocking.append(mask)
+        for code in codes:
+            self._holding.setdefault(code, []).append(mask)
+            self._clause_atoms.add(code >> 1)
 
-    def minimize(self, values: Mapping[int, bool], proj_sorted: Sequence[int]) -> Dict[int, bool]:
+    def minimize(self, values: Sequence[int], proj_sorted: Sequence[int]) -> List[int]:
         """The greedy drop loop over ``proj_sorted``: a literal is dropped
         when the formula stays true and every blocking clause stays
-        satisfied without it.  Returns the kept ``{atom: value}`` map."""
-        current = dict(values)
+        satisfied without it.
+
+        ``values[i]`` is atom ``i``'s value, 0, 1 or ``_UNKNOWN``, for every
+        atom of the formula, of the blocking clauses and of ``proj_sorted``.
+        Returns the kept projection atoms that have a value, ascending.
+        """
         val = self._val
         for atom, leaves in self._leaves.items():
-            v = current.get(atom)
-            for leaf in leaves:
-                val[leaf] = _UNKNOWN if v is None else int(v)
-        for node in self._inner:
-            val[node] = self._eval(node)
+            v = values[atom]
+            if val[leaves[0]] != v:
+                self._assign(leaves, v)
+        assigned = [atom for atom in proj_sorted if values[atom] != _UNKNOWN]
         if val[self._root] != 1:
-            return current
-        true_codes = {i * 2 + (0 if v else 1) for i, v in current.items()}
-        counts = [len(clause & true_codes) for clause in self._blocking]
-        if 0 in counts:
-            return current
-        for idx in proj_sorted:
-            v = current.get(idx)
-            if v is None:
+            return assigned
+        true = 0
+        for atom in self._clause_atoms:
+            v = values[atom]
+            if v != _UNKNOWN:
+                true |= 1 << (2 * atom + 1 - v)
+        sole = 0  # literals that are the only true literal of some clause
+        for mask in self._blocking:
+            sat = mask & true
+            if not sat:
+                return assigned
+            if not sat & (sat - 1):
+                sole |= sat
+        kept = []
+        for atom in assigned:
+            v = values[atom]
+            code = 2 * atom + 1 - v
+            bit = 1 << code
+            if sole & bit:
+                kept.append(atom)
                 continue
-            holding = self._holding.get(idx * 2 + (0 if v else 1), ())
-            if any(counts[cid] < 2 for cid in holding) or not self._drop(idx):
-                continue
-            del current[idx]
-            for cid in holding:
-                counts[cid] -= 1
-        return current
+            leaves = self._leaves.get(atom)
+            if leaves is not None:
+                self._assign(leaves, _UNKNOWN)
+                if val[self._root] != 1:
+                    self._assign(leaves, v)
+                    kept.append(atom)
+                    continue
+            true &= ~bit
+            for mask in self._holding.get(code, ()):
+                sat = mask & true
+                if not sat & (sat - 1):
+                    sole |= sat
+        return kept
 
-    def _drop(self, atom: int) -> bool:
-        """Make ``atom`` unknown; keep the change iff the formula stays true."""
+    def _assign(self, leaves: List[int], new: int) -> None:
+        """Set ``leaves`` to ``new`` and update every node whose value
+        changes as a result."""
         val = self._val
         parents = self._parents
-        changed: List[Tuple[int, int]] = []
-        stack = list(self._leaves.get(atom, ()))
-        for leaf in stack:
-            changed.append((leaf, val[leaf]))
-            val[leaf] = _UNKNOWN
+        absorbing = self._absorbing
+        n_absorbing = self._n_absorbing
+        n_unknown = self._n_unknown
+        stack = []
+        for leaf in leaves:
+            stack.append((leaf, val[leaf], new))
+            val[leaf] = new
         while stack:
-            for parent in parents[stack.pop()]:
-                old = val[parent]
-                if old == _UNKNOWN:
-                    continue
-                new = self._eval(parent)
-                if new != old:
-                    changed.append((parent, old))
-                    val[parent] = new
-                    stack.append(parent)
-        if val[self._root] == 1:
-            return True
-        for node, old in changed:
-            val[node] = old
-        return False
+            child, old, now = stack.pop()
+            for parent in parents[child]:
+                a = absorbing[parent]
+                if a < 0:
+                    value = self._eval(parent)
+                else:
+                    if old == a:
+                        n_absorbing[parent] -= 1
+                    elif old == _UNKNOWN:
+                        n_unknown[parent] -= 1
+                    if now == a:
+                        n_absorbing[parent] += 1
+                    elif now == _UNKNOWN:
+                        n_unknown[parent] += 1
+                    if n_absorbing[parent]:
+                        value = a
+                    else:
+                        value = _UNKNOWN if n_unknown[parent] else 1 - a
+                before = val[parent]
+                if value != before:
+                    val[parent] = value
+                    stack.append((parent, before, value))
 
     def _eval(self, node: int) -> int:
-        """Kleene value of an inner node from its children's values."""
+        """Kleene value of a NOT, IMPLIES, IFF or ITE node from its
+        children's values."""
         kind = self._kind[node]
         args = self._args[node]
         val = self._val
-        if kind is TermKind.AND or kind is TermKind.OR:
-            absorbing = 0 if kind is TermKind.AND else 1
-            result = 1 - absorbing
-            for child in args:
-                v = val[child]
-                if v == absorbing:
-                    return absorbing
-                if v == _UNKNOWN:
-                    result = _UNKNOWN
-            return result
         if kind is TermKind.NOT:
             v = val[args[0]]
             return v if v == _UNKNOWN else 1 - v
@@ -583,9 +641,7 @@ class _Engine:
         if self.minimizer is None:
             kept = self.proj_sorted
         else:
-            alpha_map = {i: values[i] == 1 for i in range(self.n_atoms)}
-            in_cube = self.minimizer.minimize(alpha_map, self.proj_sorted)
-            kept = [i for i in self.proj_sorted if i in in_cube]
+            kept = self.minimizer.minimize(values, self.proj_sorted)
         literal_of = self.literal_of
         cube = frozenset([literal_of[2 * i + 1 - values[i]] for i in kept])
         self.out_assignments.append(Assignment(cube, self.scope))

@@ -12,11 +12,15 @@ every lemma found so far and deduplicates once at the end.  There is one pass
 over all atoms (plain), one over the theory atoms (projection), or one per
 symbol-disjoint theory component (partitioning).
 
-Phase-2 cubes are assigned to worker shares by static round-robin on the
-cube ordinal, and results are merged in ordinal order, so provenance and
-output are reproducible for any worker count.  Each share runs on one
-engine, installed once and re-run per cube.  The caller runs share 0 on its
-own oracle; every other share runs in a child process forked for it, which
+Phase-2 cubes are split by static round-robin on the cube ordinal into at
+most ``workers`` shares, and no more shares than the CPUs this process may
+run on, so that no two CPU-bound processes share a CPU.  Results are merged
+in ordinal order, and a lemma's provenance names its logical worker, the
+ordinal modulo ``workers``, whichever process ran the cube: a cube's outcome
+does not depend on the engine that runs it, so provenance and output are
+reproducible for any worker and CPU count.  Each share runs on one engine,
+installed once and re-run per cube.  The caller runs share 0 on its own
+oracle; every other share runs in a child process forked for it, which
 inherits the CNF, the atom table, the seeds, its cubes and the caller's
 oracle memo, so nothing is unpickled on the way in.  A child builds its own
 oracle, since an external solver session is never shared, and sends back
@@ -32,6 +36,7 @@ A run with more than one worker therefore needs the ``fork`` start method
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -333,6 +338,13 @@ def _run_shares(cnf, table, oracle, seeds, shares, *args):
     return records, worker_error
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which caps the phase-2 processes."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def enumerate_dnc(
     phi,
     table: AtomTable,
@@ -347,7 +359,8 @@ def enumerate_dnc(
     stage: str = "dnc",
 ) -> LemmaSet:
     """Divide & conquer: partial enumeration, then one seeded total
-    enumeration per returned cube, on ``spec.workers`` parallel tasks.
+    enumeration per returned cube, on up to ``spec.workers`` processes,
+    capped at the usable CPUs.
 
     Phase 2 is complete because the phase-1 cubes cover every projected
     model; the engine's blocking clauses also make them pairwise disjoint,
@@ -383,7 +396,8 @@ def enumerate_dnc(
         (ordinal, cube.sorted_literals())
         for ordinal, cube in enumerate(phase1.assignments)
     ]
-    shares = [cubes[w :: spec.workers] for w in range(min(spec.workers, len(cubes)))]
+    n_shares = min(spec.workers, _usable_cpus(), len(cubes))
+    shares = [cubes[p::n_shares] for p in range(n_shares)]
     records, worker_error = _run_shares(
         cnf,
         table,

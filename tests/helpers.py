@@ -9,6 +9,7 @@ the plain ``eval3``-based loop that the incremental cube minimizer replaced.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import shlex
 import sys
@@ -120,6 +121,12 @@ def reference_minimize(values: Dict[int, bool], proj_sorted: Iterable[int], phi:
         if all(any(trial.get(l.atom_index) == l.polarity for l in c) for c in blocking):
             current = trial
     return current
+
+
+def pin_usable_cpus(monkeypatch, n: int) -> None:
+    """Make this process see ``n`` usable CPUs, which cap the number of
+    DnC phase-2 processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def random_problem(depth: int, seed: int, n_bool: int = 4, n_real: int = 4,

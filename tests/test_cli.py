@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import REF_CMD
+from helpers import REF_CMD, pin_usable_cpus
 import tlemma.cli as cli
 from tlemma.cli import EXIT_TRUNCATED, main
 from tlemma.stats import RunStats, load_schema, lower_median
@@ -91,6 +91,7 @@ class TestEnumerate:
 
         monkeypatch.delenv("TLEMMA_ORACLE_CMD", raising=False)
         monkeypatch.setattr(strategies, "_phase2_worker", lambda *args: os._exit(3))
+        pin_usable_cpus(monkeypatch, 2)
         instance = tmp_path / "c6.smt2"
         instance.write_text(
             clausal_instance(6, n_bool=2, n_real=3, n_theory=8, n_clauses=16)

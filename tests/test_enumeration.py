@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from helpers import L, random_problem, reference_minimize
 from tlemma.atoms import AtomTable, eval3
 from tlemma.enumeration import (
+    UNASSIGNED,
     Assignment,
     EnumerationMode,
+    _CubeMinimizer,
     enumerate_cubes,
     minimize_assignment,
     projected_allsmt,
@@ -250,6 +253,10 @@ class TestHelpers:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_minimize_matches_reference(self, data):
+        # One minimizer runs a sequence of calls with blocking clauses added
+        # between them, as the engine runs it; every call, and a fresh
+        # minimize_assignment, must equal the reference under the clauses
+        # added so far.
         n = 6
         concrete = data.draw(st.booleans(), label="concrete")
         spec = data.draw(_FORMULAS, label="formula")
@@ -269,22 +276,31 @@ class TestHelpers:
         else:
             leaf = bank.atom_ref
         phi = _build(spec, bank, leaf)
-        total = dict(enumerate(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        totals = st.lists(st.booleans(), min_size=n, max_size=n).map(lambda b: dict(enumerate(b)))
+        total = data.draw(totals, label="total")
         if eval3(phi, total, table) is False:
             # Mostly start from a model, as the engine does, so drops are tried.
             phi = bank.intern(TermKind.NOT, (phi,), None)
-        unset = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="unset")
-        values = {i: v for i, v in total.items() if i not in unset}
-        proj = data.draw(st.lists(st.integers(0, n - 1)), label="proj")
+        rows = (dict(enumerate(bits)) for bits in itertools.product([False, True], repeat=n))
+        models = [row for row in rows if eval3(phi, row, table) is True]
         literal = st.builds(L, st.integers(0, n - 1), st.booleans())
-        blocking = data.draw(
-            st.lists(st.lists(literal, min_size=1, max_size=4), max_size=4),
-            label="blocking",
-        )
-        eta = Assignment.of([L(i, v) for i, v in values.items()], range(n))
-        got = minimize_assignment(eta, proj, phi, table, blocking)
-        want = reference_minimize(values, sorted(set(proj)), phi, table, blocking)
-        assert got.as_map() == want
+        clauses = st.lists(st.lists(literal, min_size=1, max_size=4), max_size=3)
+        minimizer = _CubeMinimizer(phi, table)
+        blocking = []
+        for step in range(data.draw(st.integers(1, 6), label="steps")):
+            if step:
+                total = data.draw(st.sampled_from(models) | totals, label="total")
+            unset = data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="unset")
+            values = {i: v for i, v in total.items() if i not in unset}
+            proj = sorted(set(data.draw(st.lists(st.integers(0, n - 1)), label="proj")))
+            want = reference_minimize(values, proj, phi, table, blocking)
+            eta = Assignment.of([L(i, v) for i, v in values.items()], range(n))
+            assert minimize_assignment(eta, proj, phi, table, blocking).as_map() == want
+            codes = [int(values[i]) if i in values else UNASSIGNED for i in range(n)]
+            assert minimizer.minimize(codes, proj) == [i for i in proj if i in want]
+            for clause in data.draw(clauses, label="blocking"):
+                blocking.append(clause)
+                minimizer.add_blocking(2 * l.atom_index + (not l.polarity) for l in clause)
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Every top-level import in the package is used, and every module-level
-function and class is named somewhere outside its own definition.
+function and class, and every single-underscore method, is named somewhere
+outside its own definition.
 
 No linter runs in the test command, so these are the only guards.  Package
 ``__init__`` modules are skipped by the import check: their imports are
@@ -97,9 +98,25 @@ def _mentions(tree):
                 yield word, node.lineno
 
 
+def _definitions(module):
+    """The module-level ``def``s and ``class``es of ``module``, and the
+    single-underscore methods of its classes."""
+    for stmt in module.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield stmt
+            for member in stmt.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and member.name.startswith("_")
+                        and not member.name.startswith("__")):
+                    yield member
+
+
 def unnamed_definitions(package, searched):
-    """Module-level ``def``s and ``class``es of ``package`` that no file of
-    ``searched`` names outside the definition's own lines.
+    """Module-level ``def``s and ``class``es, and single-underscore methods,
+    of ``package`` that no file of ``searched`` names outside the
+    definition's own lines.
 
     ``searched`` maps a file name to its source; ``package`` lists the names
     of the files to check, each a key of ``searched``.  Returns sorted
@@ -112,9 +129,7 @@ def unnamed_definitions(package, searched):
             mentions.setdefault(name, []).append((file, line))
     dead = []
     for file in package:
-        for stmt in trees[file].body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for stmt in _definitions(trees[file]):
             own = range(stmt.lineno, stmt.end_lineno + 1)
             if not any(f != file or l not in own for f, l in mentions.get(stmt.name, ())):
                 dead.append((file, stmt.lineno, stmt.name))
@@ -142,17 +157,27 @@ def test_checker_flags_an_unnamed_definition():
             "    pass\n"
             "class Described:\n"
             "    pass\n"
+            "class Engine:\n"
+            "    def __init__(self):\n"
+            "        self._called()\n"
+            "    def _called(self):\n"
+            "        pass\n"
+            "    def _uncalled(self):\n"
+            "        return self._uncalled()\n"
+            "    def public(self):\n"
+            "        pass\n"
         ),
     }
     searched = {
         **package,
         "user.py": (
             '"""Mentions Described only in a docstring."""\n'
-            "from pkg import used\n"
+            "from pkg import Engine, used\n"
             "TABLE = [('pkg', 'Patched')]\n"
         ),
     }
     assert unnamed_definitions(list(package), searched) == [
         ("pkg.py", 3, "recursive"),
         ("pkg.py", 7, "Described"),
+        ("pkg.py", 14, "_uncalled"),
     ]

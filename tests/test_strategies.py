@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import SUBSET_CORE_CMD, L, random_problem
+from helpers import SUBSET_CORE_CMD, L, pin_usable_cpus, random_problem
 from tlemma import strategies
 from tlemma.enumeration import EnumerationMode, projected_allsmt
 from tlemma.generator import clausal_instance, product_instance, random_instance
@@ -210,9 +210,9 @@ class TestDnc:
             counts[workers] = oracle.n_raw_checks
         assert counts[2] >= counts[1] > 0
 
-    def test_phase2_forks_a_child_per_share_but_the_first(self, monkeypatch):
-        # The caller runs share 0 itself, so w workers over c cubes start
-        # min(w, c) - 1 children, each joined before the run returns.
+    @staticmethod
+    def _record_forks(monkeypatch):
+        """The pids of the children forked from now on."""
         children = []
         real_fork = os.fork
 
@@ -223,6 +223,14 @@ class TestDnc:
             return pid
 
         monkeypatch.setattr(os, "fork", recording_fork)
+        return children
+
+    def test_phase2_forks_a_child_per_share_but_the_first(self, monkeypatch):
+        # The caller runs share 0 itself, so w workers over c cubes on at
+        # least w CPUs start min(w, c) - 1 children, each joined before the
+        # run returns.
+        pin_usable_cpus(monkeypatch, 4)
+        children = self._record_forks(monkeypatch)
         p = Problem.from_text(random_instance(3, 4, 4, 7000, 10))
         phase1 = projected_allsmt(
             p.cnf, p.table, p.cnf.alpha_indices, EnumerationMode.PARTIAL, oracle_for(p)
@@ -237,12 +245,38 @@ class TestDnc:
         assert len(children) == 1
         assert res.lemma_set.keys() == serial.lemma_set.keys()
 
+    def test_phase2_processes_are_capped_at_usable_cpus(self, monkeypatch):
+        # 4 workers on 2 CPUs run 2 processes, so fork 1 child; lemma bytes
+        # and provenance, whose worker is the logical share, are those of 4
+        # processes.
+        p = Problem.from_text(
+            clausal_instance(6, n_bool=2, n_real=3, n_theory=8, n_clauses=16)
+        )
+        spec = StrategySpec.from_name("dnc", workers=4)
+        children = self._record_forks(monkeypatch)
+        runs = {}
+        for cpus in (8, 2):
+            pin_usable_cpus(monkeypatch, cpus)
+            del children[:]
+            res = run_strategy(p, spec)
+            runs[cpus] = (
+                len(children),
+                render_lemma_script(res.lemma_set.lemmas, p.table),
+                res.lemma_set.provenance,
+            )
+        assert runs[8][0] == 3 and runs[2][0] == 1
+        assert runs[2][1:] == runs[8][1:]
+        assert {
+            prov.worker for prov in runs[2][2] if prov.stage.startswith("dnc-phase2")
+        } == {0, 1, 2, 3}
+
     def test_dead_worker_truncates_the_run(self, monkeypatch):
         # Worker 1, the only child of a 2-worker run, dies before sending
         # its records: the lemmas of phase 1 and of share 0 are kept.
         p = Problem.from_text(
             clausal_instance(6, n_bool=2, n_real=3, n_theory=8, n_clauses=16)
         )
+        pin_usable_cpus(monkeypatch, 2)
         spec = StrategySpec.from_name("dnc", workers=2)
         full = run_strategy(p, spec)
         assert not full.truncated and full.worker_error is None
