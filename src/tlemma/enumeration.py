@@ -36,7 +36,10 @@ only the leaves that differ from the last cube, and AND/OR nodes keep counts
 of their absorbing and unknown children, so a trial drop updates each
 ancestor in O(1) and stops where a value does not change.  Blocking clauses
 are bitmasks over literal codes, checked through one mask of the literals
-that are the sole true literal of some clause.
+that are the sole true literal of some clause.  Divide & conquer runs PARTIAL
+mode over a prefix of its projection (:func:`strategies.phase1_prefix`): the
+remaining projection atoms are then branched on after the prefix like any
+other atom, and the cubes and their blocking clauses fix prefix atoms only.
 
 An engine installs its CNF and seed lemmas once.  :func:`projected_allsmt`
 runs it once; :func:`enumerate_cubes` re-runs it under each of a list of

@@ -3,14 +3,34 @@
 Two base strategies enumerate the lemmas over one projection set:
 
 * baseline: one total enumeration; keep only the lemmas.
-* divide & conquer: a partial enumeration decomposes the search space into
-  cubes, then one total enumeration per cube (seeded with the already-known
-  lemmas) runs on ``workers`` parallel workers.
+* divide & conquer: a partial enumeration over a prefix of the projection
+  decomposes the search space into cubes, then one total enumeration over
+  the whole projection per cube (seeded with the already-known lemmas) runs
+  on ``workers`` parallel workers.
 
 ``run_strategy`` runs the base strategy once per pass, seeds each pass with
 every lemma found so far and deduplicates once at the end.  There is one pass
 over all atoms (plain), one over the theory atoms (projection), or one per
 symbol-disjoint theory component (partitioning).
+
+Phase 1 of divide & conquer splits on the first ``d`` atoms of the sorted
+projection, ``d = max(2, len(proj) - CUBE_FREE_ATOMS)``, so that a cube
+leaves at most :data:`CUBE_FREE_ATOMS` projection atoms to phase 2 (cube and
+conquer: Heule, Kullmann, Wieringa & Biere, HVC 2011).  This keeps phase 1,
+which runs on one process, small next to phase 2: over the whole projection
+it costs about as much as a baseline run.
+
+* Coverage: phase 1 reaches every total assignment that satisfies the CNF
+  and none of its lemmas and blocking clauses, as a candidate that either
+  yields a lemma or is recorded as a cube it extends.  So a prefix
+  assignment that extends no cube had all of its extensions refuted in
+  phase 1, by the formula or by a lemma that phase 2 is seeded with.
+* Disjointness: each cube is blocked by a clause over the prefix, and the
+  next cube is minimized only as far as every such clause stays satisfied,
+  so it clashes with every earlier cube on a prefix atom.
+* ``d`` depends on the projection alone, never on the worker count, so the
+  cubes, the seeds of phase 2 and the lemma files are the same for any
+  number of workers.
 
 Phase-2 cubes are split by static round-robin on the cube ordinal into at
 most ``workers`` shares, and no more shares than the CPUs this process may
@@ -49,6 +69,9 @@ from .partition import partition_atoms
 from .problem import Problem
 
 _BASES = ("baseline", "dnc")
+
+# The projection atoms a DnC phase-1 cube leaves free, at most.
+CUBE_FREE_ATOMS = 11
 
 
 @dataclass(frozen=True)
@@ -345,6 +368,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def phase1_prefix(proj: Sequence[int]) -> List[int]:
+    """The atoms divide & conquer splits on in phase 1: the first ones of
+    the sorted projection ``proj``, all but the last :data:`CUBE_FREE_ATOMS`
+    of them, and at least two, so that a short projection still splits."""
+    proj = sorted(proj)
+    return proj[: max(2, len(proj) - CUBE_FREE_ATOMS)]
+
+
 def enumerate_dnc(
     phi,
     table: AtomTable,
@@ -358,13 +389,17 @@ def enumerate_dnc(
     counters: Optional[RunCounters] = None,
     stage: str = "dnc",
 ) -> LemmaSet:
-    """Divide & conquer: partial enumeration, then one seeded total
-    enumeration per returned cube, on up to ``spec.workers`` processes,
-    capped at the usable CPUs.
+    """Divide & conquer: a partial enumeration over the :func:`phase1_prefix`
+    of ``proj``, then one seeded total enumeration over all of ``proj`` per
+    returned cube, on up to ``spec.workers`` processes, capped at the usable
+    CPUs.
 
-    Phase 2 is complete because the phase-1 cubes cover every projected
-    model; the engine's blocking clauses also make them pairwise disjoint,
-    which the test suite checks rather than every run.
+    Phase 2 is complete because every model of the formula either extends a
+    phase-1 cube or falsifies a seed or phase-1 lemma: a prefix assignment
+    outside every cube had all of its extensions refuted in phase 1.  The
+    cubes are pairwise disjoint through the blocking clauses over the
+    prefix, which the test suite checks rather than every run.  The prefix
+    ignores the worker count, so the output does too.
     """
     spec = spec or StrategySpec(base="dnc")
     counters = counters if counters is not None else RunCounters()
@@ -375,7 +410,7 @@ def enumerate_dnc(
     phase1 = projected_allsmt(
         cnf,
         table,
-        proj,
+        phase1_prefix(proj),
         EnumerationMode.PARTIAL,
         oracle,
         seed_lemmas=seed_lemmas,

@@ -20,6 +20,7 @@ from tlemma.generator import clausal_instance, product_instance
 from tlemma.oracle import BuiltinOracle
 from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
+from tlemma.strategies import phase1_prefix
 from tlemma.terms import TermBank, TermKind, normalize_linear
 from tlemma.verifier import classify
 
@@ -137,7 +138,9 @@ class TestTotalMode:
     def test_one_engine_over_cubes_matches_a_fresh_engine_per_cube(self):
         # enumerate_cubes installs the CNF and the seeds once and re-runs
         # one engine per cube; each cube must see only the CNF, the seeds,
-        # its assumptions and its own lemmas, as a fresh engine does.
+        # its assumptions and its own lemmas, as a fresh engine does.  The
+        # cubes come from phase 1 over the whole projection and over the
+        # prefix that divide & conquer splits on.
         problems = [random_problem(depth=4, seed=7000 + k) for k in range(25)]
         # The first instance criterion 5 selects.
         problems.append(
@@ -148,9 +151,9 @@ class TestTotalMode:
         for p in problems:
             oracle = BuiltinOracle(p.table)
             proj = list(p.cnf.alpha_indices)
-            phase1 = run(p, EnumerationMode.PARTIAL, oracle=oracle)
-            cubes = [a.sorted_literals() for a in phase1.assignments]
-            for early in (False, True):
+            for split, early in itertools.product((proj, phase1_prefix(proj)), (False, True)):
+                phase1 = run(p, EnumerationMode.PARTIAL, split, oracle=oracle)
+                cubes = [a.sorted_literals() for a in phase1.assignments]
                 shared = enumerate_cubes(
                     p.cnf, p.table, proj, oracle, phase1.lemmas, cubes, early_pruning=early
                 )

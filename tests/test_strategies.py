@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import SUBSET_CORE_CMD, L, pin_usable_cpus, random_problem
+from helpers import SUBSET_CORE_CMD, L, pin_usable_cpus, random_problem, truth_models
 from tlemma import strategies
 from tlemma.enumeration import EnumerationMode, projected_allsmt
 from tlemma.generator import clausal_instance, product_instance, random_instance
@@ -22,6 +22,7 @@ from tlemma.strategies import (
     dedup_lemmas,
     enumerate_baseline,
     enumerate_dnc,
+    phase1_prefix,
     run_strategy,
 )
 from tlemma.verifier import check_lemma_set, classify, rules_out, truth_table_bits
@@ -153,7 +154,8 @@ class TestDnc:
     def test_phase1_cubes_pairwise_disjoint(self):
         # Phase 2 needs only that the cubes cover the space, so enumerate_dnc
         # does not check disjointness; the engine's blocking clauses provide
-        # it, for every projection set a DnC pass uses.
+        # it, for every projection set a DnC pass uses and for its prefix,
+        # which phase 1 enumerates over.
         problems = [random_problem(depth=4, seed=7000 + k) for k in range(25)]
         # The first instance criterion 5 selects.
         medium = Problem.from_text(
@@ -167,6 +169,7 @@ class TestDnc:
             oracle = oracle_for(p)
             projections = [list(p.cnf.alpha_indices), p.table.theory_indices()]
             projections += map(sorted, partition_atoms(p.table).theory_components())
+            projections += [phase1_prefix(proj) for proj in projections]
             for proj in projections:
                 out = projected_allsmt(
                     p.cnf, p.table, proj, EnumerationMode.PARTIAL, oracle
@@ -176,6 +179,64 @@ class TestDnc:
                     opposite = {lit.negated() for lit in a}
                     for b in cubes[i + 1 :]:
                         assert not opposite.isdisjoint(b), (proj, a, b)
+
+    def test_phase1_prefix_cubes_cover_every_model(self):
+        # Phase 2 is complete because every model of the abstraction either
+        # extends exactly one phase-1 cube, which phase 2 enumerates under,
+        # or falsifies a seed or phase-1 lemma, which phase 2 is seeded with.
+        # Each pass is seeded with the phase-1 lemmas of the earlier ones.
+        problems = [random_problem(depth=4, seed=7000 + k) for k in range(25)]
+        # 14 atoms, so a 3-atom prefix.
+        problems.append(
+            Problem.from_text(
+                clausal_instance(13, n_bool=4, n_real=3, n_theory=10, n_clauses=20)
+            )
+        )
+        n_cubes = 0
+        for p in problems:
+            oracle = oracle_for(p)
+            models = truth_models(p.abstract, p.table)
+            projections = [list(p.cnf.alpha_indices), p.table.theory_indices()]
+            projections += map(sorted, partition_atoms(p.table).theory_components())
+            seeds = []
+            for proj in projections:
+                out = projected_allsmt(
+                    p.cnf, p.table, phase1_prefix(proj), EnumerationMode.PARTIAL,
+                    oracle, seed_lemmas=seeds,
+                )
+                seeds += out.lemmas
+                cubes = [c.literals for c in out.assignments]
+                n_cubes += len(cubes)
+                negations = [{lit.negated() for lit in l.literals} for l in seeds]
+                for model in models:
+                    extended = sum(cube <= model for cube in cubes)
+                    refuted = any(neg <= model for neg in negations)
+                    assert extended == 1 or (extended == 0 and refuted), (proj, model)
+        assert n_cubes > len(problems)
+
+    def test_lemma_files_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # The phase-1 prefix depends on the projection only, so the cubes,
+        # the seeds of phase 2 and the lemma files are those of one worker.
+        # The first instance criterion 5 selects.
+        p = Problem.from_text(
+            clausal_instance(2, n_bool=12, n_real=3, n_theory=6, n_clauses=20)
+        )
+        phase1 = projected_allsmt(
+            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), EnumerationMode.PARTIAL,
+            oracle_for(p),
+        )
+        assert 11 <= len(phase1.assignments) <= 20
+        pin_usable_cpus(monkeypatch, 4)
+        for name in ("dnc", "dnc-proj", "dnc-proj-part"):
+            files = {
+                render_lemma_script(
+                    run_strategy(p, StrategySpec.from_name(name, workers=workers))
+                    .lemma_set.lemmas,
+                    p.table,
+                )
+                for workers in (1, 2, 4)
+            }
+            assert len(files) == 1, name
 
     def test_phase2_worker_keeps_the_parents_deadline(self, two_vals):
         # The worker is handed an absolute deadline; one already past when
@@ -233,7 +294,8 @@ class TestDnc:
         children = self._record_forks(monkeypatch)
         p = Problem.from_text(random_instance(3, 4, 4, 7000, 10))
         phase1 = projected_allsmt(
-            p.cnf, p.table, p.cnf.alpha_indices, EnumerationMode.PARTIAL, oracle_for(p)
+            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), EnumerationMode.PARTIAL,
+            oracle_for(p),
         )
         assert len(phase1.assignments) == 2
         res = run_strategy(p, StrategySpec.from_name("dnc", workers=4))
@@ -249,8 +311,9 @@ class TestDnc:
         # 4 workers on 2 CPUs run 2 processes, so fork 1 child; lemma bytes
         # and provenance, whose worker is the logical share, are those of 4
         # processes.
+        # 4 phase-1 cubes, and a phase-2 lemma in each logical share.
         p = Problem.from_text(
-            clausal_instance(6, n_bool=2, n_real=3, n_theory=8, n_clauses=16)
+            clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
         )
         spec = StrategySpec.from_name("dnc", workers=4)
         children = self._record_forks(monkeypatch)
@@ -273,8 +336,9 @@ class TestDnc:
     def test_dead_worker_truncates_the_run(self, monkeypatch):
         # Worker 1, the only child of a 2-worker run, dies before sending
         # its records: the lemmas of phase 1 and of share 0 are kept.
+        # Share 1 finds lemmas that neither phase 1 nor share 0 finds.
         p = Problem.from_text(
-            clausal_instance(6, n_bool=2, n_real=3, n_theory=8, n_clauses=16)
+            clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
         )
         pin_usable_cpus(monkeypatch, 2)
         spec = StrategySpec.from_name("dnc", workers=2)
