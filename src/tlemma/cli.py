@@ -181,9 +181,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
+        return EXIT_ERROR
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for k in range(args.count):
             seed = args.seed + k
             text = random_instance(
@@ -192,7 +195,7 @@ def cmd_gen(args) -> int:
             (out_dir / f"gen_d{args.depth}_s{seed}.smt2").write_text(
                 text, encoding="utf-8"
             )
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(f"wrote {args.count} instances to {out_dir}")
@@ -209,6 +212,10 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    out_prefix = Path(args.out)
+    if not out_prefix.parent.is_dir():
+        print(f"error: --out directory {out_prefix.parent} does not exist", file=sys.stderr)
+        return EXIT_ERROR
     kept: List[RunStats] = []
     for path in corpus:
         for spec in specs:
@@ -219,9 +226,12 @@ def cmd_bench(args) -> int:
                 kept.append(_run_stats(str(path), spec, result))
             except (ParseError, OracleError, ValueError, OSError) as exc:
                 print(f"skipping {path} [{spec.name}]: {exc}", file=sys.stderr)
-    out_prefix = Path(args.out)
-    write_csv(out_prefix.with_suffix(".csv"), kept)
-    write_jsonl(out_prefix.with_suffix(".jsonl"), kept)
+    try:
+        write_csv(out_prefix.with_suffix(".csv"), kept)
+        write_jsonl(out_prefix.with_suffix(".jsonl"), kept)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     print(f"wrote {len(kept)} rows to {out_prefix.with_suffix('.csv')} and .jsonl")
     return EXIT_OK
 

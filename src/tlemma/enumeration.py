@@ -20,26 +20,30 @@ falsified.
 
 The candidate path builds no literal objects of its own: the engine
 interns one :class:`Literal` per literal code (``2*i`` for atom ``i`` true,
-``2*i + 1`` for false) when it is built, and a theory query or a recorded
-cube indexes that table.  A TOTAL-mode cube's blocking codes, the negations
-of its literals, are read straight off the value array (``2*i + values[i]``),
-and every recorded :class:`Assignment` shares the engine's one scope set.
+``2*i + 1`` for false) when it is built, and a theory query indexes that
+table.  A recorded cube is a snapshot of the value array, ``bytes(values)``,
+in either mode; :class:`EnumerationOutcome` turns the snapshots into
+:class:`Assignment` objects only when its ``assignments`` are read, so a run
+whose caller only counts its cubes builds none.
 
 In PARTIAL mode the recorded cube is minimized, so later paths may still
-extend it; it is blocked by a clause, added verbatim rather than fed through
-conflict analysis, which keeps runs reproducible.  Minimization checks each
-trial drop against the formula and the blocking clauses so far, which also
-keeps the cubes pairwise disjoint.  One :class:`_CubeMinimizer` serves a
-whole run and reads the engine's value array directly.  It keeps its
-formula node values from one candidate to the next, so a candidate costs
-only the leaves that differ from the last cube, and AND/OR nodes keep counts
-of their absorbing and unknown children, so a trial drop updates each
-ancestor in O(1) and stops where a value does not change.  Blocking clauses
-are bitmasks over literal codes, checked through one mask of the literals
-that are the sole true literal of some clause.  Divide & conquer runs PARTIAL
-mode over a prefix of its projection (:func:`strategies.phase1_prefix`): the
-remaining projection atoms are then branched on after the prefix like any
-other atom, and the cubes and their blocking clauses fix prefix atoms only.
+extend it: its snapshot holds the projection atoms the minimization dropped
+as ``UNASSIGNED``.  It is blocked by a clause of the negations of its
+literals, read off the value array (``2*i + values[i]``) and added verbatim
+rather than fed through conflict analysis, which keeps runs reproducible.
+Minimization checks each trial drop against the formula and the blocking
+clauses so far, which also keeps the cubes pairwise disjoint.  One
+:class:`_CubeMinimizer` serves a whole run and reads the engine's value
+array directly.  It keeps its formula node values from one candidate to the
+next, so a candidate costs only the leaves that differ from the last cube,
+and AND/OR nodes keep counts of their absorbing and unknown children, so a
+trial drop updates each ancestor in O(1) and stops where a value does not
+change.  Blocking clauses are bitmasks over literal codes, checked through
+one mask of the literals that are the sole true literal of some clause.
+Divide & conquer runs PARTIAL mode over a prefix of its projection
+(:func:`strategies.phase1_prefix`): the remaining projection atoms are then
+branched on after the prefix like any other atom, and the cubes and their
+blocking clauses fix prefix atoms only.
 
 An engine installs its CNF and seed lemmas once.  :func:`projected_allsmt`
 runs it once; :func:`enumerate_cubes` re-runs it under each of a list of
@@ -53,6 +57,7 @@ import enum
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .atoms import AtomKind, AtomTable, Literal
@@ -330,17 +335,45 @@ class EnumerationStats:
     n_candidates: int = 0
     n_theory_checks: int = 0
     n_lemmas: int = 0
-    n_blocking_clauses: int = 0  # one per recorded cube, in either mode
+    # One per recorded cube, in either mode, although only PARTIAL mode adds
+    # a blocking clause for it (TOTAL mode needs none): this counts cubes.
+    n_blocking_clauses: int = 0
     elapsed_ns: int = 0
 
 
 @dataclass
 class EnumerationOutcome:
-    assignments: List[Assignment]
+    """What one enumeration run found.
+
+    ``cubes`` holds one snapshot per recorded cube, in the order recorded:
+    ``bytes`` of the engine's value array at the candidate, indexed by
+    variable, with 1 for true, 0 for false and ``UNASSIGNED``.  Only the
+    entries of the sorted projection ``proj`` belong to the cube; a
+    PARTIAL-mode cube has the projection atoms its minimization dropped
+    ``UNASSIGNED``.  ``len(cubes)`` equals ``stats.n_blocking_clauses``.
+    :attr:`assignments` decodes the snapshots, once, on first read.
+    """
+
+    cubes: List[bytes]
+    proj: List[int]
     lemmas: List[TLemma]
     stats: EnumerationStats
     truncated: bool = False
     oracle_error: Optional[str] = None  # the oracle fault that truncated the run
+
+    @cached_property
+    def assignments(self) -> List[Assignment]:
+        """The cubes as assignments over the scope ``proj``, which they all
+        share."""
+        proj = self.proj
+        scope = frozenset(proj)
+        return [
+            Assignment(
+                frozenset([Literal(i, cube[i] == 1) for i in proj if cube[i] != UNASSIGNED]),
+                scope,
+            )
+            for cube in self.cubes
+        ]
 
 
 class _Engine:
@@ -378,7 +411,6 @@ class _Engine:
         self.n_atoms = len(cnf.alpha_indices)
         self.n_vars = cnf.n_vars
         self.proj_sorted = sorted(set(proj))
-        self.scope = frozenset(self.proj_sorted)  # shared by every recorded cube
         # Interned literals by code: 2*i is atom i true, 2*i + 1 false.
         self.literal_of = [Literal(c >> 1, not c & 1) for c in range(2 * self.n_atoms)]
         self.source: Optional[Term] = None  # the formula PARTIAL mode minimizes against
@@ -432,7 +464,7 @@ class _Engine:
         self.root_units.extend(_code(lit) for lit in assumptions)
         if self.source is not None:
             self.minimizer = _CubeMinimizer(self.source)
-        self.out_assignments: List[Assignment] = []
+        self.out_cubes: List[bytes] = []
         self.out_lemmas: List[TLemma] = []
         self.lemma_keys = set()
         self.stats = EnumerationStats()
@@ -643,11 +675,15 @@ class _Engine:
         values = self.values
         if self.minimizer is None:
             kept = self.proj_sorted
+            self.out_cubes.append(bytes(values))
         else:
             kept = self.minimizer.minimize(values, self.proj_sorted)
-        literal_of = self.literal_of
-        cube = frozenset([literal_of[2 * i + 1 - values[i]] for i in kept])
-        self.out_assignments.append(Assignment(cube, self.scope))
+            cube = bytearray(values)
+            for i in self.proj_sorted:
+                cube[i] = UNASSIGNED
+            for i in kept:
+                cube[i] = values[i]
+            self.out_cubes.append(bytes(cube))
         self.stats.n_blocking_clauses += 1
         if not kept:
             return None  # empty blocking clause: nothing left to enumerate
@@ -725,7 +761,8 @@ class _Engine:
             self.since_prune += 1
         self.stats.elapsed_ns = time.monotonic_ns() - start
         return EnumerationOutcome(
-            assignments=self.out_assignments,
+            cubes=self.out_cubes,
+            proj=self.proj_sorted,
             lemmas=self.out_lemmas,
             stats=self.stats,
             truncated=self.truncated,

@@ -187,7 +187,7 @@ class RunCounters:
     n_partitions: int = 1
 
     def absorb(self, outcome: EnumerationOutcome) -> None:
-        self.absorb_stats(outcome.stats, len(outcome.assignments))
+        self.absorb_stats(outcome.stats, len(outcome.cubes))
 
     def absorb_stats(self, s, n_assignments: int) -> None:
         self.n_assignments += n_assignments
@@ -236,7 +236,7 @@ def enumerate_baseline(
     counters: Optional[RunCounters] = None,
     stage: str = "baseline",
 ) -> LemmaSet:
-    """Total enumeration; keep only the lemmas (assignments are discarded)."""
+    """Total enumeration; keep only the lemmas (the cubes are only counted)."""
     spec = spec or StrategySpec()
     counters = counters if counters is not None else RunCounters()
     cnf = cnf if cnf is not None else Problem.from_term(phi, table).cnf
@@ -268,8 +268,8 @@ def _share_records(cnf, table, oracle, seeds, share, proj, deadline, early, inte
 
     Returns lean per-cube records ``(ordinal, lemmas, stats, n_assignments,
     truncated, oracle_error)``: divide & conquer keeps only the lemmas, so
-    the enumerated assignments are dropped here rather than being sent back
-    from a worker.
+    the enumerated cubes are counted here rather than being sent back from a
+    worker.
     """
     outcomes = enumerate_cubes(
         cnf,
@@ -283,7 +283,7 @@ def _share_records(cnf, table, oracle, seeds, share, proj, deadline, early, inte
         pruning_interval=interval,
     )
     return [
-        (ordinal, o.lemmas, o.stats, len(o.assignments), o.truncated, o.oracle_error)
+        (ordinal, o.lemmas, o.stats, len(o.cubes), o.truncated, o.oracle_error)
         for (ordinal, _), o in zip(share, outcomes)
     ]
 

@@ -10,7 +10,7 @@ depend on nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import AtomKind, AtomTable, Literal, boolean_abstraction
 from .enumeration import Assignment
@@ -125,16 +125,20 @@ def classify(phi: Term, table: AtomTable, oracle, cap: int = DEFAULT_CAP) -> Cla
     abstract = boolean_abstraction(phi, table)
     tt = truth_table_bits(abstract, n)
     theory_idx = [i for i in range(n) if table.kind_of(i) is AtomKind.THEORY]
-    memo: Dict[FrozenSet[Literal], bool] = {}
+    # Keyed by the theory atoms' bits of the assignment's index, which name
+    # its theory-literal set.
+    theory_mask = sum(1 << j for j in theory_idx)
+    memo: Dict[int, bool] = {}
     ctta: List[Assignment] = []
     itta: List[Assignment] = []
     neg_ctta = neg_itta = 0
     for i in range(1 << n):
-        lits = frozenset(Literal(j, bool((i >> j) & 1)) for j in theory_idx)
-        sat = memo.get(lits)
+        key = i & theory_mask
+        sat = memo.get(key)
         if sat is None:
+            lits = frozenset(Literal(j, bool((i >> j) & 1)) for j in theory_idx)
             sat = oracle.is_satisfiable(lits) if lits else True
-            memo[lits] = sat
+            memo[key] = sat
         prop = bool((tt >> i) & 1)
         if prop and sat:
             ctta.append(_assignment_from_index(i, n))

@@ -277,6 +277,18 @@ class TestGen:
         second = {f.name: f.read_bytes() for f in (tmp_path / "c").glob("*.smt2")}
         assert first == second
 
+    def test_out_dir_that_is_a_file_is_an_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert main(["gen", "--depth", "2", "--out-dir", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_count_is_an_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "c"
+        assert main(["gen", "--depth", "2", "--count", "-3", "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "wrote" not in captured.out
+
 
 class TestBench:
     def test_sweep_produces_rows(self, tmp_path):
@@ -326,6 +338,18 @@ class TestBench:
         err = capsys.readouterr().err
         assert "unknown strategy 'dcn'" in err and "skipping" not in err
         assert not out.with_suffix(".csv").exists()
+
+    def test_missing_out_directory_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "ex.smt2").write_text(EXAMPLE)
+        runs = []
+        monkeypatch.setattr(cli, "run_strategy", lambda *a, **kw: runs.append(a))
+        out = tmp_path / "missing" / "sweep"
+        rc = main(["bench", "--corpus", str(corpus), "--workers", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert runs == []
 
     def test_empty_corpus_fails(self, tmp_path):
         assert main(["bench", "--corpus", str(tmp_path), "--out", str(tmp_path / "x")]) == 1

@@ -135,6 +135,15 @@ class TestTotalMode:
                         assert set(got) == want, (proj, assumptions, early)
                         assert out.stats.n_blocking_clauses == len(got)
 
+    def test_cubes_are_counted_as_recorded(self):
+        # One snapshot per recorded cube, and one assignment decoded from
+        # each, in either mode.
+        for k in range(25):
+            p = random_problem(depth=4, seed=7000 + k)
+            for mode in EnumerationMode:
+                out = run(p, mode)
+                assert len(out.cubes) == out.stats.n_blocking_clauses == len(out.assignments)
+
     def test_one_engine_over_cubes_matches_a_fresh_engine_per_cube(self):
         # enumerate_cubes installs the CNF and the seeds once and re-runs
         # one engine per cube; each cube must see only the CNF, the seeds,

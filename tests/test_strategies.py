@@ -214,6 +214,31 @@ class TestDnc:
                     assert extended == 1 or (extended == 0 and refuted), (proj, model)
         assert n_cubes > len(problems)
 
+    def test_assignments_built_only_for_phase1_cubes(self, monkeypatch):
+        # Baseline and phase 2 only count their cubes; divide & conquer
+        # turns each phase-1 cube into the assumptions of phase 2.
+        from tlemma import enumeration
+
+        p = Problem.from_text(
+            clausal_instance(2, n_bool=12, n_real=3, n_theory=6, n_clauses=20)
+        )
+        phase1 = projected_allsmt(
+            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), EnumerationMode.PARTIAL,
+            oracle_for(p),
+        )
+        built = []
+        real = enumeration.Assignment
+
+        def counting(*args, **kw):
+            built.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(enumeration, "Assignment", counting)
+        for name, want in (("baseline", 0), ("baseline-proj", 0), ("dnc", len(phase1.cubes))):
+            built.clear()
+            result = run_strategy(p, StrategySpec.from_name(name, workers=1))
+            assert result.counters.n_assignments > len(built) == want, name
+
     def test_lemma_files_do_not_depend_on_the_worker_count(self, monkeypatch):
         # The phase-1 prefix depends on the projection only, so the cubes,
         # the seeds of phase 2 and the lemma files are those of one worker.

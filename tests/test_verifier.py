@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import L, random_problem, truth_models
+from helpers import L, direct_eval, random_problem, truth_models
 from tlemma.enumeration import Assignment
+from tlemma.generator import random_instance
 from tlemma.oracle import BuiltinOracle, TLemma
 from tlemma.problem import Problem
 from tlemma.strategies import StrategySpec
@@ -68,6 +71,37 @@ class TestClassify:
             p = random_problem(depth=4, seed=8500 + seed)
             cls = classify(p.term, p.table, BuiltinOracle(p.table))
             assert cls.n_total == 1 << len(p.table)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        depth=st.integers(2, 5),
+        n_bool=st.integers(0, 3),
+        n_real=st.integers(1, 3),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_brute_force(self, depth, n_bool, n_real, seed):
+        # One oracle query per total assignment, and two-valued evaluation
+        # of the formula: neither classify's memo nor its truth table.
+        p = Problem.from_text(random_instance(depth, n_bool, n_real, seed, max_atoms=9))
+        table = p.table
+        theory = table.theory_indices()
+        oracle = BuiltinOracle(table)
+        ctta, itta, neg_ctta, neg_itta = [], [], 0, 0
+        n = len(table)
+        for i in range(1 << n):  # classify's order: bit j of i is atom j
+            values = {j: bool((i >> j) & 1) for j in range(n)}
+            lits = frozenset(L(j, v) for j, v in values.items())
+            sat = oracle.is_satisfiable(l for l in lits if l.atom_index in theory)
+            if direct_eval(p.term, values, table):
+                (ctta if sat else itta).append(lits)
+            elif sat:
+                neg_ctta += 1
+            else:
+                neg_itta += 1
+        cls = classify(p.term, table, BuiltinOracle(table))
+        assert [a.literals for a in cls.ctta] == ctta
+        assert [a.literals for a in cls.itta] == itta
+        assert (cls.neg_ctta, cls.neg_itta) == (neg_ctta, neg_itta)
 
     def test_cap_enforced(self):
         p = random_problem(depth=4, seed=1)
