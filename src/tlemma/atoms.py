@@ -29,6 +29,11 @@ class Literal(NamedTuple):
         return Literal(self.atom_index, not self.polarity)
 
 
+# A value array, indexed by atom (or variable), holds 1 for true, 0 for
+# false and ``UNASSIGNED`` for an atom the assignment leaves open.
+UNASSIGNED = 2
+
+
 class AtomTable:
     """Ordered atom set with the atom <-> index bijection.
 

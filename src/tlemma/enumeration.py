@@ -18,13 +18,14 @@ chronological backtracking keeps every later path on the other side of one
 of them.  A TOTAL-mode blocking clause would never be unit and never
 falsified.
 
-The candidate path builds no literal objects of its own: the engine
-interns one :class:`Literal` per literal code (``2*i`` for atom ``i`` true,
-``2*i + 1`` for false) when it is built, and a theory query indexes that
-table.  A recorded cube is a snapshot of the value array, ``bytes(values)``,
-in either mode; :class:`EnumerationOutcome` turns the snapshots into
-:class:`Assignment` objects only when its ``assignments`` are read, so a run
-whose caller only counts its cubes builds none.
+The candidate path builds no literal objects: a theory query hands the
+oracle the engine's value array itself (``TheoryOracle.check(values=...)``),
+whose memos are keyed by tuples of atom values, so a query the oracle has
+seen costs a tuple read and a dict lookup.  A recorded cube is a snapshot
+of the value array, ``bytes(values)``, in either mode;
+:class:`EnumerationOutcome` turns the snapshots into :class:`Assignment`
+objects only when its ``assignments`` are read, so a run whose caller only
+counts its cubes builds none.
 
 In PARTIAL mode the recorded cube is minimized, so later paths may still
 extend it: its snapshot holds the projection atoms the minimization dropped
@@ -60,12 +61,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .atoms import AtomKind, AtomTable, Literal
+from .atoms import UNASSIGNED, AtomKind, AtomTable, Literal
 from .cnf import CnfProblem
-from .oracle import OracleError, TheoryVerdict, TLemma, lemma_from_core
+from .oracle import OracleError, TheoryVerdict, TLemma, lemma_from_core, value_reader
 from .terms import Term, TermKind, iter_dag
-
-UNASSIGNED = 2
 
 
 class EnumerationMode(enum.Enum):
@@ -411,8 +410,6 @@ class _Engine:
         self.n_atoms = len(cnf.alpha_indices)
         self.n_vars = cnf.n_vars
         self.proj_sorted = sorted(set(proj))
-        # Interned literals by code: 2*i is atom i true, 2*i + 1 false.
-        self.literal_of = [Literal(c >> 1, not c & 1) for c in range(2 * self.n_atoms)]
         self.source: Optional[Term] = None  # the formula PARTIAL mode minimizes against
         if mode is EnumerationMode.PARTIAL:
             if cnf.source is None:
@@ -423,6 +420,9 @@ class _Engine:
         self.theory_vars = [
             i for i in range(self.n_atoms) if table.kind_of(i) is AtomKind.THEORY
         ]
+        # Reads the theory atoms' values: all UNASSIGNED means no query.
+        self.theory_values = value_reader(self.theory_vars)
+        self.no_theory_values = (UNASSIGNED,) * len(self.theory_vars)
 
         proj_set = set(self.proj_sorted)
         rest = [i for i in range(self.n_atoms) if i not in proj_set]
@@ -637,15 +637,6 @@ class _Engine:
 
     # -- theory interaction ---------------------------------------------------
 
-    def _assigned_theory_literals(self) -> List[Literal]:
-        values = self.values
-        literal_of = self.literal_of
-        return [
-            literal_of[2 * i + 1 - values[i]]
-            for i in self.theory_vars
-            if values[i] != UNASSIGNED
-        ]
-
     def _emit_lemma(self, verdict: TheoryVerdict) -> int:
         """Record the core's lemma and add its clause; returns the trail
         position of the clause's deepest literal."""
@@ -666,8 +657,9 @@ class _Engine:
         negation of the recorded cube), or None when the search is finished
         or truncated."""
         self.stats.n_candidates += 1
-        theory_lits = self._assigned_theory_literals()
-        verdict = self._theory_check(theory_lits) if theory_lits else TheoryVerdict(True)
+        # A candidate assigns every variable, so it has a theory query iff
+        # there are theory atoms.
+        verdict = self._theory_check() if self.theory_vars else TheoryVerdict(True)
         if verdict is None:
             return None
         if not verdict.satisfiable:
@@ -706,21 +698,20 @@ class _Engine:
     def _early_prune(self) -> Optional[int]:
         """Theory-check the current partial assignment; on conflict, the
         trail position of the lemma's deepest literal, else None."""
-        lits = self._assigned_theory_literals()
-        if not lits:
+        if self.theory_values(self.values) == self.no_theory_values:
             return None
-        verdict = self._theory_check(lits)
+        verdict = self._theory_check()
         if verdict is None or verdict.satisfiable:
             return None
         return self._emit_lemma(verdict)
 
-    def _theory_check(self, lits: List[Literal]) -> Optional[TheoryVerdict]:
-        """The oracle's verdict, or None after it failed (a timeout or a
-        solver fault), which truncates the run: what was found so far is
-        returned."""
+    def _theory_check(self) -> Optional[TheoryVerdict]:
+        """The oracle's verdict on the assigned theory atoms, or None after
+        it failed (a timeout or a solver fault), which truncates the run:
+        what was found so far is returned."""
         self.stats.n_theory_checks += 1
         try:
-            return self.oracle.check(lits)
+            return self.oracle.check(values=self.values)
         except OracleError as exc:
             self.truncated = True
             self.oracle_error = str(exc)

@@ -7,20 +7,31 @@ solves one part of a query, answering a verdict and, if unsat, a witness,
 an unsatisfiable subset of the part.  Backends are a documented hot-swap
 point: the builtin one is below, the external SMT-LIB2 one in ``external.py``.
 
-A conjunction is consistent iff each of its restrictions to the
-symbol-disjoint components of ``partition_atoms`` is, since those share no
-variable.  The front end therefore solves and memoizes each part of a query
-on its own: k components with m consistent parts each take k*m memo entries
-rather than m**k.  A query is satisfiable iff every part is, and its witness
-is the first unsatisfiable part's.
+A query is an assignment to theory atoms held in a value array indexed by
+atom: 1 for true, 0 for false and ``UNASSIGNED`` for an atom outside the
+query.  The enumeration engine hands :meth:`TheoryOracle.check` its own
+value array; a list of literals (tests, the verifier) is first written into
+a fresh value array, so both take one path through one set of memos.
 
-In front of the per-part memo sits a whole-query memo: a verdict, core
-included, keyed by the query's literal set and consulted before the
-theory-atom check, the split and minimization.  It changes no count and no
-core: a repeated query would find each of its parts, and each of the
-minimization trials it made the first time, in the per-part memo, and
-deletion is deterministic, so it would solve nothing and rebuild the same
-core.  A query that raised (a non-theory literal, a timeout) is not stored.
+A conjunction is consistent iff each of its restrictions to the
+symbol-disjoint theory components of ``partition_atoms`` is, since those
+share no variable.  The front end therefore solves and memoizes each part of
+a query on its own: k components with m consistent parts each take k*m memo
+entries rather than m**k.  A query is satisfiable iff every part is, and its
+witness is the first unsatisfiable part's.  Each component has a memo of its
+own, keyed by the tuple of its atoms' values, which one precomputed
+``operator.itemgetter`` reads off the value array; a component whose atoms
+are all unassigned has no part.  A part's literal ``frozenset`` is built
+only when the backend must solve it.
+
+In front of the per-part memos sits a whole-query memo: a verdict, core
+included, keyed by the tuple of every theory atom's value and consulted
+before the split and minimization.  It changes no count and no core: a
+repeated query would find each of its parts, and each of the minimization
+trials it made the first time, in the per-part memos, and deletion is
+deterministic, so it would solve nothing and rebuild the same core.  A query
+that raised (a non-theory literal, a timeout) is not stored.  The empty
+query is satisfiable; it takes no solve and no memo entry.
 
 Cores are minimized by deletion in ascending atom-index order over the whole
 query, so a core depends only on verdicts, not on the witnesses a backend
@@ -54,9 +65,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .atoms import Literal
+from .atoms import UNASSIGNED, Literal
 from .partition import partition_atoms
 from .terms import LinearAtom, Relation
 
@@ -290,74 +302,128 @@ def refine_literal(lit: Literal, atom: LinearAtom):
     return ("diseq", (coeffs, bound))
 
 
+def value_reader(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+    """A function that reads the entries at ``indices`` of a value array as
+    a tuple, through one ``operator.itemgetter`` when there are several."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda values: (values[i],)
+    if not indices:
+        return lambda values: ()
+    return itemgetter(*indices)
+
+
+_SAT = TheoryVerdict(True)
+
+
 class TheoryOracle:
     """The front end every backend shares: the theory-atom check, the
     component split, the verdict memos and core minimization.
 
-    A backend supplies only ``_solve(part)``: ``(True, None)``, or
-    ``(False, witness)`` with ``witness`` an unsatisfiable subset of
-    ``part``.  ``n_raw_checks`` counts the ``_solve`` calls.
+    A backend supplies only ``_solve(part)``, ``part`` being a ``frozenset``
+    of literals: ``(True, None)``, or ``(False, witness)`` with ``witness``
+    an unsatisfiable subset of ``part``.  ``n_raw_checks`` counts the
+    ``_solve`` calls.
 
-    :meth:`check` answers a repeated query from a whole-query memo of
-    verdicts before any other work; its first answer came from the per-part
-    memo ``_raw``, which holds every part and minimization trial the query
-    needed, so a repeat would have solved nothing and found the same core.
-    Only ``_raw`` is exported to other instances.
+    :meth:`check` is the one entry point for a query, given either as a
+    value array (``values``, the engine's) or as literals, which are written
+    into a value array first.  Every memo is keyed by tuples of atom values,
+    each read by one precomputed ``operator.itemgetter``: the whole-query
+    memo of verdicts by the theory atoms' values, and the per-component
+    memos in ``_components``, which hold every part and minimization trial
+    a query needed, by the values of one component's atoms.  A repeated
+    query is answered by the whole-query memo before any other work: it
+    would have solved nothing and found the same core.  The literal
+    ``frozenset`` of a part is built only for a ``_solve`` call.  Only the
+    per-component memos are exported to other instances.
     """
 
     def __init__(self, table, config: Optional[OracleConfig] = None):
         self.table = table
         self.config = config or OracleConfig()
-        self._theory = frozenset(table.theory_indices())
-        self._verdicts: Dict[FrozenSet[Literal], TheoryVerdict] = {}
-        self._raw: Dict[FrozenSet[Literal], tuple] = {}
-        self._component = [0] * len(table)
-        for ci, component in enumerate(partition_atoms(table).components):
-            for i in component:
-                self._component[i] = ci
+        self._n_atoms = len(table)
+        theory_atoms = table.theory_indices()
+        self._theory = frozenset(theory_atoms)
+        self._query_key = value_reader(theory_atoms)
+        self._empty_query = (UNASSIGNED,) * len(theory_atoms)
+        # Each theory atom's literals, indexed by value: false, then true.
+        self._theory_literals = _literal_pairs(theory_atoms)
+        self._verdicts: Dict[tuple, TheoryVerdict] = {}
+        # Per theory component, in component order: its atoms' literal
+        # pairs, ascending, the reader of its memo key, the key of an empty
+        # part, the memo.
+        self._components: List[Tuple[list, Callable, tuple, Dict[tuple, tuple]]] = [
+            _component(sorted(atoms)) for atoms in partition_atoms(table).theory_components()
+        ]
         self.n_raw_checks = 0
 
-    def _parts(self, lits: FrozenSet[Literal]):
-        """The query's restrictions to the components it touches, in
-        component order."""
-        groups: Dict[int, List[Literal]] = {}
-        for lit in lits:
-            groups.setdefault(self._component[lit.atom_index], []).append(lit)
-        if len(groups) <= 1:
-            return (lits,)
-        return [frozenset(groups[c]) for c in sorted(groups)]
+    def _value_array(self, literals: Iterable[Literal]) -> bytearray:
+        """The value array of a literal list over theory atoms."""
+        values = bytearray([UNASSIGNED]) * self._n_atoms
+        theory = self._theory
+        for i, polarity in literals:
+            if i not in theory:
+                raise OracleError(f"literal on non-theory atom {i}")
+            if values[i] == (not polarity):
+                raise ValueError(f"complementary literals on atom {i}")
+            values[i] = polarity
+        return values
 
-    def _raw_check(self, lits: FrozenSet[Literal]):
+    def _literals(self, values: Sequence[int]) -> Tuple[Literal, ...]:
+        """The theory literals a value array assigns, ascending."""
+        return tuple(
+            pair[v]
+            for pair, v in zip(self._theory_literals, self._query_key(values))
+            if v != UNASSIGNED
+        )
+
+    def _raw_check(self, values: Sequence[int]):
         """Sat iff every part is; else the witness of the first unsat part."""
-        for part in self._parts(lits):
-            hit = self._raw.get(part)
+        for pairs, key_of, empty, memo in self._components:
+            key = key_of(values)
+            if key == empty:
+                continue
+            hit = memo.get(key)
             if hit is None:
                 self.n_raw_checks += 1
-                hit = self._raw[part] = self._solve(part)
+                part = frozenset([pair[v] for pair, v in zip(pairs, key) if v != UNASSIGNED])
+                hit = memo[key] = self._solve(part)
             if not hit[0]:
                 return hit
         return True, None
 
-    def check(self, literals: Iterable[Literal]) -> TheoryVerdict:
-        lits = frozenset(literals)
-        verdict = self._verdicts.get(lits)
+    def check(
+        self,
+        literals: Optional[Iterable[Literal]] = None,
+        *,
+        values: Optional[Sequence[int]] = None,
+    ) -> TheoryVerdict:
+        """The verdict on ``literals``, which assign each atom at most once,
+        or on the theory atoms of the value array ``values`` (its other
+        entries are ignored).  Exactly one of the two must be given."""
+        if values is None:
+            if literals is None:
+                raise TypeError("check() takes literals or values")
+            values = self._value_array(literals)
+        elif literals is not None:
+            raise TypeError("check() takes literals or values, not both")
+        key = self._query_key(values)
+        verdict = self._verdicts.get(key)
         if verdict is not None:
             return verdict
-        theory = self._theory
-        for lit in lits:
-            if lit.atom_index not in theory:
-                raise OracleError(f"literal on non-theory atom {lit.atom_index}")
-        if self._raw_check(lits)[0]:
-            verdict = TheoryVerdict(True)
+        if key == self._empty_query:
+            return _SAT
+        if self._raw_check(values)[0]:
+            verdict = _SAT
         elif self.config.minimize_cores:
-            verdict = TheoryVerdict(False, core=self.minimize_core(lits))
+            verdict = TheoryVerdict(False, core=self.minimize_core(self._literals(values)))
         else:
-            verdict = TheoryVerdict(False, core=tuple(sorted(lits)))
-        self._verdicts[lits] = verdict
+            verdict = TheoryVerdict(False, core=self._literals(values))
+        self._verdicts[key] = verdict
         return verdict
 
     def is_satisfiable(self, literals: Iterable[Literal]) -> bool:
-        return self._raw_check(frozenset(literals))[0]
+        return self._raw_check(self._value_array(literals))[0]
 
     def minimize_core(self, literals: Iterable[Literal]) -> Tuple[Literal, ...]:
         """Deletion-based minimal unsat subset, scanning ascending atom index.
@@ -367,19 +433,20 @@ class TheoryOracle:
         plain deletion would drop the literal too.  The core is therefore
         exactly the one plain deletion returns.
         """
-        current = sorted(set(literals))
-        sat, witness = self._raw_check(frozenset(current))
+        current = self._value_array(literals)
+        sat, witness = self._raw_check(current)
         if sat:
             raise OracleError("minimize_core requires an unsatisfiable literal set")
-        for lit in list(current):
-            trial = [l for l in current if l != lit]
+        for lit in self._literals(current):
+            i = lit.atom_index
+            current[i] = UNASSIGNED
             if lit in witness:
-                sat, found = self._raw_check(frozenset(trial))
+                sat, found = self._raw_check(current)
                 if sat:
+                    current[i] = lit.polarity
                     continue
                 witness = found
-            current = trial
-        return tuple(current)
+        return self._literals(current)
 
     def is_valid_lemma(self, lemma: TLemma) -> bool:
         negated = [lit.negated() for lit in lemma.literals]
@@ -390,13 +457,15 @@ class TheoryOracle:
                 return True
         return not self.is_satisfiable(negated)
 
-    def export_memo(self) -> Dict[FrozenSet[Literal], tuple]:
-        """Verdicts another instance over the same atoms may import."""
-        return dict(self._raw)
+    def export_memo(self) -> List[Dict[tuple, tuple]]:
+        """Verdicts another instance over the same atoms may import: one
+        memo per theory component, in component order."""
+        return [dict(memo) for _, _, _, memo in self._components]
 
-    def import_memo(self, memo: Dict[FrozenSet[Literal], tuple]) -> None:
+    def import_memo(self, memo: List[Dict[tuple, tuple]]) -> None:
         """Adopt verdicts exported by another instance over the same atoms."""
-        self._raw.update(memo)
+        for (_, _, _, mine), theirs in zip(self._components, memo):
+            mine.update(theirs)
 
     def close(self) -> None:
         pass
@@ -447,6 +516,15 @@ class BuiltinOracle(TheoryOracle):
         if mask is None:
             return True, None
         return False, frozenset(l for i, l in enumerate(order) if mask >> i & 1)
+
+
+def _literal_pairs(atoms: Sequence[int]) -> List[Tuple[Literal, Literal]]:
+    return [(Literal(i, False), Literal(i, True)) for i in atoms]
+
+
+def _component(atoms: List[int]):
+    """A theory component's entry in :attr:`TheoryOracle._components`."""
+    return _literal_pairs(atoms), value_reader(atoms), (UNASSIGNED,) * len(atoms), {}
 
 
 def lemma_from_core(core: Iterable[Literal]) -> TLemma:

@@ -180,11 +180,15 @@ def dedup_lemmas(
 
 @dataclass
 class RunCounters:
-    n_assignments: int = 0
+    n_assignments: int = 0  # recorded cubes
     n_candidates: int = 0
     n_theory_checks: int = 0
-    n_blocking_clauses: int = 0
     n_partitions: int = 1
+
+    @property
+    def n_blocking_clauses(self) -> int:
+        """The engine counts one blocking clause per recorded cube."""
+        return self.n_assignments
 
     def absorb(self, outcome: EnumerationOutcome) -> None:
         self.absorb_stats(outcome.stats, len(outcome.cubes))
@@ -193,7 +197,6 @@ class RunCounters:
         self.n_assignments += n_assignments
         self.n_candidates += s.n_candidates
         self.n_theory_checks += s.n_theory_checks
-        self.n_blocking_clauses += s.n_blocking_clauses
 
 
 class BudgetExceeded(Exception):

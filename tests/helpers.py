@@ -2,8 +2,10 @@
 
 The evaluators here deliberately avoid the library's own evaluation paths
 (three-valued eval, truth-table bitmasks) so tests compare two independent
-routes to the same answer.  ``reference_minimize`` is the exception: it is
-the plain ``eval3``-based loop that the incremental cube minimizer replaced.
+routes to the same answer.  ``reference_minimize`` and
+``ReferenceFrontEnd`` are the exceptions: they are the plain ``eval3``-based
+loop that the incremental cube minimizer replaced and the literal-keyed
+oracle front end that the value-keyed one replaced.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from tlemma.atoms import AtomTable, Literal, eval3
+from tlemma.oracle import BuiltinOracle, OracleError, TheoryVerdict
+from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
 from tlemma.terms import Term, TermKind
 
@@ -121,6 +125,79 @@ def reference_minimize(values: Dict[int, bool], proj_sorted: Iterable[int], phi:
         if all(any(trial.get(l.atom_index) == l.polarity for l in c) for c in blocking):
             current = trial
     return current
+
+
+class ReferenceFrontEnd(BuiltinOracle):
+    """The literal-keyed oracle front end: every memo keyed by a literal
+    ``frozenset``, a query split by grouping its literals by component.
+
+    It solves with the builtin backend, so its verdicts, cores and
+    ``n_raw_checks`` must equal :class:`BuiltinOracle`'s on every query
+    sequence.  Only literal queries: ``check``, ``is_satisfiable`` and
+    ``minimize_core``.
+    """
+
+    def __init__(self, table, config=None):
+        super().__init__(table, config)
+        self._ref_verdicts: Dict[FrozenSet[Literal], TheoryVerdict] = {}
+        self._ref_raw: Dict[FrozenSet[Literal], tuple] = {}
+        self._component_of = [0] * len(table)
+        for ci, component in enumerate(partition_atoms(table).components):
+            for i in component:
+                self._component_of[i] = ci
+
+    def _parts(self, lits: FrozenSet[Literal]):
+        groups: Dict[int, List[Literal]] = {}
+        for lit in lits:
+            groups.setdefault(self._component_of[lit.atom_index], []).append(lit)
+        if len(groups) <= 1:
+            return (lits,)
+        return [frozenset(groups[c]) for c in sorted(groups)]
+
+    def _ref_raw_check(self, lits: FrozenSet[Literal]):
+        for part in self._parts(lits):
+            hit = self._ref_raw.get(part)
+            if hit is None:
+                self.n_raw_checks += 1
+                hit = self._ref_raw[part] = self._solve(part)
+            if not hit[0]:
+                return hit
+        return True, None
+
+    def check(self, literals):
+        lits = frozenset(literals)
+        verdict = self._ref_verdicts.get(lits)
+        if verdict is not None:
+            return verdict
+        for lit in lits:
+            if lit.atom_index not in self._theory:
+                raise OracleError(f"literal on non-theory atom {lit.atom_index}")
+        if self._ref_raw_check(lits)[0]:
+            verdict = TheoryVerdict(True)
+        elif self.config.minimize_cores:
+            verdict = TheoryVerdict(False, core=self.minimize_core(lits))
+        else:
+            verdict = TheoryVerdict(False, core=tuple(sorted(lits)))
+        self._ref_verdicts[lits] = verdict
+        return verdict
+
+    def is_satisfiable(self, literals) -> bool:
+        return self._ref_raw_check(frozenset(literals))[0]
+
+    def minimize_core(self, literals):
+        current = sorted(set(literals))
+        sat, witness = self._ref_raw_check(frozenset(current))
+        if sat:
+            raise OracleError("minimize_core requires an unsatisfiable literal set")
+        for lit in list(current):
+            trial = [l for l in current if l != lit]
+            if lit in witness:
+                sat, found = self._ref_raw_check(frozenset(trial))
+                if sat:
+                    continue
+                witness = found
+            current = trial
+        return tuple(current)
 
 
 def pin_usable_cpus(monkeypatch, n: int) -> None:

@@ -1,26 +1,30 @@
 import random
 
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
     SUBSET_CORE_CMD,
     L,
+    ReferenceFrontEnd,
     atoms_problem,
     random_theory_literals,
     simplex_satisfiable,
 )
-from tlemma.atoms import Literal
+from tlemma.atoms import UNASSIGNED, Literal
 from tlemma.oracle import (
     BuiltinOracle,
     OracleConfig,
     OracleError,
     OracleTimeoutError,
+    TheoryVerdict,
     TLemma,
+    _component,
     lemma_from_core,
     make_oracle,
 )
+from tlemma.partition import partition_atoms
 
 
 # Both backends, for tests of the front end they share.
@@ -56,8 +60,24 @@ class TestCheck:
         assert simplex_satisfiable(lits, p.table)
 
     def test_empty_conjunction_is_sat(self, xy):
-        _, oracle = xy
+        p, oracle = xy
         assert oracle.check([]).satisfiable
+        # ... without a solve, a count or a memo entry.
+        assert oracle.check(values=bytearray([UNASSIGNED] * len(p.table))).satisfiable
+        assert oracle.is_satisfiable([])
+        assert oracle.n_raw_checks == 0
+        assert all(not memo for memo in oracle.export_memo())
+
+    def test_query_is_literals_or_values_not_both(self, xy):
+        p, oracle = xy
+        values = bytearray([1] * len(p.table))
+        with pytest.raises(TypeError):
+            oracle.check()
+        with pytest.raises(TypeError):
+            oracle.check([L(0)], values=values)
+        with pytest.raises(TypeError):
+            oracle.check([L(0)], values)  # values is keyword-only
+        assert oracle.n_raw_checks == 0
 
     def test_core_minimized_drops_irrelevant(self, xy):
         p, oracle = xy
@@ -70,6 +90,11 @@ class TestCheck:
         oracle = BuiltinOracle(p.table)
         with pytest.raises(OracleError):
             oracle.check([L(0)])  # index 0 is the Boolean atom b
+
+    def test_complementary_literals_rejected(self, xy):
+        _, oracle = xy
+        with pytest.raises(ValueError):
+            oracle.check([L(0), L(1), L(0, False)])
 
     def test_strict_inequality_chain(self):
         p = atoms_problem("(< x 1)", "(< (- 0 x) 0)", "(= (* 2 x) 1)")
@@ -182,13 +207,15 @@ def _plain_deletion(lits, table):
 
 
 def _record_raw_checks(oracle):
-    """Wrap the oracle's ``_raw_check``; returns the list of (query, result)."""
+    """Wrap the oracle's ``_raw_check``; returns the list of (query, result),
+    the query as the literal set its value array held at the call."""
     seen = []
     raw = oracle._raw_check
 
-    def spy(lits):
-        out = raw(lits)
-        seen.append((lits, out))
+    def spy(values):
+        query = frozenset(oracle._literals(values))
+        out = raw(values)
+        seen.append((query, out))
         return out
 
     oracle._raw_check = spy
@@ -250,7 +277,7 @@ class TestExplainedConflicts:
         lits = [Literal(i, pol) for i, pol in zip(p.table.theory_indices(), polarities)]
         split = BuiltinOracle(p.table)
         whole = BuiltinOracle(p.table)
-        whole._parts = lambda query: (query,)
+        whole._components = [_component(p.table.theory_indices())]
         v, w = split.check(lits), whole.check(lits)
         assert v.satisfiable == w.satisfiable == simplex_satisfiable(lits, p.table)
         assert v.core == w.core
@@ -275,8 +302,14 @@ class TestExplainedConflicts:
             memo = first.export_memo()
             # Entries are per part: each key lies inside one component.
             components = [{0, 1}, {2, 3}, {4}]
-            for key in memo:
-                assert any({l.atom_index for l in key} <= c for c in components)
+            for part in _memo_by_part(first):
+                assert any({l.atom_index for l in part} <= c for c in components)
+            # One memo per component, each key the values of its atoms alone.
+            assert len(memo) == len(components)
+            for atoms, entries in zip(components, memo):
+                assert entries
+                for key in entries:
+                    assert isinstance(key, tuple) and len(key) == len(atoms)
             second.import_memo(memo)
             assert [second.check(q) for q in queries] == verdicts
             assert second.n_raw_checks == 0
@@ -284,6 +317,65 @@ class TestExplainedConflicts:
         finally:
             first.close()
             second.close()
+
+
+def _memo_by_part(oracle):
+    """The oracle's exported per-component memos as one dict keyed by each
+    part's literal set, decoded through the atoms of the oracle's own
+    components, so a wrong grouping shows in the literal sets."""
+    parts = {}
+    for (pairs, _, _, _), memo in zip(oracle._components, oracle.export_memo()):
+        for key, hit in memo.items():
+            lits = [pair[v] for pair, v in zip(pairs, key) if v != UNASSIGNED]
+            parts[frozenset(lits)] = hit
+    return parts
+
+
+@st.composite
+def _query_sequences(draw):
+    """Atoms over two or three disjoint symbol groups, maybe a Boolean atom,
+    a pool of value arrays (partial ones included, as early pruning makes)
+    with two spare entries past the atoms, as an engine's labels, and a
+    sequence of (pool index, query kind) steps, which repeats queries."""
+    atoms = []
+    for symbols in ("xy", "uv", "pq")[: draw(st.integers(2, 3))]:
+        atoms += draw(st.lists(_atom_text(symbols), min_size=1, max_size=3))
+    bools = draw(st.sampled_from(((), ("b",))))
+    n = len(atoms) + len(bools) + 2
+    value = st.sampled_from((0, 1, UNASSIGNED))
+    pool = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=5))
+    kinds = st.sampled_from(("values", "literals", "is_satisfiable"))
+    steps = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), kinds), max_size=12))
+    return atoms, bools, pool, steps
+
+
+class TestValueKeyedFrontEnd:
+    """The value-keyed front end against the literal-keyed one it replaced
+    (``helpers.ReferenceFrontEnd``)."""
+
+    @seed(3303)
+    @settings(max_examples=150, **_DERANDOMIZED)
+    @given(case=_query_sequences(), minimize=st.booleans())
+    def test_matches_literal_keyed_front_end(self, case, minimize):
+        atoms, bools, pool, steps = case
+        p = atoms_problem(*atoms, bools=bools)
+        assume(len(partition_atoms(p.table).theory_components()) >= 2)
+        config = OracleConfig(minimize_cores=minimize)
+        oracle, ref = BuiltinOracle(p.table, config), ReferenceFrontEnd(p.table, config)
+        theory = p.table.theory_indices()
+        for index, kind in steps:
+            values = pool[index]
+            lits = [Literal(i, values[i] == 1) for i in theory if values[i] != UNASSIGNED]
+            # The empty query is sat without a solve; the reference solved it.
+            if kind == "is_satisfiable":
+                got = oracle.is_satisfiable(lits)
+                want = ref.is_satisfiable(lits) if lits else True
+            else:
+                got = oracle.check(values=bytearray(values)) if kind == "values" else oracle.check(lits)
+                want = ref.check(lits) if lits else TheoryVerdict(True)
+            assert got == want
+            assert oracle.n_raw_checks == ref.n_raw_checks
+        assert _memo_by_part(oracle) == ref._ref_raw
 
 
 class TestVerdictMemo:

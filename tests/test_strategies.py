@@ -1,5 +1,6 @@
 import os
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -519,6 +520,16 @@ class TestRunStrategy:
                 (L(0, False), L(1, False))
             ], name
             assert not res.truncated
+
+    def test_cubes_are_counted_once(self):
+        p = random_problem(depth=4, seed=7003)
+        for name in ("baseline", "baseline-proj", "dnc", "baseline-proj-part"):
+            counters = run_strategy(p, StrategySpec.from_name(name, workers=1)).counters
+            assert counters.n_assignments > 0, name
+            assert counters.n_blocking_clauses == counters.n_assignments, name
+        assert "n_blocking_clauses" not in {f.name for f in fields(RunCounters)}
+        with pytest.raises(AttributeError):
+            counters.n_blocking_clauses = 0
 
     @pytest.mark.parametrize("name", ["baseline", "dnc", "baseline-proj-part"])
     def test_oracle_timeout_truncates_not_errors(self, name):
