@@ -4,11 +4,29 @@ Accepted commands: ``set-logic`` (QF_LRA only), ``set-option``, ``set-info``,
 ``declare-const``, ``declare-fun`` (arity 0), ``assert``, ``check-sat``,
 ``get-model``, ``exit``.  Multiple asserts are conjoined.  Real-valued ``ite``
 is lifted into Boolean structure by case splitting, so theory atoms stay
-purely linear.
+purely linear.  Chainable comparisons ``(<= a b c)`` read as the conjunction
+of adjacent pairs, ``*`` and ``/`` associate to the left, and an annotation
+``(! t :named n)``, or any whose first attribute is a keyword, reads as ``t``.
+
+Reading is one pass of one compiled regular expression over the script.  It
+builds only what conversion needs: an atom is a plain ``str``, a list is a
+``list`` that also holds the source offsets of its ``(`` and past its ``)``.
+An offset becomes ``line:col`` only when a :class:`ParseError` is raised; an
+atom's offset is found then by reading its parent list again.
+
+Conversion is memoized per script, keyed by a node's source text (an atom's
+is the atom itself), whenever the ``let`` environment is empty.  Under an
+empty environment a subterm's value depends only on its text and on the
+declarations, and a declaration cannot change a symbol already converted, so
+equal text gives an equal value.  The first occurrence does all the term
+interning and atom registration, so term ids and atom order do not depend on
+the memo.  Call sites share memoized values: no code may mutate a returned
+linear form, whose coefficients stay :class:`~fractions.Fraction`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -31,99 +49,78 @@ class UnsupportedConstructError(ParseError):
         self.construct = construct
 
 
-# -- tokenizer / s-expression reader --------------------------------------
+# -- s-expression reader ---------------------------------------------------
+
+# One token after any whitespace and comments.  Group 1 is '(', group 2 ')',
+# group 3 an atom (quoted symbol, string with "" escapes, or plain symbol),
+# group 4 the opening '|' or '"' of an unterminated quoted symbol or string.
+# A string ends at a '"' that no second '"' follows, so an unterminated one
+# falls through to group 4.  No group matches only at the end of the text.
+_TOKEN = re.compile(
+    r'[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*'
+    r'(?:(\()|(\))|(\|[^|]*\||"[^"]*(?:""[^"]*)*"(?!")|[^ \t\r\n();|"][^ \t\r\n();]*)|([|"]))?'
+)
 
 
-@dataclass
-class SExpr:
-    """Either an atom token (``text`` set) or a list (``items`` set)."""
+class SList(list):
+    """A list node: its items, atoms as ``str``, and the offsets of its ``(``
+    and one past its ``)``.  The script itself is a list whose ``(`` would
+    sit at offset -1."""
 
-    line: int
-    col: int
-    text: Optional[str] = None
-    items: Optional[List["SExpr"]] = None
-
-    @property
-    def is_atom(self) -> bool:
-        return self.text is not None
+    __slots__ = ("start", "end")
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        elif ch == "|":
-            start_line, start_col = line, col
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise ParseError("unterminated quoted symbol", start_line, start_col)
-            tok = text[i : j + 1]
-            for c in tok:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            yield tok, start_line, start_col
-            i = j + 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        j += 2
-                        continue
-                    break
-                j += 1
-            else:
-                raise ParseError("unterminated string", start_line, start_col)
-            tok = text[i : j + 1]
-            col += j + 1 - i
-            yield tok, start_line, start_col
-            i = j + 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield text[start:i], line, start_col
+def _line_col(text: str, offset: int) -> Tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def read_script(text: str) -> List[SExpr]:
-    """Read all top-level s-expressions with source positions."""
-    stack: List[SExpr] = []
-    top: List[SExpr] = []
-    for tok, line, col in _tokenize(text):
-        if tok == "(":
-            stack.append(SExpr(line, col, items=[]))
-        elif tok == ")":
+def read_script(text: str) -> SList:
+    """Read all top-level s-expressions into one list node."""
+    top = SList()
+    top.start = -1
+    stack: List[SList] = []
+    items = top
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == 3:
+            items.append(m[3])
+        elif kind == 1:
+            stack.append(items)
+            items = SList()
+            items.start = m.start(1)
+        elif kind == 2:
             if not stack:
-                raise ParseError("unbalanced ')'", line, col)
-            done = stack.pop()
-            (stack[-1].items if stack else top).append(done)
+                raise ParseError("unbalanced ')'", *_line_col(text, m.start(2)))
+            items.end = m.end()
+            done, items = items, stack.pop()
+            items.append(done)
+        elif kind == 4:
+            what = "quoted symbol" if m[4] == "|" else "string"
+            raise ParseError(f"unterminated {what}", *_line_col(text, m.start(4)))
         else:
-            node = SExpr(line, col, text=tok)
-            (stack[-1].items if stack else top).append(node)
+            break
     if stack:
-        raise ParseError("unbalanced '('", stack[-1].line, stack[-1].col)
+        raise ParseError("unbalanced '('", *_line_col(text, items.start))
     return top
+
+
+def _item_offset(text: str, node: SList, index: int) -> int:
+    """Offset of ``node[index]``, read again from the source: error path only."""
+    pos = node.start + 1
+    for item in node[: index + 1]:
+        m = _TOKEN.match(text, pos)
+        pos = item.end if type(item) is SList else m.end()
+    return m.start(m.lastindex)
+
+
+class _AtomError(Exception):
+    """A parse error at an atom.  Atoms carry no offset, so the list holding
+    the atom catches this and raises the located :class:`ParseError`."""
+
+    def __init__(self, atom: str, message: str):
+        super().__init__(message)
+        self.atom = atom
+        self.message = message
 
 
 # -- expression conversion -------------------------------------------------
@@ -142,68 +139,63 @@ class RealBranch:
 
 RealValue = Union[LinExpr, RealBranch]
 
-_QUANTIFIERS = {"forall", "exists", "let*", "match", "lambda"}
-_NUMERIC = set("0123456789")
+Node = Union[str, SList]
+
+_CHAINABLE = ("<=", "<", ">=", ">")
 
 
 def _is_numeral(s: str) -> bool:
-    body = s
-    return bool(body) and all(c in _NUMERIC for c in body)
+    return s.isascii() and s.isdigit()
 
 
 def _is_decimal(s: str) -> bool:
-    if "." not in s:
-        return False
-    a, _, b = s.partition(".")
-    return bool(a) and bool(b) and all(c in _NUMERIC for c in a + b)
+    a, dot, b = s.partition(".")
+    return bool(dot) and _is_numeral(a) and _is_numeral(b)
 
 
 class _Converter:
-    def __init__(self, bank: TermBank, table: AtomTable):
+    def __init__(self, bank: TermBank, table: AtomTable, text: str):
         self.bank = bank
         self.table = table
+        self.text = text
         self.sorts: Dict[str, str] = {}  # declared 0-ary symbols -> "Bool" | "Real"
+        self.memo: Dict[str, tuple] = {}  # node source text -> value, empty env only
 
     # tagged value: ("bool", Term) or ("real", RealValue)
-    def convert(self, node: SExpr, env: Dict[str, tuple]) -> tuple:
-        if node.is_atom:
+    def convert(self, node: Node, env: Dict[str, tuple]) -> tuple:
+        if env:
+            return self._convert(node, env)
+        key = node if type(node) is str else self.text[node.start : node.end]
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = self._convert(node, env)
+        return value
+
+    def _convert(self, node: Node, env: Dict[str, tuple]) -> tuple:
+        if type(node) is str:
             return self._atom_token(node, env)
-        items = node.items or []
-        if not items or not items[0].is_atom:
-            raise ParseError("expected operator", node.line, node.col)
-        op = items[0].text
-        args = items[1:]
-        if op in _QUANTIFIERS:
-            raise UnsupportedConstructError(op, node.line, node.col)
-        if op == "let":
-            return self._let(node, args, env)
+        try:
+            return self._apply(node, env)
+        except _AtomError as err:
+            raise self.error_at_item(node, node.index(err.atom, 1), err.message) from None
+
+    def _apply(self, node: SList, env: Dict[str, tuple]) -> tuple:
+        if not node or type(node[0]) is not str:
+            raise ParseError("expected operator", *self.pos(node))
+        op = node[0]
+        args = node[1:]
         if op in ("and", "or"):
             terms = [self._bool(a, env) for a in self._at_least(node, args, 1)]
             return ("bool", self.bank.and_(terms) if op == "and" else self.bank.or_(terms))
         if op == "not":
             (a,) = self._exactly(node, args, 1)
             return ("bool", self.bank.not_(self._bool(a, env)))
-        if op == "=>":
-            terms = [self._bool(a, env) for a in self._at_least(node, args, 2)]
-            out = terms[-1]
-            for t in reversed(terms[:-1]):
-                out = self.bank.implies(t, out)
-            return ("bool", out)
-        if op == "xor":
-            terms = [self._bool(a, env) for a in self._at_least(node, args, 2)]
-            out = terms[0]
-            for t in terms[1:]:
-                out = self.bank.not_(self.bank.iff(out, t))
-            return ("bool", out)
+        if op in _CHAINABLE:
+            vals = [self._real(a, env) for a in self._at_least_two(node, args)]
+            parts = [self._relation(op, a, b) for a, b in zip(vals, vals[1:])]
+            return ("bool", self.bank.and_(parts))
         if op == "=":
             return self._equality(node, args, env)
-        if op == "distinct":
-            return self._distinct(node, args, env)
-        if op in ("<=", "<", ">=", ">"):
-            a, b = self._exactly(node, args, 2)
-            return ("bool", self._relation(op, self._real(a, env), self._real(b, env)))
-        if op == "ite":
-            return self._ite(node, args, env)
         if op == "+":
             vals = [self._real(a, env) for a in self._at_least(node, args, 1)]
             out = vals[0]
@@ -218,29 +210,65 @@ class _Converter:
             for v in vals[1:]:
                 out = self._combine(out, self._map_linear(v, self._neg_lin), self._add)
             return ("real", out)
-        if op == "*":
-            a, b = self._exactly(node, args, 2)
-            return ("real", self._multiply(node, self._real(a, env), self._real(b, env)))
-        if op == "/":
-            a, b = self._exactly(node, args, 2)
-            return ("real", self._divide(node, self._real(a, env), self._real(b, env)))
-        raise UnsupportedConstructError(op, node.line, node.col)
+        if op == "*" or op == "/":
+            vals = [self._real(a, env) for a in self._at_least_two(node, args)]
+            combine = self._multiply if op == "*" else self._divide
+            out = vals[0]
+            for v in vals[1:]:
+                out = combine(node, out, v)
+            return ("real", out)
+        if op == "let":
+            return self._let(node, args, env)
+        if op == "=>":
+            terms = [self._bool(a, env) for a in self._at_least(node, args, 2)]
+            out = terms[-1]
+            for t in reversed(terms[:-1]):
+                out = self.bank.implies(t, out)
+            return ("bool", out)
+        if op == "xor":
+            terms = [self._bool(a, env) for a in self._at_least(node, args, 2)]
+            out = terms[0]
+            for t in terms[1:]:
+                out = self.bank.not_(self.bank.iff(out, t))
+            return ("bool", out)
+        if op == "distinct":
+            return self._distinct(node, args, env)
+        if op == "ite":
+            return self._ite(node, args, env)
+        if op == "!" and len(args) >= 2 and type(args[1]) is str and args[1].startswith(":"):
+            return self.convert(args[0], env)
+        raise UnsupportedConstructError(op, *self.pos(node))
 
     # -- helpers ----------------------------------------------------------
 
-    def _at_least(self, node: SExpr, args: List[SExpr], k: int) -> List[SExpr]:
+    def pos(self, node: SList) -> Tuple[int, int]:
+        return _line_col(self.text, node.start)
+
+    def error_at_item(self, node: SList, index: int, message: str) -> ParseError:
+        return ParseError(message, *_line_col(self.text, _item_offset(self.text, node, index)))
+
+    def _fail(self, node: Node, message: str):
+        if type(node) is str:
+            raise _AtomError(node, message)
+        raise ParseError(message, *self.pos(node))
+
+    def _at_least(self, node: SList, args: List[Node], k: int) -> List[Node]:
         if len(args) < k:
-            raise ParseError("too few arguments", node.line, node.col)
+            raise ParseError("too few arguments", *self.pos(node))
         return args
 
-    def _exactly(self, node: SExpr, args: List[SExpr], k: int) -> List[SExpr]:
+    def _exactly(self, node: SList, args: List[Node], k: int) -> List[Node]:
         if len(args) != k:
-            raise ParseError(f"expected {k} arguments", node.line, node.col)
+            raise ParseError(f"expected {k} arguments", *self.pos(node))
         return args
 
-    def _atom_token(self, node: SExpr, env: Dict[str, tuple]) -> tuple:
-        s = node.text
-        assert s is not None
+    def _at_least_two(self, node: SList, args: List[Node]) -> List[Node]:
+        # The message of the binary forms these n-ary ones generalize.
+        if len(args) < 2:
+            raise ParseError("expected 2 arguments", *self.pos(node))
+        return args
+
+    def _atom_token(self, s: str, env: Dict[str, tuple]) -> tuple:
         if s == "true":
             return ("bool", self.bank.const(True))
         if s == "false":
@@ -260,29 +288,32 @@ class _Converter:
             return ("bool", atom)
         if sort == "Real":
             return ("real", ({name: Fraction(1)}, Fraction(0)))
-        raise ParseError(f"undeclared symbol '{name}'", node.line, node.col)
+        raise _AtomError(s, f"undeclared symbol '{name}'")
 
-    def _bool(self, node: SExpr, env: Dict[str, tuple]) -> Term:
+    def _bool(self, node: Node, env: Dict[str, tuple]) -> Term:
         tag, val = self.convert(node, env)
         if tag != "bool":
-            raise ParseError("expected a Bool expression", node.line, node.col)
+            self._fail(node, "expected a Bool expression")
         return val
 
-    def _real(self, node: SExpr, env: Dict[str, tuple]) -> RealValue:
+    def _real(self, node: Node, env: Dict[str, tuple]) -> RealValue:
         tag, val = self.convert(node, env)
         if tag != "real":
-            raise ParseError("expected a Real expression", node.line, node.col)
+            self._fail(node, "expected a Real expression")
         return val
 
-    def _let(self, node: SExpr, args: List[SExpr], env: Dict[str, tuple]) -> tuple:
-        if len(args) != 2 or args[0].is_atom:
-            raise ParseError("malformed let", node.line, node.col)
+    def _let(self, node: SList, args: List[Node], env: Dict[str, tuple]) -> tuple:
+        if len(args) != 2 or type(args[0]) is str:
+            raise ParseError("malformed let", *self.pos(node))
+        bindings = args[0]
         new_env = dict(env)
-        for binding in args[0].items or []:
-            if binding.is_atom or len(binding.items or []) != 2 or not binding.items[0].is_atom:
-                raise ParseError("malformed let binding", binding.line, binding.col)
-            name = binding.items[0].text
-            new_env[name] = self.convert(binding.items[1], env)
+        for i, binding in enumerate(bindings):
+            if type(binding) is str or len(binding) != 2 or type(binding[0]) is not str:
+                raise self.error_at_item(bindings, i, "malformed let binding")
+            try:
+                new_env[binding[0]] = self.convert(binding[1], env)
+            except _AtomError as err:
+                raise self.error_at_item(binding, 1, err.message) from None
         return self.convert(args[1], new_env)
 
     # linear arithmetic on (coeffs, const) pairs
@@ -291,7 +322,7 @@ class _Converter:
     def _add(a: LinExpr, b: LinExpr) -> LinExpr:
         coeffs = dict(a[0])
         for name, c in b[0].items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + c
+            coeffs[name] = coeffs[name] + c if name in coeffs else c
         return coeffs, a[1] + b[1]
 
     @staticmethod
@@ -310,27 +341,25 @@ class _Converter:
             return RealBranch(b.cond, self._combine(a, b.then, f), self._combine(a, b.other, f))
         return f(a, b)
 
-    def _multiply(self, node: SExpr, a: RealValue, b: RealValue) -> RealValue:
+    def _multiply(self, node: SList, a: RealValue, b: RealValue) -> RealValue:
         def mul(x: LinExpr, y: LinExpr) -> LinExpr:
             if x[0] and y[0]:
-                raise UnsupportedConstructError(
-                    "nonlinear multiplication", node.line, node.col
-                )
+                raise UnsupportedConstructError("nonlinear multiplication", *self.pos(node))
             if y[0]:
                 x, y = y, x
             k = y[1]
-            return {n: c * k for n, c in x[0].items() if c * k != 0}, x[1] * k
+            if not k:
+                return {}, x[1] * k
+            return {n: c * k for n, c in x[0].items() if c}, x[1] * k
 
         return self._combine(a, b, mul)
 
-    def _divide(self, node: SExpr, a: RealValue, b: RealValue) -> RealValue:
+    def _divide(self, node: SList, a: RealValue, b: RealValue) -> RealValue:
         def div(x: LinExpr, y: LinExpr) -> LinExpr:
             if y[0]:
-                raise UnsupportedConstructError(
-                    "division by a non-constant", node.line, node.col
-                )
+                raise UnsupportedConstructError("division by a non-constant", *self.pos(node))
             if y[1] == 0:
-                raise ParseError("division by zero", node.line, node.col)
+                raise ParseError("division by zero", *self.pos(node))
             k = y[1]
             return {n: c / k for n, c in x[0].items()}, x[1] / k
 
@@ -357,42 +386,40 @@ class _Converter:
         self.table.register(term)
         return term
 
-    def _equality(self, node: SExpr, args: List[SExpr], env: Dict[str, tuple]) -> tuple:
+    def _same_sort(self, node: SList, args: List[Node], env: Dict[str, tuple]):
+        """The sort tag and the values of ``args``, at least two of one sort."""
         vals = [self.convert(a, env) for a in self._at_least(node, args, 2)]
         tags = {tag for tag, _ in vals}
         if len(tags) != 1:
-            raise ParseError("'=' arguments must share a sort", node.line, node.col)
-        parts = []
-        if tags == {"bool"}:
-            for (_, a), (_, b) in zip(vals, vals[1:]):
-                parts.append(self.bank.iff(a, b))
-        else:
-            for (_, a), (_, b) in zip(vals, vals[1:]):
-                parts.append(self._relation("=", a, b))
-        return ("bool", self.bank.and_(parts))
+            raise ParseError(f"'{node[0]}' arguments must share a sort", *self.pos(node))
+        return tags.pop(), [val for _, val in vals]
 
-    def _distinct(self, node: SExpr, args: List[SExpr], env: Dict[str, tuple]) -> tuple:
-        vals = [self.convert(a, env) for a in self._at_least(node, args, 2)]
-        tags = {tag for tag, _ in vals}
-        if len(tags) != 1:
-            raise ParseError("'distinct' arguments must share a sort", node.line, node.col)
-        if tags == {"bool"}:
+    def _equality(self, node: SList, args: List[Node], env: Dict[str, tuple]) -> tuple:
+        tag, vals = self._same_sort(node, args, env)
+        pairs = zip(vals, vals[1:])
+        if tag == "bool":
+            return ("bool", self.bank.and_([self.bank.iff(a, b) for a, b in pairs]))
+        return ("bool", self.bank.and_([self._relation("=", a, b) for a, b in pairs]))
+
+    def _distinct(self, node: SList, args: List[Node], env: Dict[str, tuple]) -> tuple:
+        tag, vals = self._same_sort(node, args, env)
+        if tag == "bool":
             if len(vals) > 2:
                 return ("bool", self.bank.const(False))
-            return ("bool", self.bank.not_(self.bank.iff(vals[0][1], vals[1][1])))
+            return ("bool", self.bank.not_(self.bank.iff(vals[0], vals[1])))
         parts = []
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
-                parts.append(self.bank.not_(self._relation("=", vals[i][1], vals[j][1])))
+                parts.append(self.bank.not_(self._relation("=", vals[i], vals[j])))
         return ("bool", self.bank.and_(parts))
 
-    def _ite(self, node: SExpr, args: List[SExpr], env: Dict[str, tuple]) -> tuple:
+    def _ite(self, node: SList, args: List[Node], env: Dict[str, tuple]) -> tuple:
         c_node, t_node, e_node = self._exactly(node, args, 3)
         cond = self._bool(c_node, env)
         t_tag, t_val = self.convert(t_node, env)
         e_tag, e_val = self.convert(e_node, env)
         if t_tag != e_tag:
-            raise ParseError("ite branches must share a sort", node.line, node.col)
+            raise ParseError("ite branches must share a sort", *self.pos(node))
         if t_tag == "bool":
             return ("bool", self.bank.ite(cond, t_val, e_val))
         return ("real", RealBranch(cond, t_val, e_val))
@@ -413,57 +440,57 @@ def parse_smtlib(
     """
     bank = bank or TermBank()
     table = table or AtomTable(bank)
-    conv = _Converter(bank, table)
+    conv = _Converter(bank, table, text)
     assertions: List[Term] = []
-    for cmd in read_script(text):
-        if cmd.is_atom:
-            raise ParseError(f"stray token '{cmd.text}'", cmd.line, cmd.col)
-        items = cmd.items or []
-        if not items or not items[0].is_atom:
-            raise ParseError("malformed command", cmd.line, cmd.col)
-        head = items[0].text
+    script = read_script(text)
+    for i, cmd in enumerate(script):
+        if type(cmd) is str:
+            raise conv.error_at_item(script, i, f"stray token '{cmd}'")
+        if not cmd or type(cmd[0]) is not str:
+            raise ParseError("malformed command", *conv.pos(cmd))
+        head = cmd[0]
         if head == "set-logic":
-            if len(items) != 2 or not items[1].is_atom:
-                raise ParseError("malformed set-logic", cmd.line, cmd.col)
-            if items[1].text != "QF_LRA":
-                raise UnsupportedConstructError(
-                    f"logic {items[1].text}", cmd.line, cmd.col
-                )
+            if len(cmd) != 2 or type(cmd[1]) is not str:
+                raise ParseError("malformed set-logic", *conv.pos(cmd))
+            if cmd[1] != "QF_LRA":
+                raise UnsupportedConstructError(f"logic {cmd[1]}", *conv.pos(cmd))
         elif head == "declare-const":
-            if len(items) != 3 or not items[1].is_atom or not items[2].is_atom:
-                raise ParseError("malformed declare-const", cmd.line, cmd.col)
-            _declare(conv, items[1], items[2], cmd)
+            if len(cmd) != 3 or type(cmd[1]) is not str or type(cmd[2]) is not str:
+                raise ParseError("malformed declare-const", *conv.pos(cmd))
+            _declare(conv, cmd[1], cmd[2], cmd)
         elif head == "declare-fun":
-            if len(items) != 4 or not items[1].is_atom or items[2].is_atom or not items[3].is_atom:
-                raise ParseError("malformed declare-fun", cmd.line, cmd.col)
-            if items[2].items:
+            if (len(cmd) != 4 or type(cmd[1]) is not str or type(cmd[2]) is str
+                    or type(cmd[3]) is not str):
+                raise ParseError("malformed declare-fun", *conv.pos(cmd))
+            if cmd[2]:
                 raise UnsupportedConstructError(
-                    "uninterpreted function of arity > 0", cmd.line, cmd.col
+                    "uninterpreted function of arity > 0", *conv.pos(cmd)
                 )
-            _declare(conv, items[1], items[3], cmd)
+            _declare(conv, cmd[1], cmd[3], cmd)
         elif head == "assert":
-            if len(items) != 2:
-                raise ParseError("malformed assert", cmd.line, cmd.col)
-            assertions.append(conv._bool(items[1], {}))
+            if len(cmd) != 2:
+                raise ParseError("malformed assert", *conv.pos(cmd))
+            try:
+                assertions.append(conv._bool(cmd[1], {}))
+            except _AtomError as err:
+                raise conv.error_at_item(cmd, 1, err.message) from None
         elif head in _IGNORED_COMMANDS:
             continue
         elif head in ("push", "pop", "define-fun", "declare-sort", "define-sort"):
-            raise UnsupportedConstructError(head, cmd.line, cmd.col)
+            raise UnsupportedConstructError(head, *conv.pos(cmd))
         else:
-            raise ParseError(f"unknown command '{head}'", cmd.line, cmd.col)
+            raise ParseError(f"unknown command '{head}'", *conv.pos(cmd))
     return bank.and_(assertions), table
 
 
-def _declare(conv: _Converter, name_node: SExpr, sort_node: SExpr, cmd: SExpr) -> None:
-    name = name_node.text
+def _declare(conv: _Converter, name: str, sort: str, cmd: SList) -> None:
     if name.startswith("|") and name.endswith("|"):
         name = name[1:-1]
-    sort = sort_node.text
     if sort not in ("Bool", "Real"):
-        raise UnsupportedConstructError(f"sort {sort}", cmd.line, cmd.col)
+        raise UnsupportedConstructError(f"sort {sort}", *conv.pos(cmd))
     previous = conv.sorts.get(name)
     if previous is not None and previous != sort:
-        raise ParseError(f"symbol '{name}' redeclared with a different sort", cmd.line, cmd.col)
+        raise ParseError(f"symbol '{name}' redeclared with a different sort", *conv.pos(cmd))
     conv.sorts[name] = sort
 
 
