@@ -5,13 +5,7 @@ satisfies it."""
 
 from .atoms import AtomKind, AtomTable, Literal, boolean_abstraction, eval3, refine
 from .cnf import CnfProblem, to_cnf
-from .enumeration import (
-    Assignment,
-    EnumerationMode,
-    EnumerationOutcome,
-    minimize_assignment,
-    projected_allsmt,
-)
+from .enumeration import Assignment, EnumerationOutcome, projected_allsmt
 from .oracle import (
     BuiltinOracle,
     OracleConfig,

@@ -9,7 +9,7 @@ atoms the label values are forced by unit propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .atoms import AtomTable, Literal
@@ -28,7 +28,6 @@ class CnfProblem:
     clauses: List[Tuple[Literal, ...]]
     n_vars: int
     alpha_indices: Tuple[int, ...]
-    source: Optional[Term] = field(default=None, repr=False, compare=False)
 
     @property
     def n_labels(self) -> int:
@@ -198,5 +197,4 @@ def to_cnf(phi: Term, table: AtomTable) -> CnfProblem:
         clauses=clauses,
         n_vars=builder.n_vars,
         alpha_indices=tuple(range(len(table))),
-        source=phi,
     )

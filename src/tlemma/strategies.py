@@ -2,11 +2,11 @@
 
 Two base strategies enumerate the lemmas over one projection set:
 
-* baseline: one total enumeration; keep only the lemmas.
-* divide & conquer: a partial enumeration over a prefix of the projection
-  decomposes the search space into cubes, then one total enumeration over
-  the whole projection per cube (seeded with the already-known lemmas) runs
-  on ``workers`` parallel workers.
+* baseline: one enumeration; keep only the lemmas.
+* divide & conquer: an enumeration over a prefix of the projection
+  decomposes the search space into cubes, then one enumeration over the
+  whole projection per cube (seeded with the already-known lemmas) runs on
+  ``workers`` parallel workers.
 
 ``run_strategy`` runs the base strategy once per pass, seeds each pass with
 every lemma found so far and deduplicates once at the end.  There is one pass
@@ -20,14 +20,15 @@ conquer: Heule, Kullmann, Wieringa & Biere, HVC 2011).  This keeps phase 1,
 which runs on one process, small next to phase 2: over the whole projection
 it costs about as much as a baseline run.
 
-* Coverage: phase 1 reaches every total assignment that satisfies the CNF
-  and none of its lemmas and blocking clauses, as a candidate that either
-  yields a lemma or is recorded as a cube it extends.  So a prefix
-  assignment that extends no cube had all of its extensions refuted in
-  phase 1, by the formula or by a lemma that phase 2 is seeded with.
-* Disjointness: each cube is blocked by a clause over the prefix, and the
-  next cube is minimized only as far as every such clause stays satisfied,
-  so it clashes with every earlier cube on a prefix atom.
+* Coverage: phase 1 skips only the extensions of a recorded cube and the
+  assignments that falsify the CNF or a seed or phase-1 lemma; it reaches
+  every other total assignment as a candidate, which yields a lemma or is
+  recorded as a cube.  So a prefix assignment with no cube had every
+  extension that satisfies the CNF refuted by a lemma that phase 2 is
+  seeded with.
+* Disjointness: the cubes are distinct total assignments of the same prefix
+  atoms, so any two of them clash on a prefix atom; no blocking clause is
+  needed.
 * ``d`` depends on the projection alone, never on the worker count, so the
   cubes, the seeds of phase 2 and the lemma files are the same for any
   number of workers.
@@ -63,7 +64,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .atoms import AtomTable, Literal
 from .cnf import CnfProblem
-from .enumeration import EnumerationMode, EnumerationOutcome, enumerate_cubes, projected_allsmt
+from .enumeration import EnumerationOutcome, enumerate_cubes, projected_allsmt
 from .oracle import OracleConfig, TLemma, make_oracle
 from .partition import partition_atoms
 from .problem import Problem
@@ -187,7 +188,8 @@ class RunCounters:
 
     @property
     def n_blocking_clauses(self) -> int:
-        """The engine counts one blocking clause per recorded cube."""
+        """The recorded cubes again, under the name the benchmark report
+        reads; the engine adds no blocking clause."""
         return self.n_assignments
 
     def absorb(self, outcome: EnumerationOutcome) -> None:
@@ -249,7 +251,6 @@ def enumerate_baseline(
         cnf,
         table,
         proj,
-        EnumerationMode.TOTAL,
         oracle,
         seed_lemmas=seed_lemmas,
         deadline=deadline,
@@ -266,7 +267,7 @@ def enumerate_baseline(
 
 
 def _share_records(cnf, table, oracle, seeds, share, proj, deadline, early, interval):
-    """Run one seeded total enumeration per ``(ordinal, literals)`` cube of
+    """Run one seeded enumeration per ``(ordinal, literals)`` cube of
     ``share``, on one engine.
 
     Returns lean per-cube records ``(ordinal, lemmas, stats, n_assignments,
@@ -392,17 +393,15 @@ def enumerate_dnc(
     counters: Optional[RunCounters] = None,
     stage: str = "dnc",
 ) -> LemmaSet:
-    """Divide & conquer: a partial enumeration over the :func:`phase1_prefix`
-    of ``proj``, then one seeded total enumeration over all of ``proj`` per
-    returned cube, on up to ``spec.workers`` processes, capped at the usable
-    CPUs.
+    """Divide & conquer: an enumeration over the :func:`phase1_prefix` of
+    ``proj``, then one seeded enumeration over all of ``proj`` per returned
+    cube, on up to ``spec.workers`` processes, capped at the usable CPUs.
 
     Phase 2 is complete because every model of the formula either extends a
     phase-1 cube or falsifies a seed or phase-1 lemma: a prefix assignment
-    outside every cube had all of its extensions refuted in phase 1.  The
-    cubes are pairwise disjoint through the blocking clauses over the
-    prefix, which the test suite checks rather than every run.  The prefix
-    ignores the worker count, so the output does too.
+    with no cube had all of its extensions refuted in phase 1.  The cubes
+    are pairwise disjoint because each is a distinct total assignment of the
+    prefix.  The prefix ignores the worker count, so the output does too.
     """
     spec = spec or StrategySpec(base="dnc")
     counters = counters if counters is not None else RunCounters()
@@ -414,7 +413,6 @@ def enumerate_dnc(
         cnf,
         table,
         phase1_prefix(proj),
-        EnumerationMode.PARTIAL,
         oracle,
         seed_lemmas=seed_lemmas,
         deadline=deadline,

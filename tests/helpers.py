@@ -2,10 +2,8 @@
 
 The evaluators here deliberately avoid the library's own evaluation paths
 (three-valued eval, truth-table bitmasks) so tests compare two independent
-routes to the same answer.  ``reference_minimize`` and
-``ReferenceFrontEnd`` are the exceptions: they are the plain ``eval3``-based
-loop that the incremental cube minimizer replaced and the literal-keyed
-oracle front end that the value-keyed one replaced.
+routes to the same answer.  ``ReferenceFrontEnd`` is the exception: it is
+the literal-keyed oracle front end that the value-keyed one replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from tlemma.atoms import AtomTable, Literal, eval3
+from tlemma.atoms import AtomTable, Literal
 from tlemma.oracle import BuiltinOracle, OracleError, TheoryVerdict
 from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
@@ -105,26 +103,6 @@ def truth_models(term: Term, table: AtomTable) -> Set[FrozenSet[Literal]]:
         if direct_eval(term, values, table):
             out.add(frozenset(Literal(i, v) for i, v in values.items()))
     return out
-
-
-def reference_minimize(values: Dict[int, bool], proj_sorted: Iterable[int], phi: Term,
-                       table: Optional[AtomTable] = None,
-                       blocking: Iterable[Iterable[Literal]] = ()) -> Dict[int, bool]:
-    """The greedy cube minimization loop, one whole-DAG ``eval3`` walk and
-    one scan of every blocking clause per trial drop: the reference that
-    ``minimize_assignment`` must agree with."""
-    blocking = [list(clause) for clause in blocking]
-    current = dict(values)
-    for idx in proj_sorted:
-        if idx not in current:
-            continue
-        trial = dict(current)
-        del trial[idx]
-        if eval3(phi, trial, table) is not True:
-            continue
-        if all(any(trial.get(l.atom_index) == l.polarity for l in c) for c in blocking):
-            current = trial
-    return current
 
 
 class ReferenceFrontEnd(BuiltinOracle):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import SUBSET_CORE_CMD, L, pin_usable_cpus, random_problem, truth_models
 from tlemma import strategies
-from tlemma.enumeration import EnumerationMode, projected_allsmt
+from tlemma.enumeration import projected_allsmt
 from tlemma.generator import clausal_instance, product_instance, random_instance
 from tlemma.lemma_io import render_lemma_script
 from tlemma.oracle import BuiltinOracle, OracleConfig, TLemma, make_oracle
@@ -154,9 +154,9 @@ class TestDnc:
 
     def test_phase1_cubes_pairwise_disjoint(self):
         # Phase 2 needs only that the cubes cover the space, so enumerate_dnc
-        # does not check disjointness; the engine's blocking clauses provide
-        # it, for every projection set a DnC pass uses and for its prefix,
-        # which phase 1 enumerates over.
+        # does not check disjointness; the engine records each total
+        # assignment of the projection once, for every projection set a DnC
+        # pass uses and for its prefix, which phase 1 enumerates over.
         problems = [random_problem(depth=4, seed=7000 + k) for k in range(25)]
         # The first instance criterion 5 selects.
         medium = Problem.from_text(
@@ -172,9 +172,7 @@ class TestDnc:
             projections += map(sorted, partition_atoms(p.table).theory_components())
             projections += [phase1_prefix(proj) for proj in projections]
             for proj in projections:
-                out = projected_allsmt(
-                    p.cnf, p.table, proj, EnumerationMode.PARTIAL, oracle
-                )
+                out = projected_allsmt(p.cnf, p.table, proj, oracle)
                 cubes = [c.literals for c in out.assignments]
                 for i, a in enumerate(cubes):
                     opposite = {lit.negated() for lit in a}
@@ -202,8 +200,7 @@ class TestDnc:
             seeds = []
             for proj in projections:
                 out = projected_allsmt(
-                    p.cnf, p.table, phase1_prefix(proj), EnumerationMode.PARTIAL,
-                    oracle, seed_lemmas=seeds,
+                    p.cnf, p.table, phase1_prefix(proj), oracle, seed_lemmas=seeds
                 )
                 seeds += out.lemmas
                 cubes = [c.literals for c in out.assignments]
@@ -224,8 +221,7 @@ class TestDnc:
             clausal_instance(2, n_bool=12, n_real=3, n_theory=6, n_clauses=20)
         )
         phase1 = projected_allsmt(
-            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), EnumerationMode.PARTIAL,
-            oracle_for(p),
+            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), oracle_for(p)
         )
         built = []
         real = enumeration.Assignment
@@ -248,10 +244,9 @@ class TestDnc:
             clausal_instance(2, n_bool=12, n_real=3, n_theory=6, n_clauses=20)
         )
         phase1 = projected_allsmt(
-            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), EnumerationMode.PARTIAL,
-            oracle_for(p),
+            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), oracle_for(p)
         )
-        assert 11 <= len(phase1.assignments) <= 20
+        assert 30 <= len(phase1.assignments) <= 40
         pin_usable_cpus(monkeypatch, 4)
         for name in ("dnc", "dnc-proj", "dnc-proj-part"):
             files = {
@@ -320,17 +315,16 @@ class TestDnc:
         children = self._record_forks(monkeypatch)
         p = Problem.from_text(random_instance(3, 4, 4, 7000, 10))
         phase1 = projected_allsmt(
-            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), EnumerationMode.PARTIAL,
-            oracle_for(p),
+            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), oracle_for(p)
         )
-        assert len(phase1.assignments) == 2
+        assert len(phase1.assignments) == 3
         res = run_strategy(p, StrategySpec.from_name("dnc", workers=4))
-        assert len(children) == 1
+        assert len(children) == 2
         for pid in children:  # already reaped
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
         serial = run_strategy(p, StrategySpec.from_name("dnc"))
-        assert len(children) == 1
+        assert len(children) == 2
         assert res.lemma_set.keys() == serial.lemma_set.keys()
 
     def test_phase2_processes_are_capped_at_usable_cpus(self, monkeypatch):
