@@ -221,6 +221,7 @@ class _Engine:
         del self.clauses[self.n_installed :]
         del self.root_units[self.n_installed_units :]
         self.root_units.extend(_code(lit) for lit in assumptions)
+        self.n_fixed = 0  # the root units not to replay after a backtrack
         self.out_cubes: List[bytes] = []
         self.out_lemmas: List[TLemma] = []
         self.lemma_keys = set()
@@ -286,11 +287,12 @@ class _Engine:
     def _propagate(self) -> bool:
         """Closure under unit propagation; True iff a conflict was found.
 
-        Literal values are read off ``values`` inline: code ``c`` is false
-        iff ``values[c >> 1] == c & 1``, and true iff it equals
-        ``(c & 1) ^ 1``.
+        Literal values are read and implied literals assigned inline, as
+        :meth:`_assign` does: code ``c`` is false iff ``values[c >> 1] ==
+        c & 1``, and true iff it equals ``(c & 1) ^ 1``.
         """
         values = self.values
+        pos_in_trail = self.pos_in_trail
         trail = self.trail
         watches = self.watches
         clauses = self.clauses
@@ -324,13 +326,22 @@ class _Engine:
                         kept.extend(ws[i:])
                         watches[fal] = kept
                         return True
-                    self._assign(first)
+                    values[first >> 1] = (first & 1) ^ 1
+                    pos_in_trail[first >> 1] = len(trail)
+                    trail.append(first)
             watches[fal] = kept
         return False
 
     def _replay_root_units(self) -> bool:
-        """Re-enqueue permanent unit facts; False on immediate conflict."""
-        for code in self.root_units:
+        """Enqueue the root units from ``n_fixed`` on; False on immediate
+        conflict.
+
+        The units before ``n_fixed`` were assigned and propagated before
+        the first decision, and backtracking never unwinds that far, so only
+        the units added during the run (unit lemmas) need replaying after a
+        backtrack.
+        """
+        for code in self.root_units[self.n_fixed :]:
             v = self._lit_value(code)
             if v == 0:
                 return False
@@ -346,19 +357,26 @@ class _Engine:
 
     def _backtrack_flip(self) -> bool:
         """Chronological backtracking; take the untried branch of the
-        deepest open decision.  False when the search space is exhausted."""
-        while self.decisions:
-            pos, flipped, rank = self.decisions.pop()
+        deepest open decision.  False when the search space is exhausted.
+
+        The trail is unwound once, to the decision flipped; an exhausted
+        search leaves it as it is, for the next run's reset.
+        """
+        decisions = self.decisions
+        while True:
+            while decisions and decisions[-1][1]:
+                decisions.pop()
+            if not decisions:
+                return False
+            decision = decisions[-1]
+            pos = decision[0]
             lit = self.trail[pos]
             self._unwind_to(pos)
-            if flipped:
-                continue
-            self.decisions.append([len(self.trail), 1, rank])
+            decision[1] = 1
             self._assign(lit ^ 1)
             if self._replay_root_units():
                 return True
-            # a permanent unit contradicts this branch; keep unwinding
-        return False
+            # a unit lemma contradicts this branch; keep unwinding
 
     def _backtrack_below(self, deepest: int) -> bool:
         """Backtrack after adding a clause whose literals are all false, the
@@ -368,11 +386,11 @@ class _Engine:
         Every branch below that position falsifies the clause or extends
         the recorded cube, so those subtrees are dead and are discarded
         without exploring their other halves; then the search flips the
-        deepest surviving decision as usual.
+        deepest surviving decision as usual, which unwinds the trail.
         """
-        while self.decisions and self.decisions[-1][0] > deepest:
-            pos, _, _ = self.decisions.pop()
-            self._unwind_to(pos)
+        decisions = self.decisions
+        while decisions and decisions[-1][0] > deepest:
+            decisions.pop()
         return self._backtrack_flip()
 
     def _deepest(self, codes: List[int]) -> int:
@@ -463,7 +481,14 @@ class _Engine:
         """Search under ``assumptions``, from the installed clauses alone."""
         self._reset(assumptions)
         start = time.monotonic_ns()
-        alive = not self.has_empty and self._replay_root_units()
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.truncated = True
+            alive = False
+        else:
+            # The root units and their consequences, assigned before the
+            # first decision, stay on the trail until the run ends.
+            alive = not self.has_empty and self._replay_root_units() and not self._propagate()
+        self.n_fixed = len(self.root_units)
         while alive:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 self.truncated = True

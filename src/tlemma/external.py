@@ -168,6 +168,13 @@ class ExternalOracle(TheoryOracle):
             self.session = s
         return self.session
 
+    def for_forked_child(self) -> "ExternalOracle":
+        """A new instance with this one's memos: a forked child must not
+        speak to this instance's solver session, whose pipes it shares."""
+        child = ExternalOracle(self.table, self.config)
+        child.import_memo(self.export_memo())
+        return child
+
     def _literal_sexpr(self, lit: Literal) -> str:
         atom = linear_atom_sexpr(self.table.linear_atom(lit.atom_index))
         return atom if lit.polarity else f"(not {atom})"

@@ -467,6 +467,14 @@ class TheoryOracle:
         for (_, _, _, mine), theirs in zip(self._components, memo):
             mine.update(theirs)
 
+    def for_forked_child(self) -> "TheoryOracle":
+        """The oracle a child process forked from this one queries: this
+        instance itself, which the fork made the child's private copy,
+        memos and ``n_raw_checks`` included.  A backend whose solver
+        session must not be shared returns a new instance warmed with this
+        one's memos.  The child closes the result only if it is new."""
+        return self
+
     def close(self) -> None:
         pass
 

@@ -55,26 +55,33 @@ cube: a cube's outcome does not depend on the engine that runs it, so
 provenance and output are reproducible for any worker and CPU count.  Each
 share runs on one engine, installed once and re-run per cube.  The caller
 runs share 0 on its own oracle; every other share runs in a child process
-forked for it, which inherits the CNF, the atom table, the seeds, its cubes
-and the caller's oracle memo, so nothing is unpickled on the way in.  A
-child builds its own oracle, since an external solver session is never
-shared, and sends back its cube records and solve count through a one-way
-pipe; the solve count is added to the caller's oracle.  The caller joins
-every child before phase 2 returns.  A child that dies without sending
-truncates the run: the lemmas of phase 1 and of every share that finished
-are kept.
+forked for it with ``os.fork``, which inherits the CNF, the atom table, the
+seeds, its cubes and the caller's oracle, so nothing is unpickled on the
+way in.  The child queries ``oracle.for_forked_child()``: for the builtin
+backend that is the inherited oracle itself, a private copy holding the
+caller's whole memo; the external backend builds a new oracle warmed with
+the memo, with a solver session of its own, since a session is never
+shared.  The child sends back only its cube records and solve count,
+pickled, through a one-way pipe; the solve count is added to the caller's
+oracle.  A child always leaves through ``os._exit``, so it never returns
+into the caller's code or runs its cleanup.  The caller reaps every child
+before phase 2 returns or raises.  A child that exits without sending its
+records truncates the run: the lemmas of phase 1 and of every share that
+finished are kept.
 
-A run with more than one worker therefore needs the ``fork`` start method
-(POSIX).  Forking is safe here because tlemma starts no threads.
+A run with more than one worker therefore needs ``os.fork`` (POSIX).
+Forking is safe here because tlemma starts no threads.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import pickle
+import sys
 import time
+import traceback
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import BinaryIO, List, Optional, Sequence, Tuple
 
 from .atoms import AtomTable, Literal
 from .cnf import CnfProblem
@@ -307,26 +314,29 @@ def _share_records(cnf, table, oracle, seeds, share, proj, deadline, early, inte
 
 
 def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline, early, interval):
-    """Run one share of the cubes on a new oracle warmed with
-    ``parent_oracle``'s memo, the entry of a forked phase-2 child.
+    """Run one share of the cubes on ``parent_oracle.for_forked_child()``,
+    the entry of a forked phase-2 child.
 
-    The child builds its own oracle because an external solver session is
-    never shared between processes.  Returns the cube records and the number
-    of solves the new oracle made, which the caller adds to its own count.
+    In a child that is the caller's builtin oracle itself, which the fork
+    made a private copy, whole memo included; an external oracle gives a
+    new one warmed with its memo, since a solver session is never shared
+    between processes.  Returns the cube records and the number of solves
+    made on the way, which the caller adds to its own count.
 
     ``deadline`` is the caller's absolute ``time.monotonic()`` deadline: the
     processes of one host share that clock, so the fork counts against the
     budget.
     """
-    oracle = make_oracle(table, parent_oracle.config)
+    oracle = parent_oracle.for_forked_child()
+    n_before = oracle.n_raw_checks
     try:
-        oracle.import_memo(parent_oracle.export_memo())
         records = _share_records(
             cnf, table, oracle, seeds, share, proj, deadline, early, interval
         )
-        return records, oracle.n_raw_checks
+        return records, oracle.n_raw_checks - n_before
     finally:
-        oracle.close()
+        if oracle is not parent_oracle:
+            oracle.close()
 
 
 def _pin(pid: int, cpus) -> None:
@@ -338,15 +348,58 @@ def _pin(pid: int, cpus) -> None:
         pass
 
 
-def _phase2_child(conn, cpu, *args) -> None:
-    _pin(0, (cpu,))
-    conn.send(_phase2_worker(*args))
-    conn.close()
+def _fork_share(cpu: int, inherited_fds, *args) -> Tuple[int, BinaryIO]:
+    """Fork a child that runs ``_phase2_worker(*args)`` pinned to ``cpu``
+    and writes the pickled result to a pipe; returns the child's pid and
+    the pipe's read end.
+
+    The child closes ``inherited_fds``, the read ends of the children
+    forked before it, so that the caller alone holds each read end and a
+    child whose read end the caller closed fails its write rather than
+    wait on a sibling.  It always leaves through ``os._exit``: with code 0
+    once its result is written, with code 1 on any exception.  So it never
+    returns into the caller's stack, runs none of its cleanup, and a
+    failure reads as a non-zero exit code; its traceback goes to stderr.
+    """
+    read_fd, write_fd = os.pipe()
+    # A child that flushes them must not write this process's pending
+    # output again.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            _pin(0, (cpu,))
+            for fd in (read_fd, *inherited_fds):
+                os.close(fd)
+            with open(write_fd, "wb") as out:
+                pickle.dump(_phase2_worker(*args), out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+            raise
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    # The child pins itself too, since it may start its share before this
+    # pin lands; this one saves it a wait on this CPU.
+    _pin(pid, (cpu,))
+    return pid, open(read_fd, "rb")
 
 
 def _run_shares(cnf, table, oracle, seeds, shares, cpus, *args):
     """Run share 0 on ``oracle`` in this process and every other share in a
-    forked child, which inherits its input rather than unpickling it.
+    child forked for it by :func:`_fork_share`.  The child inherits its
+    input and the caller's oracle rather than unpickling them, and sends
+    back only its records and solve count; it ends in ``os._exit`` and
+    never returns here.
     ``cpus`` are the usable CPUs, at least one per share: share ``w`` runs
     pinned to ``cpus[w]``, so no two of these processes share a CPU, and
     this process gets back the affinity it had before this returns or
@@ -357,50 +410,39 @@ def _run_shares(cnf, table, oracle, seeds, shares, cpus, *args):
     ``args`` are :func:`_share_records`' arguments after the share.
 
     Returns the records of every share that finished, in cube-ordinal
-    order, and a message naming the first child that died without sending
-    its records, or None.  Every child is joined before this returns.
+    order, and a message naming the first child that exited without
+    sending its records, or None.  Every child is reaped before this
+    returns or raises.
     """
-    fork = multiprocessing.get_context("fork") if len(shares) > 1 else None
     children = []
     own_cpus = None
     try:
         for w, share in enumerate(shares[1:], 1):
-            recv_end, send_end = fork.Pipe(duplex=False)
-            child = fork.Process(
-                target=_phase2_child,
-                args=(send_end, cpus[w], cnf, table, oracle, seeds, share) + args,
-            )
-            child.start()
-            # The child pins itself too, since it may start its share
-            # before this pin lands; this one saves it a wait on this CPU.
-            _pin(child.pid, (cpus[w],))
-            # The child now holds the only write end, so its death reads as EOF.
-            send_end.close()
-            children.append((w, child, recv_end))
+            inherited = [r.fileno() for _, _, r in children]
+            pid, reader = _fork_share(cpus[w], inherited, cnf, table, oracle, seeds, share, *args)
+            children.append((w, pid, reader))
         if children and hasattr(os, "sched_getaffinity"):
             own_cpus = os.sched_getaffinity(0)
             _pin(0, cpus[:1])
         records = _share_records(cnf, table, oracle, seeds, shares[0], *args) if shares else []
-        worker_error = None
-        for w, child, recv_end in children:
-            try:
-                share_records, n_raw_checks = recv_end.recv()
-            except EOFError:
-                child.join()
-                worker_error = worker_error or (
-                    f"phase-2 worker {w} exited with code {child.exitcode}"
-                )
-                continue
-            records.extend(share_records)
-            oracle.n_raw_checks += n_raw_checks
+        payloads = [reader.read() for _, _, reader in children]
     finally:
         if own_cpus is not None:
             _pin(0, own_cpus)
-        # A child whose read end is closed fails its send instead of
-        # blocking this join.
-        for _, child, recv_end in children:
-            recv_end.close()
-            child.join()
+        # A child whose read end is closed fails its write instead of
+        # blocking this wait.
+        exit_codes = []
+        for _, pid, reader in children:
+            reader.close()
+            exit_codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    worker_error = None
+    for (w, _, _), payload, code in zip(children, payloads, exit_codes):
+        if code != 0:
+            worker_error = worker_error or f"phase-2 worker {w} exited with code {code}"
+            continue
+        share_records, n_raw_checks = pickle.loads(payload)
+        records.extend(share_records)
+        oracle.n_raw_checks += n_raw_checks
     records.sort(key=lambda record: record[0])
     return records, worker_error
 

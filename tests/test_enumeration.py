@@ -1,15 +1,18 @@
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from helpers import L, random_problem
+from tlemma.atoms import AtomTable
 from tlemma.enumeration import Assignment, enumerate_cubes, projected_allsmt
 from tlemma.generator import clausal_instance, product_instance
 from tlemma.oracle import BuiltinOracle
 from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
 from tlemma.strategies import phase1_prefix
+from tlemma.terms import LinearAtom, Relation, TermBank
 from tlemma.verifier import classify
 
 
@@ -87,6 +90,29 @@ class TestTotalMode:
         p = random_problem(depth=4, seed=9)
         out = run(p, deadline=0.0)
         assert out.truncated
+
+    @pytest.mark.parametrize("assumptions", [[], [L(0, False)]], ids=["free", "contradicts unit"])
+    def test_a_run_started_past_its_deadline_is_truncated(self, assumptions):
+        # The deadline is checked before the root units are propagated, so
+        # a run started too late is truncated even when its assumptions
+        # contradict a CNF unit, here the unit a of atom 0.
+        p = Problem.from_text(
+            "(declare-const a Bool)(declare-const x Real)"
+            "(assert a)(assert (or (< x 0) (> x 1)))"
+        )
+        assert (L(0),) in p.cnf.clauses
+        out = run(p, assumptions=assumptions, deadline=0.0)
+        assert out.truncated and out.cubes == [] and out.lemmas == []
+        outs = enumerate_cubes(
+            p.cnf,
+            p.table,
+            list(p.cnf.alpha_indices),
+            BuiltinOracle(p.table),
+            (),
+            [assumptions, [L(0)], assumptions],
+            deadline=0.0,
+        )
+        assert [o.truncated for o in outs] == [True] * 3
 
     def test_each_projected_model_recorded_exactly_once(self):
         # The engine adds no blocking clauses: the search order alone must
@@ -173,6 +199,57 @@ class TestTotalMode:
                         want.stats, elapsed_ns=0
                     ), (cube, early)
                     assert got.truncated == want.truncated
+
+
+def _unit_lemma_problem() -> Problem:
+    """``(or b c t)`` with ``t`` the theory atom ``0 < -1``, inconsistent on
+    its own, so its theory check yields the unit lemma ``(not t)``.  The
+    parser folds such an atom (``(< (+ x 1) x)``) to false, so it is built
+    directly; atom indices are b 0, c 1, t 2."""
+    bank = TermBank()
+    table = AtomTable(bank)
+    atoms = [
+        bank.bool_atom("b"),
+        bank.bool_atom("c"),
+        bank.theory_atom(LinearAtom((), Relation.LT, Fraction(-1))),
+    ]
+    for atom in atoms:
+        table.register(atom)
+    return Problem.from_term(bank.or_(atoms), table)
+
+
+class TestUnitLemmas:
+    """A lemma with one literal is a root unit added mid-run: it must hold
+    on every branch the run takes after it, and in no later run."""
+
+    def test_unit_lemma_holds_after_backtracks(self):
+        # Positive polarity first: the first candidate is b, c, t, which
+        # yields (not t); the later branches flip c and b, above t, where
+        # only replaying the unit keeps t false.  A second conflict on t
+        # would re-add an active lemma and fail the engine's assertion.
+        p = _unit_lemma_problem()
+        out = run(p)
+        assert [l.literals for l in out.lemmas] == [(L(2, False),)]
+        assert sorted(sorted(a.literals) for a in out.assignments) == [
+            [L(0, False), L(1, True), L(2, False)],
+            [L(0, True), L(1, False), L(2, False)],
+            [L(0, True), L(1, True), L(2, False)],
+        ]
+        assert out.stats.n_candidates == 4
+
+    def test_unit_lemma_does_not_leak_into_the_next_cube(self):
+        # Each cube meets t again and yields its own (not t).
+        p = _unit_lemma_problem()
+        oracle = BuiltinOracle(p.table)
+        proj = list(p.cnf.alpha_indices)
+        cubes = [[L(0)], [L(0, False)], [L(1)], [L(0)]]
+        shared = enumerate_cubes(p.cnf, p.table, proj, oracle, (), cubes)
+        for cube, got in zip(cubes, shared):
+            want = run(p, oracle=oracle, assumptions=cube)
+            assert [l.literals for l in got.lemmas] == [(L(2, False),)], cube
+            assert got.assignments == want.assignments, cube
+            assert got.lemmas == want.lemmas, cube
+            assert replace(got.stats, elapsed_ns=0) == replace(want.stats, elapsed_ns=0), cube
 
 
 class TestProjection:

@@ -1,7 +1,8 @@
 import json
 import os
+import signal
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -371,6 +372,114 @@ class TestDnc:
         assert res.worker_error == "phase-2 worker 1 exited with code 3"
         assert 0 < len(res.lemma_set)
         assert res.lemma_set.keys() < full.lemma_set.keys()
+
+    def test_raising_worker_truncates_the_run_and_never_returns(self, monkeypatch):
+        # A child whose share raises exits with code 1 rather than unwind
+        # into the caller's stack: had it returned here, it would leave
+        # through the os._exit(99) below, and the caller read code 99.
+        p = Problem.from_text(
+            clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
+        )
+        pin_usable_cpus(monkeypatch, 2)
+        children = self._record_forks(monkeypatch)
+        caller = os.getpid()
+
+        def failing(*args):
+            raise RuntimeError("share 1 failed")
+
+        monkeypatch.setattr(strategies, "_phase2_worker", failing)
+        try:
+            res = run_strategy(p, StrategySpec.from_name("dnc", workers=2))
+        finally:
+            if os.getpid() != caller:
+                os._exit(99)
+        assert res.truncated
+        assert res.worker_error == "phase-2 worker 1 exited with code 1"
+        assert 0 < len(res.lemma_set)
+        assert len(children) == 1
+        for pid in children:  # already reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_failing_caller_is_not_held_up_by_blocked_children(self, monkeypatch):
+        # Three children each write a reply larger than a pipe's buffer
+        # while the caller fails in share 0 and never reads them.  Each
+        # child's write must fail once the caller closes its read end: had
+        # a later sibling inherited that read end, the children would block
+        # one another until the alarm below ends them.
+        p = Problem.from_text(
+            clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
+        )
+        pin_usable_cpus(monkeypatch, 4)
+        caller, real = os.getpid(), strategies._share_records
+
+        def big_reply(*args):
+            signal.alarm(20)
+            return ["x" * (1 << 20)], 0
+
+        def failing(*args, **kw):
+            if os.getpid() == caller:
+                raise RuntimeError("share 0 failed")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(strategies, "_phase2_worker", big_reply)
+        monkeypatch.setattr(strategies, "_share_records", failing)
+        children = self._record_forks(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="share 0 failed"):
+            run_strategy(p, StrategySpec.from_name("dnc", workers=4))
+        assert time.monotonic() - start < 10
+        assert len(children) == 3
+        for pid in children:  # already reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_inherited_oracle_counts_what_a_warmed_copy_counts(self):
+        # A forked child runs its share on the caller's builtin oracle as
+        # the fork copied it, whole-query memo included.  Its records and
+        # its solve count must be those of a new oracle warmed with the
+        # caller's exported memo, which phase 2 used before, or raw check
+        # counts would depend on the worker count.
+        problems = [
+            Problem.from_text(
+                clausal_instance(s, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
+            )
+            for s in (3, 6, 9)
+        ]
+        # The first instance criterion 5 selects.
+        problems.append(
+            Problem.from_text(
+                clausal_instance(2, n_bool=12, n_real=3, n_theory=6, n_clauses=20)
+            )
+        )
+        cpus = strategies._usable_cpus() * 2
+
+        def untimed(records):
+            return [r[:2] + (replace(r[2], elapsed_ns=0),) + r[3:] for r in records]
+
+        n_solved = 0
+        for p in problems:
+            proj = list(p.cnf.alpha_indices)
+            oracle = oracle_for(p)
+            phase1 = projected_allsmt(p.cnf, p.table, phase1_prefix(proj), oracle)
+            cubes = list(enumerate(a.sorted_literals() for a in phase1.assignments))
+            args = (proj, None, False, 8)
+            for share in (cubes[0::2], cubes[1::2]):
+                warmed = make_oracle(p.table, oracle.config)
+                warmed.import_memo(oracle.export_memo())
+                want = strategies._share_records(
+                    p.cnf, p.table, warmed, phase1.lemmas, share, *args
+                )
+                before = oracle.n_raw_checks
+                # Share 1 runs in a forked child on the oracle it inherits.
+                got, worker_error = strategies._run_shares(
+                    p.cnf, p.table, oracle, phase1.lemmas, [[], share], cpus, *args
+                )
+                assert worker_error is None
+                assert untimed(got) == untimed(want)
+                assert oracle.n_raw_checks - before == warmed.n_raw_checks
+                n_solved += warmed.n_raw_checks
+        assert n_solved > 0
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
