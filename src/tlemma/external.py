@@ -126,17 +126,22 @@ class SolverSession:
             else:
                 out.append(ch)
 
-    def kill(self) -> None:
-        """End the process at once, without the ``(exit)`` handshake."""
-        self.proc.kill()
-        self.proc.wait()
+    def _close_pipes(self) -> None:
         for pipe in (self.proc.stdin, self.proc.stdout):
             try:
                 pipe.close()
             except OSError:  # unsent input for a process that is gone
                 pass
 
+    def kill(self) -> None:
+        """End the process at once, without the ``(exit)`` handshake."""
+        self.proc.kill()
+        self.proc.wait()
+        self._close_pipes()
+
     def close(self) -> None:
+        """Ask the solver to exit, kill it if it does not within 2 s, and
+        close both pipes."""
         if self.proc.poll() is None:
             try:
                 self.send("(exit)")
@@ -146,6 +151,8 @@ class SolverSession:
                 self.proc.wait(timeout=2)
             except subprocess.TimeoutExpired:
                 self.proc.kill()
+                self.proc.wait()
+        self._close_pipes()
 
 
 class ExternalOracle(TheoryOracle):

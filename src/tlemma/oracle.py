@@ -51,16 +51,36 @@ equalities) are case-split.  A derived constant constraint ``0 <= b`` /
 set.  Every scaling is by a positive factor, so a row keeps its solution set,
 the signs of its coefficients and its strictness.
 
-Every row carries an origin mask, an ``int`` with one bit per query literal:
-the literals the row was derived from (Imbert's history sets).  Combining
-two rows joins their masks, so a derived contradiction names an
-unsatisfiable subset of the query, its witness.  A disequality's split ends
-after the first branch when that branch's contradiction does not use the
-branch row: it refutes the other branch as well.
+Every row carries an origin mask, an ``int`` of the literals the row was
+derived from (Imbert's history sets).  A literal's origin bit is fixed per
+oracle: bit ``2 * rank + polarity``, ``rank`` being its atom's position in
+its theory component, and a part never spans two components.  So a mask
+means the same literals in every solve of the oracle.  Combining two
+rows joins their masks, so a derived contradiction names an unsatisfiable
+subset of the part, its witness.  A disequality's split ends after the first
+branch when that branch's contradiction does not use the branch row: it
+refutes the other branch as well.
+
+The solves of one oracle share a derivation memo.  Every row has an id that
+no other row made in the process has.  The memo, keyed by ``(row id, row id,
+variable)``, holds each pair combination of an elimination step (the derived
+row, or the verdict of a constant row) and each equality substitution; keyed
+by a disequality's id alone, it holds the disequality's two branch rows.  A
+hit returns the row object made the first time, so its id, and the
+derivations from it, hit as well.  Consecutive candidates and core
+minimization trials share most of their literals, so most combinations
+recur.  The memo changes which rows are built, never their content or
+order: the variable choice, the row order and the return on the first
+contradiction are those of a solve without it, so every witness, core,
+``n_raw_checks`` count and lemma is unchanged.  An entry is stored only once
+complete, so a solve that times out leaves the memo usable.  ``MEMO_CAP``
+bounds the memo: it is emptied whole when an insertion would pass the cap.
+Ids are never reused, so an emptied memo cannot answer for an older row.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,12 +140,20 @@ class OracleConfig:
 
 # -- Fourier-Motzkin core ---------------------------------------------------
 
-# An inequality row: (coeffs, bound, mask, strict) meaning
-# sum(coeffs) {<,<=} bound over integers, derived from the query literals
-# whose bits are set in the origin mask.  Equalities and disequalities are
-# (coeffs, bound, mask) triples.
-Row = Tuple[Dict[str, int], int, int, bool]
-EqRow = Tuple[Dict[str, int], int, int]
+# A row ``(coeffs, bound, mask, flag, id)`` means sum(coeffs) REL bound over
+# integers, derived from the query literals whose origin bits are set in
+# ``mask``.  ``flag`` is an inequality's strict flag, a disequality's own
+# origin bit (which only rows derived from it carry), and ``None`` for an
+# equality.  ``id`` names the row in the derivation memo: no two rows made in
+# one process share an id, so a memo entry keyed by ids never goes stale.
+Row = Tuple[Dict[str, int], int, int, object, int]
+
+# The most entries an oracle's derivation memo holds: it is emptied whole
+# before an insertion would pass this cap.  An entry takes about 150-250
+# bytes, so the memo stays under about 16 MB.
+MEMO_CAP = 1 << 16
+
+_next_id = itertools.count(1).__next__
 
 
 def _check_deadline(deadline: float) -> None:
@@ -152,18 +180,29 @@ def _integral(coeffs: Dict[str, int], bound: Fraction) -> Tuple[Dict[str, int], 
     return _reduced({n: int(c) * q for n, c in coeffs.items()}, bound.numerator)
 
 
-def _eliminate_eq(coeffs: Dict[str, int], bound: int, mask: int, var: str,
-                  eq: EqRow) -> EqRow:
+def _store(memo: dict, key: tuple, value) -> None:
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+
+
+def _substitute(row: Row, var: str, eq: Row, memo: dict) -> Row:
     """Cancel ``var`` from a row with the equality ``sum(eq_coeffs) = eq_bound``.
 
     The row is scaled by ``|k|``, k being the equality's coefficient of
     ``var``, before a multiple of the equality is subtracted; the result's
-    origin mask joins both masks.  A row without ``var`` is returned as is.
+    origin mask joins both masks and it keeps the row's flag.  A row without
+    ``var`` is returned as is.
     """
+    coeffs, bound, mask, flag, rid = row
     r = coeffs.get(var)
     if r is None:
-        return coeffs, bound, mask
-    eq_coeffs, eq_bound, eq_mask = eq
+        return row
+    key = (rid, eq[4], var)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    eq_coeffs, eq_bound, eq_mask, _, _ = eq
     k = eq_coeffs[var]
     m, f = (k, r) if k > 0 else (-k, -r)
     out = {n: m * c for n, c in coeffs.items() if n != var}
@@ -175,43 +214,62 @@ def _eliminate_eq(coeffs: Dict[str, int], bound: int, mask: int, var: str,
             out.pop(n, None)
         else:
             out[n] = nc
-    return _reduced(out, m * bound - f * eq_bound) + (mask | eq_mask,)
+    hit = _reduced(out, m * bound - f * eq_bound) + (mask | eq_mask, flag, _next_id())
+    _store(memo, key, hit)
+    return hit
 
 
-def _eliminate_var(rows: List[Row], var: str, deadline: float):
+def _combine(upper: Row, lower: Row, var: str):
+    """The row ``upper`` and ``lower`` give with ``var`` cancelled; for a
+    constant row, its origin mask (an ``int``) if it is a contradiction,
+    else ``()``."""
+    uc, ub, um, us, _ = upper
+    lc, lb, lm, ls, _ = lower
+    a = uc[var]
+    d = -lc[var]
+    coeffs = {n: d * c for n, c in uc.items() if n != var}
+    for n, c in lc.items():
+        if n == var:
+            continue
+        nc = coeffs.get(n, 0) + a * c
+        if nc == 0:
+            coeffs.pop(n, None)
+        else:
+            coeffs[n] = nc
+    bound = d * ub + a * lb
+    strict = us or ls
+    if not coeffs:
+        return um | lm if _row_conflict(bound, strict) else ()
+    return _reduced(coeffs, bound) + (um | lm, strict, _next_id())
+
+
+def _eliminate_var(rows: List[Row], var: str, memo: dict, deadline: float):
     """One Fourier-Motzkin step: the rows without ``var``, or the origin
     mask (an ``int``) of a derived contradiction."""
     upper = [r for r in rows if r[0].get(var, 0) > 0]
     lower = [r for r in rows if r[0].get(var, 0) < 0]
     new_rows = [r for r in rows if var not in r[0]]
-    for uc, ub, um, us in upper:
+    get = memo.get
+    for u in upper:
         _check_deadline(deadline)
-        a = uc[var]
-        for lc, lb, lm, ls in lower:
-            d = -lc[var]
-            coeffs = {n: d * c for n, c in uc.items() if n != var}
-            for n, c in lc.items():
-                if n == var:
-                    continue
-                nc = coeffs.get(n, 0) + a * c
-                if nc == 0:
-                    coeffs.pop(n, None)
-                else:
-                    coeffs[n] = nc
-            bound = d * ub + a * lb
-            strict = us or ls
-            if not coeffs:
-                if _row_conflict(bound, strict):
-                    return um | lm
-            else:
-                new_rows.append(_reduced(coeffs, bound) + (um | lm, strict))
+        uid = u[4]
+        for low in lower:
+            key = (uid, low[4], var)
+            hit = get(key)
+            if hit is None:
+                hit = _combine(u, low, var)
+                _store(memo, key, hit)
+            if type(hit) is int:
+                return hit
+            if hit:
+                new_rows.append(hit)
     return new_rows
 
 
 def _pick_var(rows: List[Row]) -> Optional[str]:
     occurrence: Dict[str, Tuple[int, int]] = {}
-    for coeffs, _, _, _ in rows:
-        for name, c in coeffs.items():
+    for row in rows:
+        for name, c in row[0].items():
             pos, neg = occurrence.get(name, (0, 0))
             occurrence[name] = (pos + 1, neg) if c > 0 else (pos, neg + 1)
     if not occurrence:
@@ -219,10 +277,10 @@ def _pick_var(rows: List[Row]) -> Optional[str]:
     return min(occurrence, key=lambda n: (occurrence[n][0] * occurrence[n][1], n))
 
 
-def _fm_eliminate(rows: List[Row], deadline: float) -> Optional[int]:
+def _fm_eliminate(rows: List[Row], memo: dict, deadline: float) -> Optional[int]:
     """``None`` if the row system is satisfiable, else the origin mask of a
     contradiction."""
-    for coeffs, bound, mask, strict in rows:
+    for coeffs, bound, mask, strict, _ in rows:
         if not coeffs and _row_conflict(bound, strict):
             return mask
     work = [r for r in rows if r[0]]
@@ -231,49 +289,64 @@ def _fm_eliminate(rows: List[Row], deadline: float) -> Optional[int]:
         var = _pick_var(work)
         if var is None:
             return None
-        work = _eliminate_var(work, var, deadline)
+        work = _eliminate_var(work, var, memo, deadline)
         if isinstance(work, int):
             return work
 
 
+def _branches(diseq: Row, memo: dict) -> Tuple[Row, Row]:
+    """The strict inequalities ``sum(coeffs) < bound`` and ``> bound`` of a
+    disequality, each with its origin mask."""
+    key = (diseq[4],)
+    hit = memo.get(key)
+    if hit is None:
+        coeffs, bound, mask, _, _ = diseq
+        hit = (
+            (coeffs, bound, mask, True, _next_id()),
+            ({n: -c for n, c in coeffs.items()}, -bound, mask, True, _next_id()),
+        )
+        _store(memo, key, hit)
+    return hit
+
+
 def _solve_system(
     ineqs: List[Row],
-    eqs: List[EqRow],
-    diseqs: List[Tuple[Dict[str, int], int, int, int]],
+    eqs: List[Row],
+    diseqs: List[Row],
+    memo: dict,
     deadline: float,
 ) -> Optional[int]:
     """Satisfiability of ineqs & eqs & diseqs: ``None`` if satisfiable, else
     the origin mask (an ``int``) of a contradiction.
 
-    A disequality is ``(coeffs, bound, mask, bit)``, ``bit`` being its own
-    literal's bit, which only rows derived from it carry.
+    ``memo`` holds derivations made by earlier calls over rows of the same
+    ids, each keyed by the ids of the rows it combines and the variable it
+    cancels: it changes which rows are built, never their content or order.
     """
     _check_deadline(deadline)
     eqs = list(eqs)
     while eqs:
         eq = eqs.pop(0)
-        coeffs, bound, mask = eq
+        coeffs, bound, mask, _, _ = eq
         if not coeffs:
             if bound != 0:
                 return mask
             continue
         var = min(coeffs)
-        eqs = [_eliminate_eq(c, b, m, var, eq) for c, b, m in eqs]
-        ineqs = [_eliminate_eq(c, b, m, var, eq) + (s,) for c, b, m, s in ineqs]
-        diseqs = [_eliminate_eq(c, b, m, var, eq) + (bit,) for c, b, m, bit in diseqs]
-    for coeffs, bound, mask, _ in diseqs:
+        eqs = [_substitute(r, var, eq, memo) for r in eqs]
+        ineqs = [_substitute(r, var, eq, memo) for r in ineqs]
+        diseqs = [_substitute(r, var, eq, memo) for r in diseqs]
+    for coeffs, bound, mask, _, _ in diseqs:
         if not coeffs and bound == 0:
             return mask
     diseqs = [d for d in diseqs if d[0]]
     if not diseqs:
-        return _fm_eliminate(ineqs, deadline)
-    (coeffs, bound, mask, bit), rest = diseqs[0], diseqs[1:]
+        return _fm_eliminate(ineqs, memo, deadline)
+    diseq, rest = diseqs[0], diseqs[1:]
+    bit = diseq[3]
     conflict = 0
-    for branch in (
-        (coeffs, bound, mask, True),
-        ({n: -c for n, c in coeffs.items()}, -bound, mask, True),
-    ):
-        found = _solve_system(ineqs + [branch], [], rest, deadline)
+    for branch in _branches(diseq, memo):
+        found = _solve_system(ineqs + [branch], [], rest, memo, deadline)
         if found is None:
             return None
         if not found & bit:
@@ -483,47 +556,52 @@ class BuiltinOracle(TheoryOracle):
     """Exact LRA consistency checks by Fourier-Motzkin elimination.
 
     One instance per worker; ``n_raw_checks`` counts per-component
-    Fourier-Motzkin solves, and ``timeout_secs`` bounds each of them.
+    Fourier-Motzkin solves, and ``timeout_secs`` bounds each of them.  The
+    instance keeps each literal's row and the derivation memo its solves
+    share.
     """
 
     def __init__(self, table, config: Optional[OracleConfig] = None):
         super().__init__(table, config)
-        self._rows: Dict[Literal, tuple] = {}
+        self._rows: Dict[Literal, Tuple[str, Row]] = {}
+        self._memo: Dict[tuple, object] = {}
 
-    def _row(self, lit: Literal) -> tuple:
-        """The literal's kind, integer coefficients, bound and strict flag,
-        built on first use.
+    def _row(self, lit: Literal) -> Tuple[str, Row]:
+        """The literal's kind (``refine_literal``'s) and row, built on first
+        use.
 
-        Every check shares the cached row, so the solver never mutates rows.
+        Every solve shares the cached row, so the solver never mutates rows.
         """
         hit = self._rows.get(lit)
         if hit is None:
             kind, payload = refine_literal(lit, self.table.linear_atom(lit.atom_index))
-            strict = payload[2] if kind == "ineq" else None
-            hit = self._rows[lit] = (kind,) + _integral(*payload[:2]) + (strict,)
+            coeffs, bound = _integral(*payload[:2])
+            bit = self._origin_bit(lit)
+            flag = payload[2] if kind == "ineq" else bit if kind == "diseq" else None
+            hit = self._rows[lit] = (kind, (coeffs, bound, bit, flag, _next_id()))
         return hit
 
+    def _origin_bit(self, lit: Literal) -> int:
+        """Bit ``2 * rank + polarity``, ``rank`` being the literal's atom's
+        position in its theory component."""
+        for pairs, _, _, _ in self._components:
+            for rank, pair in enumerate(pairs):
+                if lit in pair:
+                    return 1 << (2 * rank + lit.polarity)
+        raise OracleError(f"literal on non-theory atom {lit.atom_index}")
+
     def _solve(self, part: FrozenSet[Literal]):
-        """Fourier-Motzkin on one part; bit i of an origin mask stands for
-        the i-th literal in ascending order."""
+        """Fourier-Motzkin on one part, its rows in ascending literal order."""
         order = sorted(part)
-        ineqs: List[Row] = []
-        eqs: List[EqRow] = []
-        diseqs: List[tuple] = []
-        for i, lit in enumerate(order):
-            kind, coeffs, bound, strict = self._row(lit)
-            bit = 1 << i
-            if kind == "ineq":
-                ineqs.append((coeffs, bound, bit, strict))
-            elif kind == "eq":
-                eqs.append((coeffs, bound, bit))
-            else:
-                diseqs.append((coeffs, bound, bit, bit))
+        rows: Dict[str, List[Row]] = {"ineq": [], "eq": [], "diseq": []}
+        for lit in order:
+            kind, row = self._row(lit)
+            rows[kind].append(row)
         deadline = time.monotonic() + self.config.timeout_secs
-        mask = _solve_system(ineqs, eqs, diseqs, deadline)
+        mask = _solve_system(rows["ineq"], rows["eq"], rows["diseq"], self._memo, deadline)
         if mask is None:
             return True, None
-        return False, frozenset(l for i, l in enumerate(order) if mask >> i & 1)
+        return False, frozenset(lit for lit in order if self._rows[lit][1][2] & mask)
 
 
 def _literal_pairs(atoms: Sequence[int]) -> List[Tuple[Literal, Literal]]:

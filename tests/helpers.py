@@ -3,7 +3,9 @@
 The evaluators here deliberately avoid the library's own evaluation paths
 (three-valued eval, truth-table bitmasks) so tests compare two independent
 routes to the same answer.  ``ReferenceFrontEnd`` is the exception: it is
-the literal-keyed oracle front end that the value-keyed one replaced.
+the literal-keyed oracle front end that the value-keyed one replaced, and
+``reference_fm_solve`` is the memo-free Fourier-Motzkin solve that the
+builtin backend's derivation memo replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from tlemma import strategies
 from tlemma.atoms import AtomTable, Literal
-from tlemma.oracle import BuiltinOracle, OracleError, TheoryVerdict
+from tlemma.oracle import (
+    BuiltinOracle,
+    OracleError,
+    TheoryVerdict,
+    _integral,
+    _reduced,
+    _row_conflict,
+    refine_literal,
+)
 from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
 from tlemma.terms import Term, TermKind
@@ -176,6 +186,142 @@ class ReferenceFrontEnd(BuiltinOracle):
                 witness = found
             current = trial
         return tuple(current)
+
+
+# -- The memo-free Fourier-Motzkin solve ------------------------------------
+#
+# An inequality row is (coeffs, bound, mask, strict); equalities and
+# disequalities are (coeffs, bound, mask) triples, a disequality with its own
+# literal's bit appended.  Bit i of a mask stands for the i-th literal of the
+# part in ascending order.
+
+
+def _ref_eliminate_eq(coeffs, bound, mask, var, eq):
+    r = coeffs.get(var)
+    if r is None:
+        return coeffs, bound, mask
+    eq_coeffs, eq_bound, eq_mask = eq
+    k = eq_coeffs[var]
+    m, f = (k, r) if k > 0 else (-k, -r)
+    out = {n: m * c for n, c in coeffs.items() if n != var}
+    for n, c in eq_coeffs.items():
+        if n == var:
+            continue
+        nc = out.get(n, 0) - f * c
+        if nc == 0:
+            out.pop(n, None)
+        else:
+            out[n] = nc
+    return _reduced(out, m * bound - f * eq_bound) + (mask | eq_mask,)
+
+
+def _ref_eliminate_var(rows, var):
+    upper = [r for r in rows if r[0].get(var, 0) > 0]
+    lower = [r for r in rows if r[0].get(var, 0) < 0]
+    new_rows = [r for r in rows if var not in r[0]]
+    for uc, ub, um, us in upper:
+        a = uc[var]
+        for lc, lb, lm, ls in lower:
+            d = -lc[var]
+            coeffs = {n: d * c for n, c in uc.items() if n != var}
+            for n, c in lc.items():
+                if n == var:
+                    continue
+                nc = coeffs.get(n, 0) + a * c
+                if nc == 0:
+                    coeffs.pop(n, None)
+                else:
+                    coeffs[n] = nc
+            bound = d * ub + a * lb
+            strict = us or ls
+            if not coeffs:
+                if _row_conflict(bound, strict):
+                    return um | lm
+            else:
+                new_rows.append(_reduced(coeffs, bound) + (um | lm, strict))
+    return new_rows
+
+
+def _ref_pick_var(rows):
+    occurrence = {}
+    for coeffs, _, _, _ in rows:
+        for name, c in coeffs.items():
+            pos, neg = occurrence.get(name, (0, 0))
+            occurrence[name] = (pos + 1, neg) if c > 0 else (pos, neg + 1)
+    if not occurrence:
+        return None
+    return min(occurrence, key=lambda n: (occurrence[n][0] * occurrence[n][1], n))
+
+
+def _ref_fm_eliminate(rows):
+    for coeffs, bound, mask, strict in rows:
+        if not coeffs and _row_conflict(bound, strict):
+            return mask
+    work = [r for r in rows if r[0]]
+    while True:
+        var = _ref_pick_var(work)
+        if var is None:
+            return None
+        work = _ref_eliminate_var(work, var)
+        if isinstance(work, int):
+            return work
+
+
+def _ref_solve_system(ineqs, eqs, diseqs):
+    eqs = list(eqs)
+    while eqs:
+        eq = eqs.pop(0)
+        coeffs, bound, mask = eq
+        if not coeffs:
+            if bound != 0:
+                return mask
+            continue
+        var = min(coeffs)
+        eqs = [_ref_eliminate_eq(c, b, m, var, eq) for c, b, m in eqs]
+        ineqs = [_ref_eliminate_eq(c, b, m, var, eq) + (s,) for c, b, m, s in ineqs]
+        diseqs = [_ref_eliminate_eq(c, b, m, var, eq) + (bit,) for c, b, m, bit in diseqs]
+    for coeffs, bound, mask, _ in diseqs:
+        if not coeffs and bound == 0:
+            return mask
+    diseqs = [d for d in diseqs if d[0]]
+    if not diseqs:
+        return _ref_fm_eliminate(ineqs)
+    (coeffs, bound, mask, bit), rest = diseqs[0], diseqs[1:]
+    conflict = 0
+    for branch in (
+        (coeffs, bound, mask, True),
+        ({n: -c for n, c in coeffs.items()}, -bound, mask, True),
+    ):
+        found = _ref_solve_system(ineqs + [branch], [], rest)
+        if found is None:
+            return None
+        if not found & bit:
+            return found
+        conflict |= found
+    return conflict
+
+
+def reference_fm_solve(table: AtomTable, part: FrozenSet[Literal]):
+    """The builtin backend's answer on one part, by the Fourier-Motzkin
+    solve without a derivation memo: ``(True, None)`` or ``(False,
+    witness)``.  Same row order, variable choice and early exits, so the
+    witness must be the backend's too."""
+    order = sorted(part)
+    ineqs, eqs, diseqs = [], [], []
+    for i, lit in enumerate(order):
+        kind, payload = refine_literal(lit, table.linear_atom(lit.atom_index))
+        coeffs, bound = _integral(*payload[:2])
+        bit = 1 << i
+        if kind == "ineq":
+            ineqs.append((coeffs, bound, bit, payload[2]))
+        elif kind == "eq":
+            eqs.append((coeffs, bound, bit))
+        else:
+            diseqs.append((coeffs, bound, bit, bit))
+    mask = _ref_solve_system(ineqs, eqs, diseqs)
+    if mask is None:
+        return True, None
+    return False, frozenset(lit for i, lit in enumerate(order) if mask >> i & 1)
 
 
 def pin_usable_cpus(monkeypatch, n: int) -> None:

@@ -73,6 +73,14 @@ class TestProtocol:
         finally:
             oracle.close()
 
+    def test_closed_session_closes_its_pipes(self, xy):
+        oracle = ext_oracle(xy.table)
+        oracle.check([L(0)])
+        proc = oracle.session.proc
+        oracle.close()
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed
+
 
 class TestMisbehavior:
     def test_unknown_reply(self, xy, monkeypatch):

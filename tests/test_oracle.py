@@ -10,9 +10,13 @@ from helpers import (
     ReferenceFrontEnd,
     atoms_problem,
     random_theory_literals,
+    reference_fm_solve,
     simplex_satisfiable,
 )
+from tlemma import oracle as oracle_module
 from tlemma.atoms import UNASSIGNED, Literal
+from tlemma.generator import clausal_instance
+from tlemma.lemma_io import render_lemma_script
 from tlemma.oracle import (
     BuiltinOracle,
     OracleConfig,
@@ -25,6 +29,8 @@ from tlemma.oracle import (
     make_oracle,
 )
 from tlemma.partition import partition_atoms
+from tlemma.problem import Problem
+from tlemma.strategies import StrategySpec, run_strategy
 
 
 # Both backends, for tests of the front end they share.
@@ -376,6 +382,113 @@ class TestValueKeyedFrontEnd:
             assert got == want
             assert oracle.n_raw_checks == ref.n_raw_checks
         assert _memo_by_part(oracle) == ref._ref_raw
+
+
+def _parts(table, literals):
+    """The non-empty parts of a literal set, one per theory component."""
+    for component in partition_atoms(table).theory_components():
+        part = frozenset(lit for lit in literals if lit.atom_index in component)
+        if part:
+            yield part
+
+
+class TestDerivationMemo:
+    """The builtin backend's derivation memo, shared by every solve of one
+    oracle, against the memo-free solve it replaced
+    (``helpers.reference_fm_solve``)."""
+
+    @seed(3304)
+    @settings(max_examples=200, **_DERANDOMIZED)
+    @given(
+        atoms=st.lists(_atom_text("wxyz"), min_size=5, max_size=10),
+        queries=st.lists(
+            st.lists(st.tuples(st.integers(0, 9), st.booleans()), min_size=4, max_size=10),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @example(
+        # The first part eliminates x from the first two rows, the second y:
+        # a memo entry that did not name its variable would answer the second
+        # combination with the first one's row, and miss the contradiction.
+        atoms=["(<= (+ x y) 0)", "(>= (+ x (* 2 y)) 1)", "(>= x 0)", "(<= y 5)", "(>= y (- 5))"],
+        queries=[[(0, True), (1, True), (3, True), (4, True)], [(0, True), (1, True), (2, True)]],
+    )
+    def test_memo_matches_memo_free_solves(self, atoms, queries):
+        # One long-lived oracle solves every part of a stream of queries, each
+        # followed by its deletion trials as core minimization makes them, so
+        # later solves find rows and derivations of earlier ones in the memo.
+        p = atoms_problem(*atoms)
+        theory = p.table.theory_indices()
+        oracle = BuiltinOracle(p.table)
+        for query in queries:
+            values = {theory[i % len(theory)]: pol for i, pol in query}
+            for part in _parts(p.table, [Literal(i, pol) for i, pol in values.items()]):
+                for trial in [part] + [part - {lit} for lit in sorted(part)]:
+                    assert oracle._solve(trial) == reference_fm_solve(p.table, trial)
+
+    # Three variables, so eliminations take several steps, with an
+    # equality and a disequality among the atoms.
+    TIMEOUT_ATOMS = (
+        "(<= (+ x y) 2)", "(<= (- x y) 1)", "(>= (+ x z) 1)", "(<= (- y z) 0)",
+        "(>= (+ x (* 2 y) z) 4)", "(= (- x z) 1)", "(< (+ y z) 3)",
+    )
+
+    def test_timeout_mid_elimination_leaves_memo_usable(self, monkeypatch):
+        p = atoms_problem(*self.TIMEOUT_ATOMS)
+        theory = p.table.theory_indices()
+        rng = random.Random(7)
+        queries = [
+            [Literal(i, rng.random() < 0.6) for i in theory if rng.random() < 0.8]
+            for _ in range(40)
+        ]
+        fresh = BuiltinOracle(p.table)
+        want = [[fresh._solve(part) for part in _parts(p.table, q)] for q in queries]
+        checked = oracle_module._check_deadline
+        timed_out = kept = 0
+        for expire_at in range(1, 30):
+            oracle = BuiltinOracle(p.table)
+            calls = iter(range(expire_at, 0, -1))
+
+            def expiring(deadline):
+                if next(calls, 0) == 1:
+                    raise OracleTimeoutError("theory query exceeded its time budget")
+                checked(deadline)
+
+            monkeypatch.setattr(oracle_module, "_check_deadline", expiring)
+            try:
+                for q in queries:
+                    oracle.check(q)
+            except OracleTimeoutError:
+                timed_out += 1
+                kept += bool(oracle._memo)  # derivations made before the timeout
+            monkeypatch.setattr(oracle_module, "_check_deadline", checked)
+            got = [[oracle._solve(part) for part in _parts(p.table, q)] for q in queries]
+            assert got == want
+            assert [oracle.check(q) for q in queries] == [fresh.check(q) for q in queries]
+        assert timed_out == 29 and kept > 20
+
+    @pytest.mark.parametrize("gen_seed", [0, 1, 2])
+    def test_tiny_cap_keeps_lemmas_and_counts(self, monkeypatch, gen_seed):
+        # The theory-heavy benchmark family under baseline-proj; a cap of 3
+        # entries flushes the memo many times within one solve.
+        problem = Problem.from_text(
+            clausal_instance(gen_seed, n_bool=2, n_real=4, n_theory=12, n_clauses=24)
+        )
+        spec = StrategySpec.from_name("baseline-proj")
+
+        def run():
+            oracle = BuiltinOracle(problem.table)
+            result = run_strategy(problem, spec, oracle=oracle)
+            text = render_lemma_script(result.lemma_set.lemmas, problem.table)
+            return text, oracle.n_raw_checks, len(oracle._memo)
+
+        text, raw_checks, entries = run()
+        assert entries > 3
+        monkeypatch.setattr(oracle_module, "MEMO_CAP", 3)
+        capped_text, capped_raw_checks, entries = run()
+        assert (capped_text, capped_raw_checks) == (text, raw_checks)
+        assert entries <= 3
 
 
 class TestVerdictMemo:
