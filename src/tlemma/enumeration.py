@@ -8,6 +8,18 @@ the theory oracle; conflicts turn into lemma clauses, satisfiable candidates
 are projected and recorded.  Two runs with identical inputs produce
 identical outcomes, literal for literal.
 
+The search is one loop, :meth:`_Engine.run`, that holds the engine's state
+in local variables.  The deadline is read once before the first
+propagation; then each iteration reads it again, propagates, and either
+decides the next branch variable, or handles a total candidate
+(the theory check, the cube snapshot), or turns an early-pruning conflict
+into a lemma.  Every path that does not decide ends in the same
+backtracking code: pop the decisions the conflict or the cube closed, unwind
+the trail once, flip the deepest open decision, and replay the unit lemmas
+the run added, if any.  Propagation stays a method, :meth:`_Engine._propagate`:
+its time goes to its own loop over the watch lists, not to the one call per
+iteration.  So do the rare events: a lemma, and a replay of the unit lemmas.
+
 After recording a cube the search backtracks below the cube's deepest
 literal on the trail and takes the untried branch of the deepest open
 decision left.  The cube holds every projection atom, and that is all it
@@ -154,6 +166,20 @@ class _Engine:
     clauses may differ, and neither changes a run's outcome: the closure of
     unit propagation, whether it conflicts, and the decision level of a
     clause's deepest literal do not depend on them.
+
+    :meth:`run` is the whole search, one loop over locals.  Decisions,
+    candidates and backtracking happen inline in it; so does the theory
+    check, through the oracle's public ``check(values=...)``, whose
+    :class:`OracleError` ends the loop once, for every check site.
+    :meth:`_propagate` stays a method: it is called once per iteration, and
+    its own loop over the watch lists, not the call, is where its time goes;
+    inlined, its return on a conflict would need a flag in the loop.
+    The deadline is read before the root units are first propagated, so a
+    run started past it does no work, and then once per iteration.
+
+    A decision is ``[trail position, flipped, rank in branch_order]``.
+    The ranks on the stack increase from bottom to top, so the decisions on
+    projection atoms lie below all others.
     """
 
     def __init__(
@@ -192,7 +218,6 @@ class _Engine:
         self.pos_in_trail = [0] * self.n_vars
         self.trail: List[int] = []
         self.qhead = 0
-        # [trail_pos, flipped, index of the decided variable in branch_order]
         self.decisions: List[List[int]] = []
         self.watches: List[List[int]] = [[] for _ in range(2 * self.n_vars)]
         self.clauses: List[List[int]] = []
@@ -212,7 +237,10 @@ class _Engine:
     def _reset(self, assumptions: Sequence[Literal]) -> None:
         """Drop the last run's search state, clauses, root units and
         outputs, and take ``assumptions`` as root units."""
-        self._unwind_to(0)
+        for code in self.trail:
+            self.values[code >> 1] = UNASSIGNED
+        self.trail.clear()
+        self.qhead = 0
         self.decisions.clear()
         for ci in range(self.n_installed, len(self.clauses)):
             clause = self.clauses[ci]
@@ -226,9 +254,6 @@ class _Engine:
         self.out_lemmas: List[TLemma] = []
         self.lemma_keys = set()
         self.stats = EnumerationStats()
-        self.truncated = False
-        self.oracle_error: Optional[str] = None
-        self.since_prune = 0
 
     # -- clause installation ------------------------------------------------
 
@@ -349,68 +374,6 @@ class _Engine:
                 self._assign(code)
         return True
 
-    def _unwind_to(self, pos: int) -> None:
-        for code in self.trail[pos:]:
-            self.values[code >> 1] = UNASSIGNED
-        del self.trail[pos:]
-        self.qhead = pos
-
-    def _backtrack_flip(self) -> bool:
-        """Chronological backtracking; take the untried branch of the
-        deepest open decision.  False when the search space is exhausted.
-
-        The trail is unwound once, to the decision flipped; an exhausted
-        search leaves it as it is, for the next run's reset.
-        """
-        decisions = self.decisions
-        while True:
-            while decisions and decisions[-1][1]:
-                decisions.pop()
-            if not decisions:
-                return False
-            decision = decisions[-1]
-            pos = decision[0]
-            lit = self.trail[pos]
-            self._unwind_to(pos)
-            decision[1] = 1
-            self._assign(lit ^ 1)
-            if self._replay_root_units():
-                return True
-            # a unit lemma contradicts this branch; keep unwinding
-
-    def _backtrack_below(self, deepest: int) -> bool:
-        """Backtrack after adding a clause whose literals are all false, the
-        deepest of them at trail position ``deepest``, or after recording a
-        cube whose deepest literal is there.
-
-        Every branch below that position falsifies the clause or extends
-        the recorded cube, so those subtrees are dead and are discarded
-        without exploring their other halves; then the search flips the
-        deepest surviving decision as usual, which unwinds the trail.
-        """
-        decisions = self.decisions
-        while decisions and decisions[-1][0] > deepest:
-            decisions.pop()
-        return self._backtrack_flip()
-
-    def _deepest(self, codes: List[int]) -> int:
-        return max(self.pos_in_trail[c >> 1] for c in codes)
-
-    def _next_branch_rank(self) -> Optional[int]:
-        """The index in ``branch_order`` of the first unassigned variable.
-
-        The scan resumes after the last decision's variable: every variable
-        before it was assigned when it was decided, on a lower level, and
-        chronological backtracking unwinds no lower level without popping
-        that decision.
-        """
-        values = self.values
-        order = self.branch_order
-        for rank in range(self.decisions[-1][2] + 1 if self.decisions else 0, len(order)):
-            if values[order[rank]] == UNASSIGNED:
-                return rank
-        return None
-
     # -- theory interaction ---------------------------------------------------
 
     def _emit_lemma(self, verdict: TheoryVerdict) -> int:
@@ -425,55 +388,7 @@ class _Engine:
         codes = [_code(l) for l in lemma.literals]
         assert all(self._lit_value(c) == 0 for c in codes)
         self._add_dynamic(codes)
-        return self._deepest(codes)
-
-    def _handle_candidate(self) -> Optional[int]:
-        """Process a total candidate.  Returns the trail position to
-        backtrack below: that of the deepest literal of the lemma that rules
-        it out, or of the recorded cube's deepest projection literal.  None
-        when the search is finished or truncated."""
-        self.stats.n_candidates += 1
-        # A candidate assigns every variable, so it has a theory query iff
-        # there are theory atoms.
-        verdict = self._theory_check() if self.theory_vars else TheoryVerdict(True)
-        if verdict is None:
-            return None
-        if not verdict.satisfiable:
-            return self._emit_lemma(verdict)
-        self.out_cubes.append(bytes(self.values))
-        n_proj = len(self.proj_sorted)
-        if not n_proj:
-            return None  # the empty cube holds every model: nothing is left
-        # The cube holds every projection atom, and those are all assigned
-        # before the first decision on any other variable.
-        deepest = len(self.trail) - 1
-        for pos, _, rank in reversed(self.decisions):
-            if rank < n_proj:
-                break
-            deepest = pos - 1
-        return deepest
-
-    def _early_prune(self) -> Optional[int]:
-        """Theory-check the current partial assignment; on conflict, the
-        trail position of the lemma's deepest literal, else None."""
-        if self.theory_values(self.values) == self.no_theory_values:
-            return None
-        verdict = self._theory_check()
-        if verdict is None or verdict.satisfiable:
-            return None
-        return self._emit_lemma(verdict)
-
-    def _theory_check(self) -> Optional[TheoryVerdict]:
-        """The oracle's verdict on the assigned theory atoms, or None after
-        it failed (a timeout or a solver fault), which truncates the run:
-        what was found so far is returned."""
-        self.stats.n_theory_checks += 1
-        try:
-            return self.oracle.check(values=self.values)
-        except OracleError as exc:
-            self.truncated = True
-            self.oracle_error = str(exc)
-            return None
+        return max(self.pos_in_trail[c >> 1] for c in codes)
 
     # -- main loop --------------------------------------------------------------
 
@@ -481,48 +396,137 @@ class _Engine:
         """Search under ``assumptions``, from the installed clauses alone."""
         self._reset(assumptions)
         start = time.monotonic_ns()
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.truncated = True
+        deadline = self.deadline
+        truncated = False
+        oracle_error: Optional[str] = None
+        if deadline is not None and time.monotonic() > deadline:
+            truncated = True
             alive = False
         else:
             # The root units and their consequences, assigned before the
             # first decision, stay on the trail until the run ends.
             alive = not self.has_empty and self._replay_root_units() and not self._propagate()
-        self.n_fixed = len(self.root_units)
-        while alive:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                self.truncated = True
-                break
-            if self._propagate():
-                alive = self._backtrack_flip()
-                continue
-            if self.early_pruning and self.since_prune >= self.pruning_interval:
-                self.since_prune = 0
-                deepest = self._early_prune()
-                if self.truncated:
+        self.n_fixed = n_fixed = len(self.root_units)
+
+        values = self.values
+        pos_in_trail = self.pos_in_trail
+        trail = self.trail
+        decisions = self.decisions
+        root_units = self.root_units
+        order = self.branch_order
+        n_order = len(order)
+        n_proj = len(self.proj_sorted)
+        out_cubes = self.out_cubes
+        stats = self.stats
+        propagate = self._propagate
+        check = self.oracle.check
+        # A candidate assigns every variable, so it has a theory query iff
+        # there are theory atoms.
+        has_theory = bool(self.theory_vars)
+        early_pruning = self.early_pruning
+        pruning_interval = self.pruning_interval
+        theory_values = self.theory_values
+        no_theory_values = self.no_theory_values
+        since_prune = 0
+        try:
+            while alive:
+                if deadline is not None and time.monotonic() > deadline:
+                    truncated = True
                     break
-                if deepest is not None:
-                    alive = self._backtrack_below(deepest)
-                    continue
-            rank = self._next_branch_rank()
-            if rank is None:
-                deepest = self._handle_candidate()
-                if deepest is None:
-                    break
-                alive = self._backtrack_below(deepest)
-                continue
-            var = self.branch_order[rank]
-            self.decisions.append([len(self.trail), 0, rank])
-            self._assign(var * 2)
-            self.since_prune += 1
-        self.stats.elapsed_ns = time.monotonic_ns() - start
+                # Every path below either decides a variable and goes round
+                # again, or sets ``deepest`` and falls through to
+                # backtracking, which pops every decision made after trail
+                # position ``deepest``.  A propagation conflict sets it past
+                # the end of the trail: no decision is closed but the flipped
+                # ones.
+                if propagate():
+                    deepest = len(trail)
+                else:
+                    conflict = None
+                    if early_pruning and since_prune >= pruning_interval:
+                        since_prune = 0
+                        if theory_values(values) != no_theory_values:
+                            stats.n_theory_checks += 1
+                            verdict = check(values=values)
+                            if not verdict.satisfiable:
+                                conflict = verdict
+                    if conflict is None:
+                        # Decide the first unassigned variable in branch
+                        # order, positive first.  The scan resumes after the
+                        # last decision's variable: every variable before it
+                        # was assigned when it was decided, on a lower level,
+                        # and chronological backtracking unwinds no lower
+                        # level without popping that decision.
+                        rank = decisions[-1][2] + 1 if decisions else 0
+                        while rank < n_order and values[order[rank]] != UNASSIGNED:
+                            rank += 1
+                        if rank < n_order:
+                            var = order[rank]
+                            decisions.append([len(trail), 0, rank])
+                            values[var] = 1
+                            pos_in_trail[var] = len(trail)
+                            trail.append(var * 2)
+                            since_prune += 1
+                            continue
+                        # A total candidate.
+                        stats.n_candidates += 1
+                        if has_theory:
+                            stats.n_theory_checks += 1
+                            verdict = check(values=values)
+                            if not verdict.satisfiable:
+                                conflict = verdict
+                        if conflict is None:
+                            out_cubes.append(bytes(values))
+                            if not n_proj:
+                                break  # the empty cube holds every model
+                            # Back to the deepest projection decision: every
+                            # branch of a later decision extends the cube.
+                            while decisions and decisions[-1][2] >= n_proj:
+                                decisions.pop()
+                            deepest = len(trail)
+                    if conflict is not None:
+                        deepest = self._emit_lemma(conflict)
+                # Chronological backtracking: drop the decisions above
+                # ``deepest``, whose subtrees all falsify the new clause, and
+                # those whose both branches are done; unwind the trail once,
+                # to the deepest decision left, and take its untried branch.
+                # Unit lemmas of this run are replayed on it; one that
+                # contradicts it sends the search on to the next decision
+                # down.
+                while decisions and decisions[-1][0] > deepest:
+                    decisions.pop()
+                while True:
+                    while decisions and decisions[-1][1]:
+                        decisions.pop()
+                    if not decisions:
+                        alive = False  # the search space is exhausted
+                        break
+                    decision = decisions[-1]
+                    decision[1] = 1
+                    pos = decision[0]
+                    flipped = trail[pos] ^ 1
+                    for code in trail[pos:]:
+                        values[code >> 1] = UNASSIGNED
+                    del trail[pos:]
+                    self.qhead = pos
+                    values[flipped >> 1] = (flipped & 1) ^ 1
+                    pos_in_trail[flipped >> 1] = pos
+                    trail.append(flipped)
+                    if len(root_units) == n_fixed or self._replay_root_units():
+                        break
+        except OracleError as exc:
+            # A timeout or a solver fault truncates the run: what was found
+            # so far is returned.
+            truncated = True
+            oracle_error = str(exc)
+        stats.elapsed_ns = time.monotonic_ns() - start
         return EnumerationOutcome(
-            cubes=self.out_cubes,
+            cubes=out_cubes,
             proj=self.proj_sorted,
             lemmas=self.out_lemmas,
-            stats=self.stats,
-            truncated=self.truncated,
-            oracle_error=self.oracle_error,
+            stats=stats,
+            truncated=truncated,
+            oracle_error=oracle_error,
         )
 
 

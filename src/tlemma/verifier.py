@@ -10,7 +10,7 @@ depend on nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import AtomKind, AtomTable, Literal, boolean_abstraction
 from .enumeration import Assignment
@@ -97,9 +97,16 @@ def clause_bits(literals: Iterable[Literal], n_atoms: int) -> int:
     return out
 
 
-def _assignment_from_index(i: int, n_atoms: int) -> Assignment:
-    lits = [Literal(j, bool((i >> j) & 1)) for j in range(n_atoms)]
-    return Assignment.of(lits, range(n_atoms))
+def _assignment_from_index(
+    i: int, pairs: Sequence[Tuple[Literal, Literal]], scope: FrozenSet[int]
+) -> Assignment:
+    """The total assignment that makes atom j true iff bit j of ``i`` is set.
+
+    ``pairs[j]`` holds atom j's negative and positive literal, and ``scope``
+    every atom: all the assignments of one classification share them, and
+    one read off an index needs no validating.
+    """
+    return Assignment(frozenset([pair[(i >> j) & 1] for j, pair in enumerate(pairs)]), scope)
 
 
 @dataclass
@@ -131,6 +138,8 @@ def classify(phi: Term, table: AtomTable, oracle, cap: int = DEFAULT_CAP) -> Cla
     memo: Dict[int, bool] = {}
     ctta: List[Assignment] = []
     itta: List[Assignment] = []
+    pairs = [(Literal(j, False), Literal(j, True)) for j in range(n)]
+    scope = frozenset(range(n))
     neg_ctta = neg_itta = 0
     for i in range(1 << n):
         key = i & theory_mask
@@ -141,9 +150,9 @@ def classify(phi: Term, table: AtomTable, oracle, cap: int = DEFAULT_CAP) -> Cla
             memo[key] = sat
         prop = bool((tt >> i) & 1)
         if prop and sat:
-            ctta.append(_assignment_from_index(i, n))
+            ctta.append(_assignment_from_index(i, pairs, scope))
         elif prop:
-            itta.append(_assignment_from_index(i, n))
+            itta.append(_assignment_from_index(i, pairs, scope))
         elif sat:
             neg_ctta += 1
         else:

@@ -1,14 +1,17 @@
+import hashlib
 import itertools
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpers import L, random_problem
+from tlemma import enumeration
 from tlemma.atoms import AtomTable
 from tlemma.enumeration import Assignment, enumerate_cubes, projected_allsmt
 from tlemma.generator import clausal_instance, product_instance
-from tlemma.oracle import BuiltinOracle
+from tlemma.oracle import BuiltinOracle, OracleError
 from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
 from tlemma.strategies import phase1_prefix
@@ -312,3 +315,196 @@ class TestEarlyPruning:
 
             cls = classify(p.term, p.table, oracle)
             assert rules_out(out.lemmas, cls.itta)
+
+
+def _golden_problems():
+    """The instances :class:`TestGolden` pins, by test id."""
+    problems = {
+        f"clausal-{s}": lambda s=s: Problem.from_text(
+            clausal_instance(s, n_bool=8, n_real=3, n_theory=6, n_clauses=20)
+        )
+        for s in range(8)
+    }
+    problems["unit-lemma"] = _unit_lemma_problem
+    return problems
+
+
+def _outcome_record(out) -> str:
+    """What an outcome found, in the order found: cube snapshots, lemma
+    literals, counters without the elapsed time, and the truncation."""
+    return repr((
+        [cube.hex() for cube in out.cubes],
+        [[(l.atom_index, l.polarity) for l in lemma.literals] for lemma in out.lemmas],
+        replace(out.stats, elapsed_ns=0),
+        out.truncated,
+    ))
+
+
+def _engine_digest(p: Problem) -> str:
+    oracle = BuiltinOracle(p.table)
+    everything = list(p.cnf.alpha_indices)
+    records = []
+    for proj in (everything, p.table.theory_indices()):
+        for early, interval in ((False, 8), (True, 1), (True, 8)):
+            out = run(p, proj, oracle=oracle, early_pruning=early, pruning_interval=interval)
+            records.append(_outcome_record(out))
+    phase1 = run(p, phase1_prefix(everything), oracle=oracle)
+    records.append(_outcome_record(phase1))
+    cubes = [a.sorted_literals() for a in phase1.assignments]
+    for early in (False, True):
+        for out in enumerate_cubes(
+            p.cnf, p.table, everything, oracle, phase1.lemmas, cubes,
+            early_pruning=early, pruning_interval=1,
+        ):
+            records.append(_outcome_record(out))
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+# Recorded from the search that preceded the single-loop engine; any change
+# to branching order, polarity, watch order, clause order or backtracking
+# shows up here as a different digest.
+GOLDEN_DIGESTS = {
+    "clausal-0": "25ab5f787d904fb5990c7547657f4537a50cadc8d7310747401c2b49fb6a1347",
+    "clausal-1": "741f2c2ca1c4f9b3a86543c2329648acb15654d2b3dcdb6a575a4b7f1ec48a9c",
+    "clausal-2": "785a6b0a6d32a4e001252137f5a39098aca6fe2eb189211a2ece0035404adf07",
+    "clausal-3": "f03f7883efcba9af9441f71361c6319b12e466ce3e11384f2cc421acfe5eba6f",
+    "clausal-4": "b79d32d449b902eb853c3cd45a8e0f97b561ddf5b723e5e682f4da145b3f3f45",
+    "clausal-5": "44b2aa562c453dee961ee1c38e2bdcdd61bf257b41c174a9871632c4c326ae3e",
+    "clausal-6": "b44b1b2f51fd924b963c8ea7f2847fa634755ef5195434dd613b2b3bb81ac221",
+    "clausal-7": "b5883834d49d7b9f7abb39075f86eb84c8c661e2344d56892b3ffd363784f6df",
+    "unit-lemma": "88a6b3f90aa4e8ad67181e25cc402f22748cf4fe0afa330aeab6d940cce8bdf4",
+}
+
+
+class TestGolden:
+    """The engine's exact output, pinned: cubes and lemmas in the order
+    found and the counters, over whole and theory projections, early
+    pruning at intervals 1 and 8, and DnC-style cube runs."""
+
+    @pytest.mark.parametrize("name", sorted(_golden_problems()))
+    def test_output_is_pinned(self, name):
+        assert _engine_digest(_golden_problems()[name]()) == GOLDEN_DIGESTS[name]
+
+
+class _Clock:
+    """Stands in for the engine's ``time`` module: ``monotonic`` reads 0.0
+    ``before`` times, then 2.0, past a deadline of 1.0.  The oracle's own
+    clock is left alone."""
+
+    monotonic_ns = staticmethod(time.monotonic_ns)
+
+    def __init__(self, before: int):
+        self.before = before
+        self.reads = 0
+
+    def monotonic(self) -> float:
+        self.reads += 1
+        return 0.0 if self.reads <= self.before else 2.0
+
+
+class _FaultyOracle(BuiltinOracle):
+    """Raises :class:`OracleError` on its ``fail_at``-th check only."""
+
+    def __init__(self, table, fail_at: int):
+        super().__init__(table)
+        self.fail_at = fail_at
+        self.n_checks = 0
+
+    def check(self, literals=None, *, values=None):
+        self.n_checks += 1
+        if self.n_checks == self.fail_at:
+            raise OracleError("injected fault")
+        return super().check(literals, values=values)
+
+
+def _assert_prefix(got, want):
+    """``got`` is truncated, and found what ``want`` found first."""
+    assert got.truncated
+    assert got.cubes == want.cubes[: len(got.cubes)]
+    assert got.lemmas == want.lemmas[: len(got.lemmas)]
+
+
+def _found(out) -> int:
+    return len(out.cubes) + len(out.lemmas)
+
+
+class TestEarlyExits:
+    """A run cut short mid-search by its deadline or by an oracle fault
+    returns what it found before the cut, marked truncated."""
+
+    @pytest.fixture
+    def problem(self):
+        return Problem.from_text(
+            clausal_instance(1, n_bool=8, n_real=3, n_theory=6, n_clauses=20)
+        )
+
+    def _cubes(self, p):
+        phase1 = run(p, phase1_prefix(list(p.cnf.alpha_indices)))
+        return phase1.lemmas, [a.sorted_literals() for a in phase1.assignments]
+
+    def test_deadline_mid_run(self, problem, monkeypatch):
+        full = run(problem)
+        clock = _Clock(before=10**9)
+        monkeypatch.setattr(enumeration, "time", clock)
+        assert run(problem, deadline=1.0).cubes == full.cubes
+        n_reads = clock.reads
+        found = []
+        for before in range(0, n_reads, max(1, n_reads // 12)):
+            monkeypatch.setattr(enumeration, "time", _Clock(before))
+            out = run(problem, deadline=1.0)
+            _assert_prefix(out, full)
+            found.append(_found(out))
+        assert found == sorted(found) and found[-1] > 0
+
+    def test_deadline_mid_cube(self, problem, monkeypatch):
+        p = problem
+        proj = list(p.cnf.alpha_indices)
+        seeds, cubes = self._cubes(p)
+        full = enumerate_cubes(p.cnf, p.table, proj, BuiltinOracle(p.table), seeds, cubes)
+        clock = _Clock(before=10**9)
+        monkeypatch.setattr(enumeration, "time", clock)
+        enumerate_cubes(p.cnf, p.table, proj, BuiltinOracle(p.table), seeds, cubes, deadline=1.0)
+        n_reads = clock.reads
+        found = []
+        for before in range(1, n_reads, max(1, n_reads // 12)):
+            monkeypatch.setattr(enumeration, "time", _Clock(before))
+            outs = enumerate_cubes(
+                p.cnf, p.table, proj, BuiltinOracle(p.table), seeds, cubes, deadline=1.0
+            )
+            cut = next(i for i, out in enumerate(outs) if out.truncated)
+            assert list(map(_outcome_record, outs[:cut])) == list(map(_outcome_record, full[:cut]))
+            _assert_prefix(outs[cut], full[cut])
+            assert all(out.truncated and _found(out) == 0 for out in outs[cut + 1 :])
+            found.append(_found(outs[cut]))
+        assert max(found) > 0
+
+    def test_oracle_fault_mid_run(self, problem):
+        full = run(problem)
+        n_checks = full.stats.n_theory_checks
+        for fail_at in range(1, n_checks + 1, max(1, n_checks // 12)):
+            out = run(problem, oracle=_FaultyOracle(problem.table, fail_at))
+            _assert_prefix(out, full)
+            assert out.oracle_error == "injected fault"
+            assert out.stats.n_theory_checks == fail_at
+            # Every check before the fault recorded a cube or a lemma.
+            assert _found(out) == fail_at - 1
+
+    def test_oracle_fault_mid_cube(self, problem):
+        p = problem
+        proj = list(p.cnf.alpha_indices)
+        seeds, cubes = self._cubes(p)
+        full = enumerate_cubes(p.cnf, p.table, proj, BuiltinOracle(p.table), seeds, cubes)
+        n_checks = sum(out.stats.n_theory_checks for out in full)
+        for fail_at in range(1, n_checks + 1, max(1, n_checks // 12)):
+            oracle = _FaultyOracle(p.table, fail_at)
+            outs = enumerate_cubes(p.cnf, p.table, proj, oracle, seeds, cubes)
+            (cut,) = [i for i, out in enumerate(outs) if out.truncated]
+            assert outs[cut].oracle_error == "injected fault"
+            _assert_prefix(outs[cut], full[cut])
+            checks_before = sum(out.stats.n_theory_checks for out in full[:cut])
+            assert _found(outs[cut]) == fail_at - checks_before - 1
+            # The fault truncates its own cube only.
+            rest = outs[:cut] + outs[cut + 1 :]
+            assert list(map(_outcome_record, rest)) == list(
+                map(_outcome_record, full[:cut] + full[cut + 1 :])
+            )
