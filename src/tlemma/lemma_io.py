@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .atoms import AtomKind, AtomTable, Literal
 from .oracle import TLemma
@@ -32,8 +32,7 @@ def literal_sexpr(lit: Literal, table: AtomTable) -> str:
     return body if lit.polarity else f"(not {body})"
 
 
-def lemma_sexpr(lemma: TLemma, table: AtomTable) -> str:
-    parts = [literal_sexpr(l, table) for l in lemma.literals]
+def _clause_sexpr(parts: List[str]) -> str:
     if len(parts) == 1:
         return parts[0]
     return "(or " + " ".join(parts) + ")"
@@ -45,8 +44,16 @@ def render_lemma_script(lemmas, table: AtomTable) -> str:
         lines.append(f"(declare-const {name} Bool)")
     for name in table.variables():
         lines.append(f"(declare-const {name} Real)")
+    # Lemmas share their literals, so each distinct one is rendered once.
+    texts: Dict[Literal, str] = {}
     for lemma in lemmas:
-        lines.append(f"(assert {lemma_sexpr(lemma, table)})")
+        parts = []
+        for lit in lemma.literals:
+            text = texts.get(lit)
+            if text is None:
+                text = texts[lit] = literal_sexpr(lit, table)
+            parts.append(text)
+        lines.append(f"(assert {_clause_sexpr(parts)})")
     return "\n".join(lines) + "\n"
 
 

@@ -4,8 +4,12 @@ An oracle answers a query with a verdict and, if it is unsatisfiable, a
 core; it builds no model, since the enumerator reads none.
 :class:`TheoryOracle` is the front end of every backend: a backend only
 solves one part of a query, answering a verdict and, if unsat, a witness,
-an unsatisfiable subset of the part.  Backends are a documented hot-swap
-point: the builtin one is below, the external SMT-LIB2 one in ``external.py``.
+an unsatisfiable subset of the part.  It gets the part as its theory
+component's literal pairs and value key (below); by default these are
+turned into the part's literal ``frozenset``, which is all the external
+backend reads, while the builtin backend builds its rows straight from the
+key.  Backends are a documented hot-swap point: the builtin one is below,
+the external SMT-LIB2 one in ``external.py``.
 
 A query is an assignment to theory atoms held in a value array indexed by
 atom: 1 for true, 0 for false and ``UNASSIGNED`` for an atom outside the
@@ -22,7 +26,7 @@ witness is the first unsatisfiable part's.  Each component has a memo of its
 own, keyed by the tuple of its atoms' values, which one precomputed
 ``operator.itemgetter`` reads off the value array; a component whose atoms
 are all unassigned has no part.  A part's literal ``frozenset`` is built
-only when the backend must solve it.
+only when a backend that reads one must solve it.
 
 In front of the per-part memos sits a whole-query memo: a verdict, core
 included, keyed by the tuple of every theory atom's value and consulted
@@ -44,9 +48,16 @@ The builtin backend runs Fourier-Motzkin elimination with strictness
 tracking over integer rows.  A literal's row ``sum(c_i * x_i) REL b`` is
 scaled by the bound's denominator and divided by the gcd of its entries, so
 ``c_i`` and ``b`` are coprime integers; each literal's row is built once per
-oracle.  Equalities are eliminated first and variables are then eliminated
-pairwise, both by integer cross-multiplication; disequalities (negated
-equalities) are case-split.  A derived constant constraint ``0 <= b`` /
+oracle, in a per-component table indexed by the literal's origin bit (below),
+so a solve reads its rows straight off the part's value key, in ascending
+atom order.  Equalities are eliminated first and variables are then
+eliminated pairwise, both by integer cross-multiplication; disequalities
+(negated equalities) are case-split.  Each pairwise step eliminates the
+variable with the fewest upper x lower row pairs, ties broken by name, and
+takes one sweep over its rows: the loop that counts every variable's rows by
+the sign of its coefficient also collects them, so the chosen variable's
+upper and lower rows come out of the choice, and only the rows without it
+take one more filter.  A derived constant constraint ``0 <= b`` /
 ``0 < b`` is contradictory iff ``b < 0``, or ``b = 0`` with the strict flag
 set.  Every scaling is by a positive factor, so a row keeps its solution set,
 the signs of its coefficients and its strictness.
@@ -57,7 +68,9 @@ oracle: bit ``2 * rank + polarity``, ``rank`` being its atom's position in
 its theory component, and a part never spans two components.  So a mask
 means the same literals in every solve of the oracle.  Combining two
 rows joins their masks, so a derived contradiction names an unsatisfiable
-subset of the part, its witness.  A disequality's split ends after the first
+subset of the part, its witness, read off the mask through the value key:
+bit ``2 * rank + value`` stands for the literal giving the component's
+``rank``-th atom that value.  A disequality's split ends after the first
 branch when that branch's contradiction does not use the branch row: it
 refutes the other branch as well.
 
@@ -243,11 +256,12 @@ def _combine(upper: Row, lower: Row, var: str):
     return _reduced(coeffs, bound) + (um | lm, strict, _next_id())
 
 
-def _eliminate_var(rows: List[Row], var: str, memo: dict, deadline: float):
-    """One Fourier-Motzkin step: the rows without ``var``, or the origin
+def _eliminate_var(
+    rows: List[Row], var: str, upper: List[Row], lower: List[Row], memo: dict, deadline: float
+):
+    """One Fourier-Motzkin step on ``var``, whose ``upper`` and ``lower``
+    rows :func:`_pick_var` collected: the rows without ``var``, or the origin
     mask (an ``int``) of a derived contradiction."""
-    upper = [r for r in rows if r[0].get(var, 0) > 0]
-    lower = [r for r in rows if r[0].get(var, 0) < 0]
     new_rows = [r for r in rows if var not in r[0]]
     get = memo.get
     for u in upper:
@@ -266,15 +280,27 @@ def _eliminate_var(rows: List[Row], var: str, memo: dict, deadline: float):
     return new_rows
 
 
-def _pick_var(rows: List[Row]) -> Optional[str]:
-    occurrence: Dict[str, Tuple[int, int]] = {}
+def _pick_var(rows: List[Row]) -> Optional[Tuple[str, List[Row], List[Row]]]:
+    """The variable with the fewest upper x lower row pairs, ties broken by
+    name, with its upper (positive) and lower (negative) rows in row order;
+    ``None`` if no row has a variable.  The one sweep that counts each
+    variable's rows by sign also collects them, so the step that follows
+    needs no sweep of its own to find them."""
+    signs: Dict[str, Tuple[List[Row], List[Row]]] = {}
     for row in rows:
         for name, c in row[0].items():
-            pos, neg = occurrence.get(name, (0, 0))
-            occurrence[name] = (pos + 1, neg) if c > 0 else (pos, neg + 1)
-    if not occurrence:
+            lists = signs.get(name)
+            if lists is None:
+                lists = signs[name] = ([], [])
+            lists[c < 0].append(row)
+    best = None
+    for name, (upper, lower) in signs.items():
+        cost = len(upper) * len(lower)
+        if best is None or cost < best_cost or (cost == best_cost and name < best):
+            best, best_cost = name, cost
+    if best is None:
         return None
-    return min(occurrence, key=lambda n: (occurrence[n][0] * occurrence[n][1], n))
+    return (best, *signs[best])
 
 
 def _fm_eliminate(rows: List[Row], memo: dict, deadline: float) -> Optional[int]:
@@ -286,10 +312,10 @@ def _fm_eliminate(rows: List[Row], memo: dict, deadline: float) -> Optional[int]
     work = [r for r in rows if r[0]]
     while True:
         _check_deadline(deadline)
-        var = _pick_var(work)
-        if var is None:
+        picked = _pick_var(work)
+        if picked is None:
             return None
-        work = _eliminate_var(work, var, memo, deadline)
+        work = _eliminate_var(work, *picked, memo, deadline)
         if isinstance(work, int):
             return work
 
@@ -393,10 +419,13 @@ class TheoryOracle:
     """The front end every backend shares: the theory-atom check, the
     component split, the verdict memos and core minimization.
 
-    A backend supplies only ``_solve(part)``, ``part`` being a ``frozenset``
-    of literals: ``(True, None)``, or ``(False, witness)`` with ``witness``
-    an unsatisfiable subset of ``part``.  ``n_raw_checks`` counts the
-    ``_solve`` calls.
+    A backend supplies ``_solve(part)``, ``part`` being a ``frozenset`` of
+    literals: ``(True, None)``, or ``(False, witness)`` with ``witness`` an
+    unsatisfiable ``frozenset`` subset of ``part``.  The front end hands a
+    part to :meth:`_solve_part` as its component's literal pairs and value
+    key; the default builds the literal ``frozenset`` and calls ``_solve``,
+    and a backend that reads the key itself (the builtin one) overrides it.
+    ``n_raw_checks`` counts the ``_solve_part`` calls.
 
     :meth:`check` is the one entry point for a query, given either as a
     value array (``values``, the engine's) or as literals, which are written
@@ -406,8 +435,7 @@ class TheoryOracle:
     memos in ``_components``, which hold every part and minimization trial
     a query needed, by the values of one component's atoms.  A repeated
     query is answered by the whole-query memo before any other work: it
-    would have solved nothing and found the same core.  The literal
-    ``frozenset`` of a part is built only for a ``_solve`` call.  Only the
+    would have solved nothing and found the same core.  Only the
     per-component memos are exported to other instances.
     """
 
@@ -459,11 +487,17 @@ class TheoryOracle:
             hit = memo.get(key)
             if hit is None:
                 self.n_raw_checks += 1
-                part = frozenset([pair[v] for pair, v in zip(pairs, key) if v != UNASSIGNED])
-                hit = memo[key] = self._solve(part)
+                hit = memo[key] = self._solve_part(pairs, key)
             if not hit[0]:
                 return hit
         return True, None
+
+    def _solve_part(self, pairs: list, key: tuple):
+        """Solve the part that value key ``key`` assigns to the component
+        whose literal pairs are ``pairs``.  By default through
+        ``_solve(part)`` on the part's literal ``frozenset``; a backend that
+        reads the key itself overrides this."""
+        return self._solve(frozenset([pair[v] for pair, v in zip(pairs, key) if v != UNASSIGNED]))
 
     def check(
         self,
@@ -557,51 +591,69 @@ class BuiltinOracle(TheoryOracle):
 
     One instance per worker; ``n_raw_checks`` counts per-component
     Fourier-Motzkin solves, and ``timeout_secs`` bounds each of them.  The
-    instance keeps each literal's row and the derivation memo its solves
-    share.
+    instance keeps each component's literal rows and the derivation memo its
+    solves share.
     """
 
     def __init__(self, table, config: Optional[OracleConfig] = None):
         super().__init__(table, config)
-        self._rows: Dict[Literal, Tuple[str, Row]] = {}
+        # Per component, by ``id`` of its literal pairs: the pairs (which
+        # keeps the id from being reused) and the component's rows.
+        self._row_tables: Dict[int, Tuple[list, list]] = {}
         self._memo: Dict[tuple, object] = {}
 
-    def _row(self, lit: Literal) -> Tuple[str, Row]:
-        """The literal's kind (``refine_literal``'s) and row, built on first
-        use.
+    def _row_table(self, pairs: list) -> list:
+        """The component's rows, built on first use: entry ``2 * rank +
+        value`` is the literal ``pairs[rank][value]``'s kind
+        (``refine_literal``'s) and row, whose origin bit is the entry's index.
 
-        Every solve shares the cached row, so the solver never mutates rows.
+        Every solve shares the table's rows, so the solver never mutates rows.
         """
-        hit = self._rows.get(lit)
+        hit = self._row_tables.get(id(pairs))
         if hit is None:
-            kind, payload = refine_literal(lit, self.table.linear_atom(lit.atom_index))
-            coeffs, bound = _integral(*payload[:2])
-            bit = self._origin_bit(lit)
-            flag = payload[2] if kind == "ineq" else bit if kind == "diseq" else None
-            hit = self._rows[lit] = (kind, (coeffs, bound, bit, flag, _next_id()))
-        return hit
-
-    def _origin_bit(self, lit: Literal) -> int:
-        """Bit ``2 * rank + polarity``, ``rank`` being the literal's atom's
-        position in its theory component."""
-        for pairs, _, _, _ in self._components:
+            rows = []
             for rank, pair in enumerate(pairs):
-                if lit in pair:
-                    return 1 << (2 * rank + lit.polarity)
-        raise OracleError(f"literal on non-theory atom {lit.atom_index}")
+                for lit in pair:
+                    kind, payload = refine_literal(lit, self.table.linear_atom(lit.atom_index))
+                    coeffs, bound = _integral(*payload[:2])
+                    bit = 1 << (2 * rank + lit.polarity)
+                    flag = payload[2] if kind == "ineq" else bit if kind == "diseq" else None
+                    rows.append((kind, (coeffs, bound, bit, flag, _next_id())))
+            hit = self._row_tables[id(pairs)] = (pairs, rows)
+        return hit[1]
 
-    def _solve(self, part: FrozenSet[Literal]):
-        """Fourier-Motzkin on one part, its rows in ascending literal order."""
-        order = sorted(part)
+    def _solve_part(self, pairs: list, key: tuple):
+        """Fourier-Motzkin on one part, its rows in ascending atom order; the
+        witness is read off the contradiction's origin bits."""
+        table = self._row_table(pairs)
         rows: Dict[str, List[Row]] = {"ineq": [], "eq": [], "diseq": []}
-        for lit in order:
-            kind, row = self._row(lit)
-            rows[kind].append(row)
+        for rank, v in enumerate(key):
+            if v != UNASSIGNED:
+                kind, row = table[2 * rank + v]
+                rows[kind].append(row)
         deadline = time.monotonic() + self.config.timeout_secs
         mask = _solve_system(rows["ineq"], rows["eq"], rows["diseq"], self._memo, deadline)
         if mask is None:
             return True, None
-        return False, frozenset(lit for lit in order if self._rows[lit][1][2] & mask)
+        return False, frozenset(
+            pair[v]
+            for rank, (pair, v) in enumerate(zip(pairs, key))
+            if v != UNASSIGNED and mask >> (2 * rank + v) & 1
+        )
+
+    def _solve(self, part: FrozenSet[Literal]):
+        """:meth:`_solve_part` on a part given as literals, all of one
+        theory component."""
+        if not part:
+            return True, None
+        polarity = {lit.atom_index: int(lit.polarity) for lit in part}
+        for pairs, _, empty, _ in self._components:
+            key = tuple(polarity.get(pair[0].atom_index, UNASSIGNED) for pair in pairs)
+            if key != empty:
+                if len(key) - key.count(UNASSIGNED) == len(polarity):
+                    return self._solve_part(pairs, key)
+                break
+        raise OracleError("a part must hold theory literals of one component")
 
 
 def _literal_pairs(atoms: Sequence[int]) -> List[Tuple[Literal, Literal]]:

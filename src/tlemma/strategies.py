@@ -61,8 +61,9 @@ way in.  The child queries ``oracle.for_forked_child()``: for the builtin
 backend that is the inherited oracle itself, a private copy holding the
 caller's whole memo; the external backend builds a new oracle warmed with
 the memo, with a solver session of its own, since a session is never
-shared.  The child sends back only its cube records and solve count,
-pickled, through a one-way pipe; the solve count is added to the caller's
+shared.  The child sends back only its cube records, in plain ints and
+tuples, and its solve count, pickled, through a one-way pipe; the caller
+rebuilds the records' lemmas and stats and adds the solve count to its
 oracle.  A child always leaves through ``os._exit``, so it never returns
 into the caller's code or runs its cleanup.  The caller reaps every child
 before phase 2 returns or raises.  A child that exits without sending its
@@ -85,7 +86,7 @@ from typing import BinaryIO, List, Optional, Sequence, Tuple
 
 from .atoms import AtomTable, Literal
 from .cnf import CnfProblem
-from .enumeration import EnumerationOutcome, enumerate_cubes, projected_allsmt
+from .enumeration import EnumerationOutcome, EnumerationStats, enumerate_cubes, projected_allsmt
 from .oracle import OracleConfig, TLemma, make_oracle
 from .partition import partition_atoms
 from .problem import Problem
@@ -320,8 +321,9 @@ def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline, earl
     In a child that is the caller's builtin oracle itself, which the fork
     made a private copy, whole memo included; an external oracle gives a
     new one warmed with its memo, since a solver session is never shared
-    between processes.  Returns the cube records and the number of solves
-    made on the way, which the caller adds to its own count.
+    between processes.  Returns the cube records, as
+    :func:`_plain_records` encodes them, and the number of solves made on
+    the way, which the caller adds to its own count.
 
     ``deadline`` is the caller's absolute ``time.monotonic()`` deadline: the
     processes of one host share that clock, so the fork counts against the
@@ -333,10 +335,51 @@ def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline, earl
         records = _share_records(
             cnf, table, oracle, seeds, share, proj, deadline, early, interval
         )
-        return records, oracle.n_raw_checks - n_before
+        return _plain_records(records), oracle.n_raw_checks - n_before
     finally:
         if oracle is not parent_oracle:
             oracle.close()
+
+
+def _plain_records(records):
+    """Share records in plain ints, tuples and strings, which pickle several
+    times faster than named tuples and dataclasses: each lemma as the codes
+    ``2 * atom + polarity`` of its literals, the stats as a tuple of their
+    fields.  :func:`_records_from_plain` inverts it."""
+    return [
+        (
+            ordinal,
+            [tuple([2 * i + p for i, p in lemma.literals]) for lemma in lemmas],
+            (stats.n_candidates, stats.n_theory_checks, stats.n_lemmas, stats.elapsed_ns),
+            n_assignments,
+            truncated,
+            oracle_error,
+        )
+        for ordinal, lemmas, stats, n_assignments, truncated, oracle_error in records
+    ]
+
+
+def _records_from_plain(plain):
+    """The share records :func:`_plain_records` encoded."""
+    literals = {}
+
+    def literal(code: int) -> Literal:
+        lit = literals.get(code)
+        if lit is None:
+            lit = literals[code] = Literal(code >> 1, bool(code & 1))
+        return lit
+
+    return [
+        (
+            ordinal,
+            [TLemma(tuple([literal(c) for c in codes])) for codes in lemmas],
+            EnumerationStats(*stats),
+            n_assignments,
+            truncated,
+            oracle_error,
+        )
+        for ordinal, lemmas, stats, n_assignments, truncated, oracle_error in plain
+    ]
 
 
 def _pin(pid: int, cpus) -> None:
@@ -441,7 +484,7 @@ def _run_shares(cnf, table, oracle, seeds, shares, cpus, *args):
             worker_error = worker_error or f"phase-2 worker {w} exited with code {code}"
             continue
         share_records, n_raw_checks = pickle.loads(payload)
-        records.extend(share_records)
+        records.extend(_records_from_plain(share_records))
         oracle.n_raw_checks += n_raw_checks
     records.sort(key=lambda record: record[0])
     return records, worker_error

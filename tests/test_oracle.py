@@ -491,6 +491,40 @@ class TestDerivationMemo:
         assert entries <= 3
 
 
+class TestValueKeyedSolve:
+    """The builtin backend's solve of a part given by its component's value
+    key against the memo-free solve on the part's literals
+    (``helpers.reference_fm_solve``): verdict and witness."""
+
+    @seed(3305)
+    @settings(max_examples=200, **_DERANDOMIZED)
+    @given(
+        atoms=st.lists(_atom_text("xyz"), min_size=1, max_size=7),
+        values=st.lists(st.sampled_from((0, 1, UNASSIGNED)), min_size=7, max_size=7),
+    )
+    @example(
+        # x and y both give 2 upper x lower pairs: x goes first, by name,
+        # and the witness holds (>= (+ x y) 1); eliminating y first finds
+        # one with (not (<= (* 2 x) 3)) instead.
+        atoms=["(< (+ (* (- 1) y) x) 1)", "(>= (+ x y) 1)", "(<= (* 2 x) 3)", "(>= y 0)"],
+        values=[1, 1, 0, 0, 0, 0, 0],
+    )
+    def test_matches_reference_on_literals(self, atoms, values):
+        p = atoms_problem(*atoms)
+        array = bytearray([UNASSIGNED]) * len(p.table)
+        for i, v in zip(p.table.theory_indices(), values):
+            array[i] = v
+        # One oracle solves every part, so later parts meet earlier rows in
+        # its derivation memo.
+        oracle = BuiltinOracle(p.table)
+        for pairs, key_of, empty, _ in oracle._components:
+            key = key_of(array)
+            if key == empty:
+                continue
+            part = frozenset(pair[v] for pair, v in zip(pairs, key) if v != UNASSIGNED)
+            assert oracle._solve_part(pairs, key) == reference_fm_solve(p.table, part)
+
+
 class TestVerdictMemo:
     """The whole-query memo in front of the per-part one answers a repeated
     query with the first verdict and no solve."""
