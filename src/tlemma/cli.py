@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .generator import random_instance
+from .generator import write_corpus
 from .lemma_io import LemmaFormatError, read_lemma_file, write_lemma_file
 from .oracle import OracleConfig, OracleError, make_oracle
 from .parser import ParseError
@@ -38,6 +38,13 @@ def _positive_secs(text: str) -> float:
     return value
 
 
+def _nonnegative_secs(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 seconds, got {text}")
+    return value
+
+
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--oracle-cmd",
@@ -58,9 +65,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         "concurrent runs disjoint affinities), "
         "and lemma provenance names the worker, whatever process ran its cube",
     )
-    p.add_argument("--budget-secs", type=float, default=60.0)
-    p.add_argument("--early-pruning", choices=("on", "off"), default="off")
-    p.add_argument("--pruning-interval", type=int, default=8)
+    p.add_argument("--budget-secs", type=_nonnegative_secs, default=60.0)
     p.add_argument("--subsume", action="store_true")
 
 
@@ -77,8 +82,6 @@ def _spec_from_args(args, name: str) -> StrategySpec:
     return StrategySpec.from_name(
         name,
         workers=args.workers,
-        early_pruning=args.early_pruning == "on",
-        pruning_interval=args.pruning_interval,
         budget_secs=args.budget_secs,
         subsume=args.subsume,
     )
@@ -188,15 +191,9 @@ def cmd_gen(args) -> int:
         return EXIT_ERROR
     out_dir = Path(args.out_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for k in range(args.count):
-            seed = args.seed + k
-            text = random_instance(
-                args.depth, args.n_bool, args.n_real, seed, args.max_atoms
-            )
-            (out_dir / f"gen_d{args.depth}_s{seed}.smt2").write_text(
-                text, encoding="utf-8"
-            )
+        write_corpus(
+            out_dir, args.count, args.depth, args.n_bool, args.n_real, args.seed, args.max_atoms
+        )
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -3,22 +3,23 @@
 The engine is a deterministic DPLL search: two-watched-literal propagation,
 chronological backtracking (no clause learning), branching on the lowest
 unassigned projection atom first, then the remaining atoms, then Tseitin
-labels, positive polarity first.  Every total candidate is checked against
-the theory oracle; conflicts turn into lemma clauses, satisfiable candidates
-are projected and recorded.  Two runs with identical inputs produce
-identical outcomes, literal for literal.
+labels, positive polarity first.  The theory is consulted on total
+candidates only, each checked once against the theory oracle: a conflict
+turns into a lemma clause, a consistent candidate is projected and recorded.
+Two runs with identical inputs produce identical outcomes, literal for
+literal.
 
 The search is one loop, :meth:`_Engine.run`, that holds the engine's state
 in local variables.  The deadline is read once before the first
 propagation; then each iteration reads it again, propagates, and either
-decides the next branch variable, or handles a total candidate
-(the theory check, the cube snapshot), or turns an early-pruning conflict
-into a lemma.  Every path that does not decide ends in the same
-backtracking code: pop the decisions the conflict or the cube closed, unwind
-the trail once, flip the deepest open decision, and replay the unit lemmas
-the run added, if any.  Propagation stays a method, :meth:`_Engine._propagate`:
-its time goes to its own loop over the watch lists, not to the one call per
-iteration.  So do the rare events: a lemma, and a replay of the unit lemmas.
+decides the next branch variable, or checks the total candidate it reached
+and emits a lemma or records a cube.  Every path that does not decide ends
+in the same backtracking code: pop the decisions the propagation conflict,
+the lemma or the cube closed, unwind the trail once, flip the deepest open
+decision, and replay the unit lemmas the run added, if any.  Propagation
+stays a method, :meth:`_Engine._propagate`: its time goes to its own loop
+over the watch lists, not to the one call per iteration.  So do the rare
+events: a lemma, and a replay of the unit lemmas.
 
 After recording a cube the search backtracks below the cube's deepest
 literal on the trail and takes the untried branch of the deepest open
@@ -63,7 +64,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from .atoms import UNASSIGNED, AtomKind, Literal
 from .cnf import CnfProblem
-from .oracle import OracleError, TheoryVerdict, TLemma, lemma_from_core, value_reader
+from .oracle import OracleError, TheoryVerdict, TLemma, lemma_from_core
 
 
 class EnumerationMode(enum.Enum):
@@ -168,9 +169,9 @@ class _Engine:
     clause's deepest literal do not depend on them.
 
     :meth:`run` is the whole search, one loop over locals.  Decisions,
-    candidates and backtracking happen inline in it; so does the theory
-    check, through the oracle's public ``check(values=...)``, whose
-    :class:`OracleError` ends the loop once, for every check site.
+    candidates and backtracking happen inline in it; so does the one theory
+    check per candidate, through the oracle's public ``check(values=...)``,
+    whose :class:`OracleError` ends the loop.
     :meth:`_propagate` stays a method: it is called once per iteration, and
     its own loop over the watch lists, not the call, is where its time goes;
     inlined, its return on a conflict would need a flag in the loop.
@@ -190,24 +191,17 @@ class _Engine:
         oracle,
         seed_lemmas: Sequence[TLemma],
         deadline: Optional[float],
-        early_pruning: bool,
-        pruning_interval: int,
     ):
         self.oracle = oracle
         self.deadline = deadline
-        self.early_pruning = early_pruning
-        self.pruning_interval = max(1, pruning_interval)
 
         self.n_atoms = len(cnf.alpha_indices)
         self.n_vars = cnf.n_vars
         self.proj_sorted = sorted(set(proj))
 
-        self.theory_vars = [
-            i for i in range(self.n_atoms) if table.kind_of(i) is AtomKind.THEORY
-        ]
-        # Reads the theory atoms' values: all UNASSIGNED means no query.
-        self.theory_values = value_reader(self.theory_vars)
-        self.no_theory_values = (UNASSIGNED,) * len(self.theory_vars)
+        self.has_theory = any(
+            table.kind_of(i) is AtomKind.THEORY for i in range(self.n_atoms)
+        )
 
         proj_set = set(self.proj_sorted)
         rest = [i for i in range(self.n_atoms) if i not in proj_set]
@@ -420,14 +414,6 @@ class _Engine:
         stats = self.stats
         propagate = self._propagate
         check = self.oracle.check
-        # A candidate assigns every variable, so it has a theory query iff
-        # there are theory atoms.
-        has_theory = bool(self.theory_vars)
-        early_pruning = self.early_pruning
-        pruning_interval = self.pruning_interval
-        theory_values = self.theory_values
-        no_theory_values = self.no_theory_values
-        since_prune = 0
         try:
             while alive:
                 if deadline is not None and time.monotonic() > deadline:
@@ -442,50 +428,37 @@ class _Engine:
                 if propagate():
                     deepest = len(trail)
                 else:
-                    conflict = None
-                    if early_pruning and since_prune >= pruning_interval:
-                        since_prune = 0
-                        if theory_values(values) != no_theory_values:
-                            stats.n_theory_checks += 1
-                            verdict = check(values=values)
-                            if not verdict.satisfiable:
-                                conflict = verdict
-                    if conflict is None:
-                        # Decide the first unassigned variable in branch
-                        # order, positive first.  The scan resumes after the
-                        # last decision's variable: every variable before it
-                        # was assigned when it was decided, on a lower level,
-                        # and chronological backtracking unwinds no lower
-                        # level without popping that decision.
-                        rank = decisions[-1][2] + 1 if decisions else 0
-                        while rank < n_order and values[order[rank]] != UNASSIGNED:
-                            rank += 1
-                        if rank < n_order:
-                            var = order[rank]
-                            decisions.append([len(trail), 0, rank])
-                            values[var] = 1
-                            pos_in_trail[var] = len(trail)
-                            trail.append(var * 2)
-                            since_prune += 1
-                            continue
-                        # A total candidate.
-                        stats.n_candidates += 1
-                        if has_theory:
-                            stats.n_theory_checks += 1
-                            verdict = check(values=values)
-                            if not verdict.satisfiable:
-                                conflict = verdict
-                        if conflict is None:
-                            out_cubes.append(bytes(values))
-                            if not n_proj:
-                                break  # the empty cube holds every model
-                            # Back to the deepest projection decision: every
-                            # branch of a later decision extends the cube.
-                            while decisions and decisions[-1][2] >= n_proj:
-                                decisions.pop()
-                            deepest = len(trail)
-                    if conflict is not None:
-                        deepest = self._emit_lemma(conflict)
+                    # Decide the first unassigned variable in branch order,
+                    # positive first.  The scan resumes after the last
+                    # decision's variable: every variable before it was
+                    # assigned when it was decided, on a lower level, and
+                    # chronological backtracking unwinds no lower level
+                    # without popping that decision.
+                    rank = decisions[-1][2] + 1 if decisions else 0
+                    while rank < n_order and values[order[rank]] != UNASSIGNED:
+                        rank += 1
+                    if rank < n_order:
+                        var = order[rank]
+                        decisions.append([len(trail), 0, rank])
+                        values[var] = 1
+                        pos_in_trail[var] = len(trail)
+                        trail.append(var * 2)
+                        continue
+                    # A total candidate: a theory conflict becomes a lemma,
+                    # a consistent candidate a cube.
+                    stats.n_candidates += 1
+                    verdict = check(values=values)
+                    if not verdict.satisfiable:
+                        deepest = self._emit_lemma(verdict)
+                    else:
+                        out_cubes.append(bytes(values))
+                        if not n_proj:
+                            break  # the empty cube holds every model
+                        # Back to the deepest projection decision: every
+                        # branch of a later decision extends the cube.
+                        while decisions and decisions[-1][2] >= n_proj:
+                            decisions.pop()
+                        deepest = len(trail)
                 # Chronological backtracking: drop the decisions above
                 # ``deepest``, whose subtrees all falsify the new clause, and
                 # those whose both branches are done; unwind the trail once,
@@ -519,6 +492,11 @@ class _Engine:
             # so far is returned.
             truncated = True
             oracle_error = str(exc)
+        # A candidate assigns every variable, so it has a theory query iff
+        # there are theory atoms: one per candidate, the one an oracle fault
+        # cut short included.  Without them the query is empty, and the
+        # oracle calls it consistent without a solve.
+        stats.n_theory_checks = stats.n_candidates if self.has_theory else 0
         stats.elapsed_ns = time.monotonic_ns() - start
         return EnumerationOutcome(
             cubes=out_cubes,
@@ -546,8 +524,6 @@ def projected_allsmt(
     *,
     assumptions: Sequence[Literal] = (),
     deadline: Optional[float] = None,
-    early_pruning: bool = False,
-    pruning_interval: int = 8,
 ) -> EnumerationOutcome:
     """Enumerate theory-satisfiable assignments projected on ``proj``.
 
@@ -558,14 +534,7 @@ def projected_allsmt(
     failure's message in ``oracle_error``.
     """
     engine = _Engine(
-        cnf,
-        table,
-        _checked_projection(cnf, proj),
-        oracle,
-        seed_lemmas,
-        deadline,
-        early_pruning,
-        pruning_interval,
+        cnf, table, _checked_projection(cnf, proj), oracle, seed_lemmas, deadline
     )
     return engine.run(assumptions)
 
@@ -579,8 +548,6 @@ def enumerate_cubes(
     cubes: Iterable[Sequence[Literal]],
     *,
     deadline: Optional[float] = None,
-    early_pruning: bool = False,
-    pruning_interval: int = 8,
 ) -> List[EnumerationOutcome]:
     """One enumeration per cube, each under the cube's literals as
     assumptions; one outcome per cube, in order.
@@ -590,13 +557,6 @@ def enumerate_cubes(
     re-run per cube.  Every cube runs, even after an earlier one truncated.
     """
     engine = _Engine(
-        cnf,
-        table,
-        _checked_projection(cnf, proj),
-        oracle,
-        seed_lemmas,
-        deadline,
-        early_pruning,
-        pruning_interval,
+        cnf, table, _checked_projection(cnf, proj), oracle, seed_lemmas, deadline
     )
     return [engine.run(cube) for cube in cubes]

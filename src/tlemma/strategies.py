@@ -103,8 +103,6 @@ class StrategySpec:
     projection: bool = False
     partitioning: bool = False
     workers: int = 1
-    early_pruning: bool = False
-    pruning_interval: int = 8
     budget_secs: Optional[float] = None
     subsume: bool = False
 
@@ -113,6 +111,9 @@ class StrategySpec:
             raise ValueError(f"unknown base strategy '{self.base}'")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.budget_secs is not None and not self.budget_secs >= 0:
+            # NaN compares false with every deadline, so it would mean no budget.
+            raise ValueError(f"budget must be >= 0 seconds, got {self.budget_secs}")
         if self.partitioning and not self.projection:
             # Partitioning enumerates per-component projections, which also
             # excludes the Boolean atoms; it subsumes plain projection.
@@ -276,8 +277,6 @@ def enumerate_baseline(
         oracle,
         seed_lemmas=seed_lemmas,
         deadline=deadline,
-        early_pruning=spec.early_pruning,
-        pruning_interval=spec.pruning_interval,
     )
     counters.absorb(outcome)
     lemma_set = dedup_lemmas(
@@ -288,7 +287,7 @@ def enumerate_baseline(
     return lemma_set
 
 
-def _share_records(cnf, table, oracle, seeds, share, proj, deadline, early, interval):
+def _share_records(cnf, table, oracle, seeds, share, proj, deadline):
     """Run one seeded enumeration per ``(ordinal, literals)`` cube of
     ``share``, on one engine.
 
@@ -298,15 +297,7 @@ def _share_records(cnf, table, oracle, seeds, share, proj, deadline, early, inte
     worker.
     """
     outcomes = enumerate_cubes(
-        cnf,
-        table,
-        proj,
-        oracle,
-        seeds,
-        [cube for _, cube in share],
-        deadline=deadline,
-        early_pruning=early,
-        pruning_interval=interval,
+        cnf, table, proj, oracle, seeds, [cube for _, cube in share], deadline=deadline
     )
     return [
         (ordinal, o.lemmas, o.stats, len(o.cubes), o.truncated, o.oracle_error)
@@ -314,7 +305,7 @@ def _share_records(cnf, table, oracle, seeds, share, proj, deadline, early, inte
     ]
 
 
-def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline, early, interval):
+def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline):
     """Run one share of the cubes on ``parent_oracle.for_forked_child()``,
     the entry of a forked phase-2 child.
 
@@ -332,9 +323,7 @@ def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline, earl
     oracle = parent_oracle.for_forked_child()
     n_before = oracle.n_raw_checks
     try:
-        records = _share_records(
-            cnf, table, oracle, seeds, share, proj, deadline, early, interval
-        )
+        records = _share_records(cnf, table, oracle, seeds, share, proj, deadline)
         return _plain_records(records), oracle.n_raw_checks - n_before
     finally:
         if oracle is not parent_oracle:
@@ -542,8 +531,6 @@ def enumerate_dnc(
         oracle,
         seed_lemmas=seed_lemmas,
         deadline=deadline,
-        early_pruning=spec.early_pruning,
-        pruning_interval=spec.pruning_interval,
     )
     counters.absorb(phase1)
     collected: List[TLemma] = list(phase1.lemmas)
@@ -561,18 +548,7 @@ def enumerate_dnc(
     cpus = _usable_cpus()
     n_shares = min(spec.workers, len(cpus), len(cubes))
     shares = [cubes[p::n_shares] for p in range(n_shares)]
-    records, worker_error = _run_shares(
-        cnf,
-        table,
-        oracle,
-        seeds,
-        shares,
-        cpus,
-        proj,
-        deadline,
-        spec.early_pruning,
-        spec.pruning_interval,
-    )
+    records, worker_error = _run_shares(cnf, table, oracle, seeds, shares, cpus, proj, deadline)
 
     truncated = worker_error is not None
     oracle_error = None

@@ -121,6 +121,30 @@ class TestEnumerate:
         assert "--oracle-timeout-secs: must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("secs", ["nan", "-1", "0"])
+    def test_budget_must_not_be_negative_or_nan(self, tmp_path, secs, capsys):
+        # NaN would disable the budget and -1 would truncate the run at
+        # once; 0 stays valid, and truncates.
+        from tlemma.generator import clausal_instance
+
+        big = tmp_path / "big.smt2"
+        big.write_text(clausal_instance(0))
+        out = tmp_path / "big.lemmas"
+        rc = main(
+            ["enumerate", "-i", str(big), "-o", str(out), "--budget-secs", secs,
+             "--workers", "1"]
+        )
+        if secs == "0":
+            assert rc == EXIT_TRUNCATED and out.is_file()
+        else:
+            assert rc == 1
+            assert "--budget-secs: must be >= 0" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--early-pruning", "on"], ["--pruning-interval", "1"]])
+    def test_pruning_flags_are_gone(self, instance, flag):
+        assert main(["enumerate", "-i", str(instance), *flag]) == 1
+
     @pytest.mark.parametrize("flag", ["-o", "--stats"])
     def test_unwritable_output_is_an_error(self, tmp_path, instance, flag, capsys):
         target = tmp_path / "missing" / "out"

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -141,19 +140,11 @@ class TestTotalMode:
                         for eta in ctta
                         if set(assumptions) <= eta
                     }
-                    for early in (False, True):
-                        out = run(
-                            p,
-                            proj=proj,
-                            oracle=oracle,
-                            assumptions=assumptions,
-                            early_pruning=early,
-                            pruning_interval=1,
-                        )
-                        got = [a.literals for a in out.assignments]
-                        assert len(set(got)) == len(got), (proj, assumptions, early)
-                        assert set(got) == want, (proj, assumptions, early)
-                        assert len(out.cubes) == len(got)
+                    out = run(p, proj=proj, oracle=oracle, assumptions=assumptions)
+                    got = [a.literals for a in out.assignments]
+                    assert len(set(got)) == len(got), (proj, assumptions)
+                    assert set(got) == want, (proj, assumptions)
+                    assert len(out.cubes) == len(got)
 
     def test_cubes_are_counted_as_recorded(self):
         # One snapshot per recorded cube, and one assignment decoded from
@@ -181,26 +172,18 @@ class TestTotalMode:
         for p in problems:
             oracle = BuiltinOracle(p.table)
             proj = list(p.cnf.alpha_indices)
-            for split, early in itertools.product((proj, phase1_prefix(proj)), (False, True)):
+            for split in (proj, phase1_prefix(proj)):
                 phase1 = run(p, split, oracle=oracle)
                 cubes = [a.sorted_literals() for a in phase1.assignments]
-                shared = enumerate_cubes(
-                    p.cnf, p.table, proj, oracle, phase1.lemmas, cubes, early_pruning=early
-                )
+                shared = enumerate_cubes(p.cnf, p.table, proj, oracle, phase1.lemmas, cubes)
                 assert len(shared) == len(cubes)
                 for cube, got in zip(cubes, shared):
-                    want = run(
-                        p,
-                        oracle=oracle,
-                        seed_lemmas=phase1.lemmas,
-                        assumptions=cube,
-                        early_pruning=early,
-                    )
-                    assert got.assignments == want.assignments, (cube, early)
-                    assert got.lemmas == want.lemmas, (cube, early)
+                    want = run(p, oracle=oracle, seed_lemmas=phase1.lemmas, assumptions=cube)
+                    assert got.assignments == want.assignments, cube
+                    assert got.lemmas == want.lemmas, cube
                     assert replace(got.stats, elapsed_ns=0) == replace(
                         want.stats, elapsed_ns=0
-                    ), (cube, early)
+                    ), cube
                     assert got.truncated == want.truncated
 
 
@@ -285,38 +268,6 @@ class TestHelpers:
             Assignment.of([L(3)], [0, 1])
 
 
-class TestEarlyPruning:
-    def test_finds_conflicts_before_leaves(self):
-        p = Problem.from_text(
-            "(declare-const a Bool)(declare-const b Bool)(declare-const x Real)"
-            "(assert (and (= x 0) (= x 1) (or a (not a)) (or b (not b))))"
-        )
-        oracle = BuiltinOracle(p.table)
-        pruned = run(
-            p,
-            oracle=oracle,
-            early_pruning=True,
-            pruning_interval=1,
-        )
-        assert pruned.assignments == []
-        assert len(pruned.lemmas) == 1
-
-    def test_lemma_set_still_rules_out(self):
-        for seed in (5, 6, 7):
-            p = random_problem(depth=4, seed=5000 + seed)
-            oracle = BuiltinOracle(p.table)
-            out = run(
-                p,
-                oracle=oracle,
-                early_pruning=True,
-                pruning_interval=2,
-            )
-            from tlemma.verifier import rules_out
-
-            cls = classify(p.term, p.table, oracle)
-            assert rules_out(out.lemmas, cls.itta)
-
-
 def _golden_problems():
     """The instances :class:`TestGolden` pins, by test id."""
     problems = {
@@ -343,43 +294,38 @@ def _outcome_record(out) -> str:
 def _engine_digest(p: Problem) -> str:
     oracle = BuiltinOracle(p.table)
     everything = list(p.cnf.alpha_indices)
-    records = []
-    for proj in (everything, p.table.theory_indices()):
-        for early, interval in ((False, 8), (True, 1), (True, 8)):
-            out = run(p, proj, oracle=oracle, early_pruning=early, pruning_interval=interval)
-            records.append(_outcome_record(out))
+    records = [
+        _outcome_record(run(p, proj, oracle=oracle))
+        for proj in (everything, p.table.theory_indices())
+    ]
     phase1 = run(p, phase1_prefix(everything), oracle=oracle)
     records.append(_outcome_record(phase1))
     cubes = [a.sorted_literals() for a in phase1.assignments]
-    for early in (False, True):
-        for out in enumerate_cubes(
-            p.cnf, p.table, everything, oracle, phase1.lemmas, cubes,
-            early_pruning=early, pruning_interval=1,
-        ):
-            records.append(_outcome_record(out))
+    for out in enumerate_cubes(p.cnf, p.table, everything, oracle, phase1.lemmas, cubes):
+        records.append(_outcome_record(out))
     return hashlib.sha256("\n".join(records).encode()).hexdigest()
 
 
-# Recorded from the search that preceded the single-loop engine; any change
-# to branching order, polarity, watch order, clause order or backtracking
-# shows up here as a different digest.
+# Recorded from the engine before early pruning was deleted; any change to
+# branching order, polarity, watch order, clause order or backtracking shows
+# up here as a different digest.
 GOLDEN_DIGESTS = {
-    "clausal-0": "25ab5f787d904fb5990c7547657f4537a50cadc8d7310747401c2b49fb6a1347",
-    "clausal-1": "741f2c2ca1c4f9b3a86543c2329648acb15654d2b3dcdb6a575a4b7f1ec48a9c",
-    "clausal-2": "785a6b0a6d32a4e001252137f5a39098aca6fe2eb189211a2ece0035404adf07",
-    "clausal-3": "f03f7883efcba9af9441f71361c6319b12e466ce3e11384f2cc421acfe5eba6f",
-    "clausal-4": "b79d32d449b902eb853c3cd45a8e0f97b561ddf5b723e5e682f4da145b3f3f45",
-    "clausal-5": "44b2aa562c453dee961ee1c38e2bdcdd61bf257b41c174a9871632c4c326ae3e",
-    "clausal-6": "b44b1b2f51fd924b963c8ea7f2847fa634755ef5195434dd613b2b3bb81ac221",
-    "clausal-7": "b5883834d49d7b9f7abb39075f86eb84c8c661e2344d56892b3ffd363784f6df",
-    "unit-lemma": "88a6b3f90aa4e8ad67181e25cc402f22748cf4fe0afa330aeab6d940cce8bdf4",
+    "clausal-0": "ca794d073e668f428dd0882eece6462f8deed304a114d6c2117d78912baa6412",
+    "clausal-1": "787e8a105afd5446085a427c1360959d077a69bb56b073a0a168d969827957fd",
+    "clausal-2": "9ab89d2e19ce79b44566e96e45b20dd5d62de9676434f0a0e3e38850205e5e2e",
+    "clausal-3": "e5d926ec30475669be596bf5045cabba9a783a1ddbe0616d4471b5bae3f08148",
+    "clausal-4": "fbd970822c250ea478eda95193bf40540024be7177e77b455e2ee1fbd0ba6202",
+    "clausal-5": "6001850a688b7906f4d7ae12db42fdc39bbded2e12b0cc008c28efdc454ce3f9",
+    "clausal-6": "a28be98a65981bb1a17efea67dbf796a296fdcf56101cbffa72696be83431b18",
+    "clausal-7": "405206e2a9f9051fc6abf8c2b15bf74bd46bd546a0b80bb10cbec68e0642b527",
+    "unit-lemma": "20d199ba29217f8c5648e4b462ef8d0ce89ec2791e7b3f6a9391ae4816e15275",
 }
 
 
 class TestGolden:
     """The engine's exact output, pinned: cubes and lemmas in the order
-    found and the counters, over whole and theory projections, early
-    pruning at intervals 1 and 8, and DnC-style cube runs."""
+    found and the counters, over whole and theory projections and
+    DnC-style cube runs."""
 
     @pytest.mark.parametrize("name", sorted(_golden_problems()))
     def test_output_is_pinned(self, name):

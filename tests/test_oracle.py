@@ -340,8 +340,8 @@ def _memo_by_part(oracle):
 @st.composite
 def _query_sequences(draw):
     """Atoms over two or three disjoint symbol groups, maybe a Boolean atom,
-    a pool of value arrays (partial ones included, as early pruning makes)
-    with two spare entries past the atoms, as an engine's labels, and a
+    a pool of value arrays (partial ones included, as a query by literals
+    makes) with two spare entries past the atoms, as an engine's labels, and a
     sequence of (pool index, query kind) steps, which repeats queries."""
     atoms = []
     for symbols in ("xy", "uv", "pq")[: draw(st.integers(2, 3))]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -64,6 +65,12 @@ class TestSpec:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             StrategySpec(workers=0)
+
+    def test_budget_validated(self):
+        for bad in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="budget must be >= 0"):
+                StrategySpec(budget_secs=bad)
+        assert StrategySpec(budget_secs=0.0).budget_secs == 0.0
 
 
 class TestBaseline:
@@ -274,8 +281,6 @@ class TestDnc:
             cubes,
             list(two_vals.cnf.alpha_indices),
             time.monotonic() - 1.0,
-            False,
-            8,
         )
         assert [r[0] for r in records] == [0, 1]
         assert all(r[4] for r in records)
@@ -463,7 +468,7 @@ class TestDnc:
             oracle = oracle_for(p)
             phase1 = projected_allsmt(p.cnf, p.table, phase1_prefix(proj), oracle)
             cubes = list(enumerate(a.sorted_literals() for a in phase1.assignments))
-            args = (proj, None, False, 8)
+            args = (proj, None)
             for share in (cubes[0::2], cubes[1::2]):
                 warmed = make_oracle(p.table, oracle.config)
                 warmed.import_memo(oracle.export_memo())
@@ -760,6 +765,55 @@ class TestRunStrategy:
         assert res.truncated
         assert stages == ["baseline:component0", "baseline:component1"]
         assert first <= res.lemma_set.keys()
+
+
+def _strategy_digest(p: Problem) -> str:
+    """Every strategy's run on ``p``, the ``dnc`` ones on 1 and 2 workers:
+    the lemma file's bytes, the provenance, the counters and, on 1 worker,
+    the oracle's solve count, which on 2 depends on how many processes
+    ran."""
+    records = []
+    for name in STRATEGY_NAMES:
+        for workers in (1, 2) if name.startswith("dnc") else (1,):
+            oracle = oracle_for(p)
+            res = run_strategy(p, StrategySpec.from_name(name, workers=workers), oracle=oracle)
+            text = render_lemma_script(res.lemma_set.lemmas, p.table)
+            records.append(repr((
+                name,
+                workers,
+                hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                res.lemma_set.provenance,
+                res.counters,
+                res.truncated,
+                oracle.n_raw_checks if workers == 1 else None,
+            )))
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+# Recorded from the engine that still had early pruning, which no strategy
+# turned on: the strategies' outputs did not change when it was deleted.
+STRATEGY_GOLDEN_DIGESTS = {
+    0: "a67b7914488418784cb92dc8907d1d85deb2f1275d08d683eb3c5d7458fe9abe",
+    1: "6aa6710188a95dbb880cca53490bb32d1955e3101b8915c3eb1f5dfac92d2b5b",
+    2: "faac6545835ebc1f126f771ca993d01a66f277a0a41571c5c66920015d4275c2",
+    3: "93fad3bc1cacafeecac5247f49d658d769fa5006dda2bdd996f92c369eb4c8a6",
+    4: "b1e59aab837f5f7a862cbf2f43934b4cb8ed58af366b16a663ea178600690349",
+    5: "2d33f85fd3c6c724bc048e68375507bc1f716dc13fa7ded24f9d6fd84d070c0e",
+    6: "1921d366c5cf666845e86a4a19a6e5da0bb6e1dbe2432d20477235edd2f2cafb",
+    7: "b85d3c8efa8eceeb36150d1232d47c7e0c1c6bb39df3ea061c535e57367389c4",
+}
+
+
+class TestGolden:
+    """The strategies' exact output on the clausal instances that
+    ``test_enumeration.TestGolden`` pins the engine on."""
+
+    @pytest.mark.parametrize("instance", range(8))
+    def test_output_is_pinned(self, instance):
+        p = Problem.from_text(
+            clausal_instance(instance, n_bool=8, n_real=3, n_theory=6, n_clauses=20)
+        )
+        assert _strategy_digest(p) == STRATEGY_GOLDEN_DIGESTS[instance]
 
 
 # The three generator families, each kept to 12 atoms or fewer so that the
