@@ -16,7 +16,7 @@ from .oracle import (
     lemma_from_core,
     make_oracle,
 )
-from .parser import ParseError, UnsupportedConstructError, parse_file, parse_smtlib
+from .parser import ParseError, UnsupportedConstructError, parse_smtlib
 from .partition import Partition, partition_atoms
 from .problem import Problem
 from .strategies import (
@@ -34,7 +34,6 @@ from .terms import LinearAtom, Relation, Term, TermBank, normalize_linear
 from .verifier import (
     CapExceeded,
     Classification,
-    check_strategy,
     classify,
     rules_out,
 )

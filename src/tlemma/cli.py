@@ -21,7 +21,7 @@ from .parser import ParseError
 from .problem import Problem
 from .stats import RunStats, lower_median, write_csv, write_jsonl
 from .strategies import STRATEGY_NAMES, StrategySpec, run_strategy
-from .verifier import CapExceeded, check_lemma_set
+from .verifier import DEFAULT_CAP, CapExceeded, check_lemma_set
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
     finally:
         oracle.close()
     print(f"lemmas: {len(lemmas)}")
-    print(f"itta: {len(cls.itta)}  ctta: {len(cls.ctta)}")
+    print(f"itta: {cls.n_itta}  ctta: {cls.n_ctta}")
     print(f"rules-out: {'ok' if ok_rules else 'FAIL'}")
     print(f"lemma-validity: {'ok' if ok_valid else 'FAIL'}")
     print(f"lemma-atoms-theory: {'ok' if ok_atoms else 'FAIL'}")
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a lemma file against an instance")
     p_verify.add_argument("-i", "--input", required=True)
     p_verify.add_argument("-l", "--lemmas", required=True)
-    p_verify.add_argument("--cap", type=int, default=20)
+    p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_oracle_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

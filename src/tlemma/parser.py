@@ -493,7 +493,3 @@ def _declare(conv: _Converter, name: str, sort: str, cmd: SList) -> None:
         raise ParseError(f"symbol '{name}' redeclared with a different sort", *conv.pos(cmd))
     conv.sorts[name] = sort
 
-
-def parse_file(path, bank=None, table=None) -> Tuple[Term, AtomTable]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_smtlib(fh.read(), bank, table)

@@ -1,22 +1,24 @@
 """Ground-truth classification of total assignments and rules-out checking.
 
-Everything here is brute force by design: the propositional side is computed
-as a full truth table (held as one big-integer bitmask, one bit per total
-assignment), the theory side asks the oracle once per distinct theory-literal
-set.  Memoizing theory verdicts by literal set is sound because verdicts
-depend on nothing else.
+Brute force by design, with every set of total assignments held as one
+big-integer mask: bit ``i`` is the assignment making atom ``j`` true iff bit
+``j`` of ``i`` is set.  The propositional side is the formula's truth table.
+The theory side asks the oracle once per theory-literal pattern (2^T queries
+for T theory atoms), as a verdict depends on nothing else, and spreads the
+verdicts over the Boolean atoms with O(n * 2^n) bit work, no loop over single
+assignments.  The four completeness assertions are then mask equalities.
+The masks have 2^n bits, so ``cap`` still bounds all n atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import AtomKind, AtomTable, Literal, boolean_abstraction
 from .enumeration import Assignment
 from .oracle import TLemma
-from .problem import Problem
-from .strategies import RunCounters, StrategySpec, run_strategy
 from .terms import Term, TermKind
 
 
@@ -97,67 +99,89 @@ def clause_bits(literals: Iterable[Literal], n_atoms: int) -> int:
     return out
 
 
-def _assignment_from_index(
-    i: int, pairs: Sequence[Tuple[Literal, Literal]], scope: FrozenSet[int]
-) -> Assignment:
-    """The total assignment that makes atom j true iff bit j of ``i`` is set.
+def _decode(mask: int, n_atoms: int) -> List[Assignment]:
+    """The total assignments of ``mask``'s set bits, in ascending index
+    order, read off its binary digits: linear in the mask's length."""
+    pairs = [(Literal(j, False), Literal(j, True)) for j in range(n_atoms)]
+    scope = frozenset(range(n_atoms))
+    digits = bin(mask)[:1:-1]  # least significant first
+    out: List[Assignment] = []
+    i = digits.find("1")
+    while i >= 0:
+        lits = frozenset([pair[(i >> j) & 1] for j, pair in enumerate(pairs)])
+        out.append(Assignment(lits, scope))
+        i = digits.find("1", i + 1)
+    return out
 
-    ``pairs[j]`` holds atom j's negative and positive literal, and ``scope``
-    every atom: all the assignments of one classification share them, and
-    one read off an index needs no validating.
-    """
-    return Assignment(frozenset([pair[(i >> j) & 1] for j, pair in enumerate(pairs)]), scope)
 
-
-@dataclass
+@dataclass(frozen=True)
 class Classification:
-    """Total assignments over the atom set, split four ways."""
+    """Total assignments over the atom set, split four ways, as two masks.
 
-    ctta: List[Assignment]
-    itta: List[Assignment]
-    neg_ctta: int
-    neg_itta: int
+    ``models`` is the formula's truth table; bit ``i`` of ``inconsistent``
+    is set iff assignment ``i`` is theory-inconsistent.  The counts are
+    popcounts.  ``itta`` (satisfying, inconsistent) and ``ctta``
+    (satisfying, consistent) are decoded on every read, in ascending index
+    order, and never cached, so a classification stays three ints.
+    """
+
+    n_atoms: int
+    models: int
+    inconsistent: int
 
     @property
     def n_total(self) -> int:
-        return len(self.ctta) + len(self.itta) + self.neg_ctta + self.neg_itta
+        return 1 << self.n_atoms
+
+    @property
+    def n_itta(self) -> int:
+        return (self.models & self.inconsistent).bit_count()
+
+    @property
+    def n_ctta(self) -> int:
+        return (self.models & ~self.inconsistent).bit_count()
+
+    @property
+    def neg_itta(self) -> int:
+        return (self.inconsistent & ~self.models).bit_count()
+
+    @property
+    def neg_ctta(self) -> int:
+        return self.n_total - (self.models | self.inconsistent).bit_count()
+
+    @property
+    def itta(self) -> List[Assignment]:
+        return _decode(self.models & self.inconsistent, self.n_atoms)
+
+    @property
+    def ctta(self) -> List[Assignment]:
+        return _decode(self.models & ~self.inconsistent, self.n_atoms)
 
 
 def classify(phi: Term, table: AtomTable, oracle, cap: int = DEFAULT_CAP) -> Classification:
     """Split all total assignments by propositional satisfaction and theory
-    consistency, asking the oracle once per distinct theory-literal set."""
+    consistency, asking the oracle once per theory-literal pattern."""
     n = len(table)
     if n > cap:
         raise CapExceeded(f"{n} atoms exceed the verification cap of {cap}")
-    abstract = boolean_abstraction(phi, table)
-    tt = truth_table_bits(abstract, n)
-    theory_idx = [i for i in range(n) if table.kind_of(i) is AtomKind.THEORY]
-    # Keyed by the theory atoms' bits of the assignment's index, which name
-    # its theory-literal set.
-    theory_mask = sum(1 << j for j in theory_idx)
-    memo: Dict[int, bool] = {}
-    ctta: List[Assignment] = []
-    itta: List[Assignment] = []
-    pairs = [(Literal(j, False), Literal(j, True)) for j in range(n)]
-    scope = frozenset(range(n))
-    neg_ctta = neg_itta = 0
-    for i in range(1 << n):
-        key = i & theory_mask
-        sat = memo.get(key)
-        if sat is None:
-            lits = frozenset(Literal(j, bool((i >> j) & 1)) for j in theory_idx)
-            sat = oracle.is_satisfiable(lits) if lits else True
-            memo[key] = sat
-        prop = bool((tt >> i) & 1)
-        if prop and sat:
-            ctta.append(_assignment_from_index(i, pairs, scope))
-        elif prop:
-            itta.append(_assignment_from_index(i, pairs, scope))
-        elif sat:
-            neg_ctta += 1
+    models = truth_table_bits(boolean_abstraction(phi, table), n)
+    theory = table.theory_indices()
+    # Pattern k gives the t-th theory atom bit t of k.  With the atoms in
+    # descending order, ``product`` yields the patterns by ascending k: the
+    # order in which ascending assignment indices first meet them.
+    patterns = product(*[(Literal(j, False), Literal(j, True)) for j in reversed(theory)])
+    # One inconsistency table per pattern of the theory atoms not yet
+    # spread, over the atoms below the next one.
+    tables = [0 if not theory or oracle.is_satisfiable(lits) else 1 for lits in patterns]
+    for j in range(n):
+        width = 1 << j
+        if table.kind_of(j) is AtomKind.THEORY:
+            # Atom j is the lowest theory atom left: its false and its true
+            # pattern are neighbours.
+            tables = [lo | hi << width for lo, hi in zip(tables[::2], tables[1::2])]
         else:
-            neg_itta += 1
-    return Classification(ctta, itta, neg_ctta, neg_itta)
+            tables = [t | t << width for t in tables]
+    return Classification(n, models, tables[0])
 
 
 def rules_out(lemmas, rhos: Sequence[Assignment]) -> bool:
@@ -171,31 +195,6 @@ def rules_out(lemmas, rhos: Sequence[Assignment]) -> bool:
     return True
 
 
-@dataclass
-class StrategyVerdict:
-    """Per-assertion outcome of one strategy run; failures are data."""
-
-    strategy: str
-    rules_out_ok: bool
-    lemmas_valid_ok: bool
-    atoms_theory_ok: bool
-    abstraction_equiv_ok: bool
-    n_lemmas: int
-    n_itta: int
-    n_ctta: int
-    counters: RunCounters
-    truncated: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.rules_out_ok
-            and self.lemmas_valid_ok
-            and self.atoms_theory_ok
-            and self.abstraction_equiv_ok
-        )
-
-
 def check_lemma_set(
     phi: Term,
     table: AtomTable,
@@ -204,62 +203,21 @@ def check_lemma_set(
     classification: Optional[Classification] = None,
     cap: int = DEFAULT_CAP,
 ) -> Tuple[bool, bool, bool, bool, Classification]:
-    """The four completeness assertions for a lemma set against a formula."""
+    """The four completeness assertions for a lemma set against a formula:
+    (1) the lemmas rule out every theory-inconsistent satisfying assignment,
+    (2) every lemma is theory-valid, (3) lemma atoms are theory atoms, (4)
+    the models of the formula and the lemmas are exactly the
+    theory-consistent satisfying assignments."""
     lemma_list = list(lemmas)
     cls = classification or classify(phi, table, oracle, cap)
-    ok_rules = rules_out(lemma_list, cls.itta)
+    kept = cls.models
+    for lemma in lemma_list:
+        kept &= clause_bits(lemma.literals, cls.n_atoms)
+    ok_rules = kept & cls.inconsistent == 0
     ok_valid = all(oracle.is_valid_lemma(l) for l in lemma_list)
     theory = set(table.theory_indices())
     ok_atoms = all(
         lit.atom_index in theory for l in lemma_list for lit in l.literals
     )
-    n = len(table)
-    abstract = boolean_abstraction(phi, table)
-    mask = truth_table_bits(abstract, n)
-    for lemma in lemma_list:
-        mask &= clause_bits(lemma.literals, n)
-    ctta_mask = 0
-    for a in cls.ctta:
-        i = 0
-        for lit in a.literals:
-            if lit.polarity:
-                i |= 1 << lit.atom_index
-        ctta_mask |= 1 << i
-    ok_equiv = mask == ctta_mask
+    ok_equiv = kept == cls.models & ~cls.inconsistent
     return ok_rules, ok_valid, ok_atoms, ok_equiv, cls
-
-
-def check_strategy(
-    phi: Term,
-    table: AtomTable,
-    oracle,
-    spec: StrategySpec,
-    cap: int = DEFAULT_CAP,
-    classification: Optional[Classification] = None,
-) -> StrategyVerdict:
-    """Run a strategy and verify its lemma set against brute-force truth.
-
-    Asserts, as data: (1) the lemmas rule out every theory-inconsistent
-    satisfying assignment, (2) every lemma is theory-valid, (3) lemma atoms
-    are theory atoms, (4) the propositional models of the formula conjoined
-    with the lemmas are exactly the theory-consistent satisfying assignments.
-    """
-    if len(table) > cap:
-        raise CapExceeded(f"{len(table)} atoms exceed the verification cap of {cap}")
-    problem = Problem.from_term(phi, table)
-    result = run_strategy(problem, spec, oracle=oracle)
-    ok_rules, ok_valid, ok_atoms, ok_equiv, cls = check_lemma_set(
-        phi, table, oracle, result.lemma_set, classification, cap
-    )
-    return StrategyVerdict(
-        strategy=spec.name,
-        rules_out_ok=ok_rules,
-        lemmas_valid_ok=ok_valid,
-        atoms_theory_ok=ok_atoms,
-        abstraction_equiv_ok=ok_equiv,
-        n_lemmas=len(result.lemma_set),
-        n_itta=len(cls.itta),
-        n_ctta=len(cls.ctta),
-        counters=result.counters,
-        truncated=result.truncated,
-    )

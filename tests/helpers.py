@@ -2,10 +2,14 @@
 
 The evaluators here deliberately avoid the library's own evaluation paths
 (three-valued eval, truth-table bitmasks) so tests compare two independent
-routes to the same answer.  ``ReferenceFrontEnd`` is the exception: it is
-the literal-keyed oracle front end that the value-keyed one replaced, and
-``reference_fm_solve`` is the memo-free Fourier-Motzkin solve that the
-builtin backend's derivation memo replaced.
+routes to the same answer.  ``brute_force_check`` is the verifier by brute
+force: one oracle query per total assignment, two-valued evaluation of the
+formula, and an explicit search for a falsified lemma, where the verifier
+asks once per theory pattern and works on truth-table masks.
+``ReferenceFrontEnd`` is the exception: it is the literal-keyed oracle front
+end that the value-keyed one replaced, and ``reference_fm_solve`` is the
+memo-free Fourier-Motzkin solve that the builtin backend's derivation memo
+replaced.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from tlemma.oracle import (
     BuiltinOracle,
     OracleError,
     TheoryVerdict,
+    TLemma,
     _integral,
     _reduced,
     _row_conflict,
@@ -113,6 +118,59 @@ def truth_models(term: Term, table: AtomTable) -> Set[FrozenSet[Literal]]:
         if direct_eval(term, values, table):
             out.add(frozenset(Literal(i, v) for i, v in values.items()))
     return out
+
+
+def brute_force_check(problem: Problem, oracle, lemma_sets: Iterable[Iterable[TLemma]] = ()):
+    """``verifier.classify`` and ``verifier.check_lemma_set`` by brute force.
+
+    Walks the total assignments in the verifier's index order (bit ``j`` of
+    ``i`` is atom ``j``), asks ``oracle`` about each one's theory literals
+    and evaluates the formula directly.  Returns the satisfying consistent
+    and inconsistent literal sets in index order, the two counts of
+    non-satisfying assignments, and one tuple of the four assertions per
+    lemma set, or ``OracleError`` where the oracle refuses a lemma's
+    validity query, as it does in the verifier.  The validity queries come
+    after the walk, so with no lemma sets ``oracle`` sees the verifier's
+    classification queries only.
+    """
+    table = problem.table
+    theory = table.theory_indices()
+    lemma_sets = [list(lemmas) for lemmas in lemma_sets]
+    ctta, itta, neg_ctta, neg_itta = [], [], 0, 0
+    rules_ok = [True] * len(lemma_sets)
+    equiv_ok = [True] * len(lemma_sets)
+    n = len(table)
+    for i in range(1 << n):
+        values = {j: bool((i >> j) & 1) for j in range(n)}
+        lits = frozenset(L(j, v) for j, v in values.items())
+        sat = oracle.is_satisfiable(l for l in lits if l.atom_index in theory)
+        if not direct_eval(problem.term, values, table):
+            if sat:
+                neg_ctta += 1
+            else:
+                neg_itta += 1
+            continue
+        (ctta if sat else itta).append(lits)
+        for k, lemmas in enumerate(lemma_sets):
+            falsified = any(
+                all(values[lit.atom_index] != lit.polarity for lit in lemma.literals)
+                for lemma in lemmas
+            )
+            if not sat and not falsified:
+                rules_ok[k] = False
+            # The lemmas must keep exactly the consistent models.
+            if sat == falsified:
+                equiv_ok[k] = False
+    verdicts = []
+    for k, lemmas in enumerate(lemma_sets):
+        try:
+            valid = all(oracle.is_valid_lemma(lemma) for lemma in lemmas)
+        except OracleError:  # a literal on a Boolean atom
+            verdicts.append(OracleError)
+            continue
+        atoms = all(lit.atom_index in theory for lemma in lemmas for lit in lemma.literals)
+        verdicts.append((rules_ok[k], valid, atoms, equiv_ok[k]))
+    return ctta, itta, neg_ctta, neg_itta, verdicts
 
 
 class ReferenceFrontEnd(BuiltinOracle):

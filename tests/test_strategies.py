@@ -859,7 +859,7 @@ class TestDifferential:
     """
 
     @seed(2026)
-    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(text=_INSTANCES)
     # An equality substituted into another leaves a negative leading
     # coefficient; random draws rarely reach it.
