@@ -20,7 +20,7 @@ from .oracle import OracleConfig, OracleError, make_oracle
 from .parser import ParseError
 from .problem import Problem
 from .stats import RunStats, lower_median, write_csv, write_jsonl
-from .strategies import STRATEGY_NAMES, StrategySpec, run_strategy
+from .strategies import SHARE_MIN_CUBES, STRATEGY_NAMES, StrategySpec, run_strategy
 from .verifier import DEFAULT_CAP, CapExceeded, check_lemma_set
 
 EXIT_OK = 0
@@ -60,9 +60,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=min(os.cpu_count() or 1, 8),
-        help="DnC phase-2 workers; the processes are capped at the usable CPUs, "
-        "each runs on a CPU of its own (the lowest usable ones, so give "
-        "concurrent runs disjoint affinities), "
+        help="DnC phase-2 workers: phase 2 runs on up to this many processes, "
+        f"no more than the usable CPUs and one per {SHARE_MIN_CUBES} phase-1 "
+        "cubes; each runs on a CPU of its own (the lowest usable ones, so "
+        "give concurrent runs disjoint affinities), "
         "and lemma provenance names the worker, whatever process ran its cube",
     )
     p.add_argument("--budget-secs", type=_nonnegative_secs, default=60.0)

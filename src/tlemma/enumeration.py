@@ -64,7 +64,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from .atoms import UNASSIGNED, AtomKind, Literal
 from .cnf import CnfProblem
-from .oracle import OracleError, TheoryVerdict, TLemma, lemma_from_core
+from .oracle import OracleError, TheoryVerdict, TLemma
 
 
 class EnumerationMode(enum.Enum):
@@ -220,6 +220,7 @@ class _Engine:
 
         for clause in cnf.clauses:
             self._install(sorted(_code(l) for l in clause))
+        self.literals: Dict[int, Literal] = {}  # by code, see _literal
         self.seed_keys = set()
         for lemma in seed_lemmas:
             self.seed_keys.add(lemma.key)
@@ -372,17 +373,28 @@ class _Engine:
 
     def _emit_lemma(self, verdict: TheoryVerdict) -> int:
         """Record the core's lemma and add its clause; returns the trail
-        position of the clause's deepest literal."""
-        lemma = lemma_from_core(verdict.core)
+        position of the clause's deepest literal.
+
+        The lemma is :func:`lemma_from_core`'s: a core holds one literal per
+        atom, so its negations sort by code as by literal.  It is built from
+        this engine's one object per literal, so that pickle writes each
+        literal once when a phase-2 child sends its lemmas back."""
+        codes = sorted({_code(lit) ^ 1 for lit in verdict.core})
+        lemma = TLemma(tuple([self._literal(c) for c in codes]))
         assert lemma.key not in self.seed_keys, "seed lemma rediscovered"
         assert lemma.key not in self.lemma_keys, "lemma clause was already active"
         self.lemma_keys.add(lemma.key)
         self.out_lemmas.append(lemma)
         self.stats.n_lemmas += 1
-        codes = [_code(l) for l in lemma.literals]
         assert all(self._lit_value(c) == 0 for c in codes)
         self._add_dynamic(codes)
         return max(self.pos_in_trail[c >> 1] for c in codes)
+
+    def _literal(self, code: int) -> Literal:
+        lit = self.literals.get(code)
+        if lit is None:
+            lit = self.literals[code] = Literal(code >> 1, not code & 1)
+        return lit
 
     # -- main loop --------------------------------------------------------------
 

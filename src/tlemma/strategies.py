@@ -6,7 +6,7 @@ Two base strategies enumerate the lemmas over one projection set:
 * divide & conquer: an enumeration over a prefix of the projection
   decomposes the search space into cubes, then one enumeration over the
   whole projection per cube (seeded with the already-known lemmas) runs on
-  ``workers`` parallel workers.
+  up to ``workers`` parallel workers, as many as the cubes pay for.
 
 ``run_strategy`` runs the base strategy once per pass, seeds each pass with
 every lemma found so far and deduplicates once at the end.  There is one pass
@@ -33,18 +33,32 @@ it costs about as much as a baseline run.
   cubes, the seeds of phase 2 and the lemma files are the same for any
   number of workers.
 
-Phase-2 cubes are split by static round-robin on the cube ordinal into at
-most ``workers`` shares, and no more shares than the CPUs this process may
-run on, so that no two CPU-bound processes share a CPU.  Capping the count
-alone does not keep that: the kernel may start a forked child on its
-parent's CPU and leave both there for a phase 2 of tens of milliseconds.
-So share ``w`` runs pinned to the ``w``-th usable CPU.  The caller moves
-each child there as soon as it is forked, and the child pins itself when it
-starts, whichever comes first; the caller pins itself to the first CPU
-while it runs share 0, then gets back the affinity it had before phase 2
-returns or raises.  Pinning is best effort: where the OS cannot pin, or
-refuses a CPU, the process runs unpinned.  Placement never changes which
-cubes a share holds, so it never changes the output.  Pinning assumes
+Phase 2 runs on ``min(workers, usable CPUs, cubes // SHARE_MIN_CUBES)``
+shares, at least one, each taking the cubes of one residue of the cube
+ordinal (static round-robin).  The caller runs the first share; each other
+share runs in a process of its own, which has to pay for itself.  On a
+2-vCPU host (Python 3.11) the fork, the child's start and the wait for its
+teardown took 1.7-1.8 ms (median of an empty share's round trip), and the
+copy-on-write faults that both processes take while the child lives, about
+425 per run, slowed the caller's share by a further 1.5-1.7 ms; a cube took
+0.36-0.40 ms (median over the benchmark's ``dnc-pool`` and the criterion-5
+instances, on one process).  Splitting ``n`` cubes in two saves the work
+of ``n / 2`` cubes for about 3.4 ms, so each share must hold at least
+3.4 / 0.38, about :data:`SHARE_MIN_CUBES`, cubes.  A phase 2
+with more than four cubes leaves exactly :data:`CUBE_FREE_ATOMS` atoms free
+per cube, the width that cost was measured at, so the cube count alone sizes
+it.  The rule reads counts, never a clock, so which process runs a cube,
+and with it ``n_raw_checks``, is the same on every run.
+
+No two phase-2 processes share a CPU: the kernel may start a forked child
+on its parent's CPU and leave both there for a phase 2 of tens of
+milliseconds, so share ``w`` runs pinned to the ``w``-th usable CPU.  The
+caller moves each child there as soon as it is forked, and the child pins
+itself when it starts, whichever comes first; the caller pins itself to the
+first CPU while it runs share 0, then gets back the affinity it had before
+phase 2 returns or raises.  Pinning is best effort: where the OS cannot
+pin, or refuses a CPU, the process runs unpinned.  Placement never changes
+which cubes a share holds, so it never changes the output.  Pinning assumes
 the usable CPUs are this run's alone: two runs at once with the same
 affinity pin to the same lowest CPUs and share them, so give concurrent
 runs disjoint affinities (``taskset -c``) or one worker each.
@@ -61,16 +75,19 @@ way in.  The child queries ``oracle.for_forked_child()``: for the builtin
 backend that is the inherited oracle itself, a private copy holding the
 caller's whole memo; the external backend builds a new oracle warmed with
 the memo, with a solver session of its own, since a session is never
-shared.  The child sends back only its cube records, in plain ints and
-tuples, and its solve count, pickled, through a one-way pipe; the caller
-rebuilds the records' lemmas and stats and adds the solve count to its
-oracle.  A child always leaves through ``os._exit``, so it never returns
+shared.  The child sends back its cube records and its solve count, pickled,
+through a one-way pipe, and the caller adds the solve count to its oracle.
+The records unpickle ready to use, with nothing to rebuild: the engine
+builds its lemmas from one object per literal, so pickle writes each
+literal once.  A child always leaves through ``os._exit``, so it never returns
 into the caller's code or runs its cleanup.  The caller reaps every child
 before phase 2 returns or raises.  A child that exits without sending its
 records truncates the run: the lemmas of phase 1 and of every share that
-finished are kept.
+finished are kept.  A share that gets no process, because ``os.fork`` or
+``os.pipe`` fails, runs in the caller after share 0, which gives the same
+records.
 
-A run with more than one worker therefore needs ``os.fork`` (POSIX).
+A phase 2 on more than one share therefore needs ``os.fork`` (POSIX).
 Forking is safe here because tlemma starts no threads.
 """
 
@@ -86,7 +103,7 @@ from typing import BinaryIO, List, Optional, Sequence, Tuple
 
 from .atoms import AtomTable, Literal
 from .cnf import CnfProblem
-from .enumeration import EnumerationOutcome, EnumerationStats, enumerate_cubes, projected_allsmt
+from .enumeration import EnumerationOutcome, enumerate_cubes, projected_allsmt
 from .oracle import OracleConfig, TLemma, make_oracle
 from .partition import partition_atoms
 from .problem import Problem
@@ -95,6 +112,10 @@ _BASES = ("baseline", "dnc")
 
 # The projection atoms a DnC phase-1 cube leaves free, at most.
 CUBE_FREE_ATOMS = 11
+
+# The phase-1 cubes each DnC phase-2 share holds, at least: the fixed cost of
+# a process over the cost of a cube (3.4 ms / 0.38 ms, see above).
+SHARE_MIN_CUBES = 9
 
 
 @dataclass(frozen=True)
@@ -296,6 +317,8 @@ def _share_records(cnf, table, oracle, seeds, share, proj, deadline):
     the enumerated cubes are counted here rather than being sent back from a
     worker.
     """
+    if not share:
+        return []
     outcomes = enumerate_cubes(
         cnf, table, proj, oracle, seeds, [cube for _, cube in share], deadline=deadline
     )
@@ -312,9 +335,8 @@ def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline):
     In a child that is the caller's builtin oracle itself, which the fork
     made a private copy, whole memo included; an external oracle gives a
     new one warmed with its memo, since a solver session is never shared
-    between processes.  Returns the cube records, as
-    :func:`_plain_records` encodes them, and the number of solves made on
-    the way, which the caller adds to its own count.
+    between processes.  Returns the cube records and the number of solves
+    made on the way, which the caller adds to its own count.
 
     ``deadline`` is the caller's absolute ``time.monotonic()`` deadline: the
     processes of one host share that clock, so the fork counts against the
@@ -324,51 +346,10 @@ def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline):
     n_before = oracle.n_raw_checks
     try:
         records = _share_records(cnf, table, oracle, seeds, share, proj, deadline)
-        return _plain_records(records), oracle.n_raw_checks - n_before
+        return records, oracle.n_raw_checks - n_before
     finally:
         if oracle is not parent_oracle:
             oracle.close()
-
-
-def _plain_records(records):
-    """Share records in plain ints, tuples and strings, which pickle several
-    times faster than named tuples and dataclasses: each lemma as the codes
-    ``2 * atom + polarity`` of its literals, the stats as a tuple of their
-    fields.  :func:`_records_from_plain` inverts it."""
-    return [
-        (
-            ordinal,
-            [tuple([2 * i + p for i, p in lemma.literals]) for lemma in lemmas],
-            (stats.n_candidates, stats.n_theory_checks, stats.n_lemmas, stats.elapsed_ns),
-            n_assignments,
-            truncated,
-            oracle_error,
-        )
-        for ordinal, lemmas, stats, n_assignments, truncated, oracle_error in records
-    ]
-
-
-def _records_from_plain(plain):
-    """The share records :func:`_plain_records` encoded."""
-    literals = {}
-
-    def literal(code: int) -> Literal:
-        lit = literals.get(code)
-        if lit is None:
-            lit = literals[code] = Literal(code >> 1, bool(code & 1))
-        return lit
-
-    return [
-        (
-            ordinal,
-            [TLemma(tuple([literal(c) for c in codes])) for codes in lemmas],
-            EnumerationStats(*stats),
-            n_assignments,
-            truncated,
-            oracle_error,
-        )
-        for ordinal, lemmas, stats, n_assignments, truncated, oracle_error in plain
-    ]
 
 
 def _pin(pid: int, cpus) -> None:
@@ -431,7 +412,12 @@ def _run_shares(cnf, table, oracle, seeds, shares, cpus, *args):
     child forked for it by :func:`_fork_share`.  The child inherits its
     input and the caller's oracle rather than unpickling them, and sends
     back only its records and solve count; it ends in ``os._exit`` and
-    never returns here.
+    never returns here.  When a fork or its pipe fails, that share and
+    every later one run here after share 0, on the same engine, which
+    gives the same records; the children already forked run on.
+    ``enumerate_dnc`` passes one share when phase 2 is too small to pay
+    for a process, at most ``cubes // SHARE_MIN_CUBES`` (see the module
+    docstring); this runs it here and forks nothing.
     ``cpus`` are the usable CPUs, at least one per share: share ``w`` runs
     pinned to ``cpus[w]``, so no two of these processes share a CPU, and
     this process gets back the affinity it had before this returns or
@@ -447,16 +433,21 @@ def _run_shares(cnf, table, oracle, seeds, shares, cpus, *args):
     returns or raises.
     """
     children = []
+    own = list(shares[0])
     own_cpus = None
     try:
         for w, share in enumerate(shares[1:], 1):
             inherited = [r.fileno() for _, _, r in children]
-            pid, reader = _fork_share(cpus[w], inherited, cnf, table, oracle, seeds, share, *args)
+            try:
+                pid, reader = _fork_share(cpus[w], inherited, cnf, table, oracle, seeds, share, *args)
+            except OSError:
+                own.extend(cube for later in shares[w:] for cube in later)
+                break
             children.append((w, pid, reader))
         if children and hasattr(os, "sched_getaffinity"):
             own_cpus = os.sched_getaffinity(0)
             _pin(0, cpus[:1])
-        records = _share_records(cnf, table, oracle, seeds, shares[0], *args) if shares else []
+        records = _share_records(cnf, table, oracle, seeds, own, *args)
         payloads = [reader.read() for _, _, reader in children]
     finally:
         if own_cpus is not None:
@@ -473,7 +464,7 @@ def _run_shares(cnf, table, oracle, seeds, shares, cpus, *args):
             worker_error = worker_error or f"phase-2 worker {w} exited with code {code}"
             continue
         share_records, n_raw_checks = pickle.loads(payload)
-        records.extend(_records_from_plain(share_records))
+        records.extend(share_records)
         oracle.n_raw_checks += n_raw_checks
     records.sort(key=lambda record: record[0])
     return records, worker_error
@@ -512,6 +503,16 @@ def enumerate_dnc(
     ``proj``, then one seeded enumeration over all of ``proj`` per returned
     cube, on up to ``spec.workers`` processes, capped at the usable CPUs.
 
+    Within those caps phase 2 runs on one share per :data:`SHARE_MIN_CUBES`
+    cubes, at least one, each share on a process of its own.  A process
+    beyond the caller costs about 3.4 ms (fork, child start, teardown wait
+    and copy-on-write faults), the time of about nine cubes of 0.38 ms, so a
+    smaller share would cost more than it saves; a phase 2 of fewer than
+    ``2 * SHARE_MIN_CUBES`` cubes runs in the caller.  The rule counts cubes
+    and reads no clock, so the output, the provenance and ``n_raw_checks``
+    repeat on every run; only ``n_raw_checks`` depends on how many processes
+    ran, since a child solves on a copy of the caller's memo.
+
     Phase 2 is complete because every model of the formula either extends a
     phase-1 cube or falsifies a seed or phase-1 lemma: a prefix assignment
     with no cube had all of its extensions refuted in phase 1.  The cubes
@@ -546,7 +547,7 @@ def enumerate_dnc(
         for ordinal, cube in enumerate(phase1.assignments)
     ]
     cpus = _usable_cpus()
-    n_shares = min(spec.workers, len(cpus), len(cubes))
+    n_shares = max(1, min(spec.workers, len(cpus), len(cubes) // SHARE_MIN_CUBES))
     shares = [cubes[p::n_shares] for p in range(n_shares)]
     records, worker_error = _run_shares(cnf, table, oracle, seeds, shares, cpus, proj, deadline)
 

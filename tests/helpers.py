@@ -391,6 +391,13 @@ def pin_usable_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(strategies, "_usable_cpus", lambda: list(range(n)))
 
 
+def fork_every_share(monkeypatch) -> None:
+    """Make DnC phase 2 give a process to every cube it can, up to the
+    worker and CPU caps, as if a cube paid for one: small instances then
+    run the fork machinery that only larger phase 2s reach by default."""
+    monkeypatch.setattr(strategies, "SHARE_MIN_CUBES", 1)
+
+
 def random_problem(depth: int, seed: int, n_bool: int = 4, n_real: int = 4,
                    max_atoms: int = 10) -> Problem:
     from tlemma.generator import random_instance

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import REF_CMD, pin_usable_cpus
+from helpers import REF_CMD, fork_every_share, pin_usable_cpus
 import tlemma.cli as cli
 from tlemma.cli import EXIT_TRUNCATED, main
 from tlemma.stats import RunStats, load_schema, lower_median
@@ -91,6 +91,7 @@ class TestEnumerate:
 
         monkeypatch.delenv("TLEMMA_ORACLE_CMD", raising=False)
         monkeypatch.setattr(strategies, "_phase2_worker", lambda *args: os._exit(3))
+        fork_every_share(monkeypatch)
         pin_usable_cpus(monkeypatch, 2)
         instance = tmp_path / "c6.smt2"
         instance.write_text(
@@ -105,6 +106,39 @@ class TestEnumerate:
         assert "(assert" in out.read_text()
         err = capsys.readouterr().err
         assert "worker failure: phase-2 worker 1 exited with code 3" in err
+
+    def test_failed_fork_runs_the_share_in_the_caller(self, tmp_path, monkeypatch, capsys):
+        # A share that gets no process runs in the caller: the run
+        # completes and writes the lemma file and the provenance sidecar
+        # that a run whose fork succeeded writes.
+        import errno
+
+        from tlemma.generator import clausal_instance
+
+        monkeypatch.delenv("TLEMMA_ORACLE_CMD", raising=False)
+        fork_every_share(monkeypatch)
+        pin_usable_cpus(monkeypatch, 2)
+        instance = tmp_path / "c6.smt2"
+        instance.write_text(
+            clausal_instance(6, n_bool=2, n_real=3, n_theory=8, n_clauses=16)
+        )
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        outs = []
+        for fork in (os.fork, no_fork):
+            monkeypatch.setattr(os, "fork", fork)
+            outs.append(tmp_path / f"run{len(outs)}.lemmas")
+            rc = main(
+                ["enumerate", "--strategy", "dnc", "-i", str(instance),
+                 "-o", str(outs[-1]), "--workers", "2"]
+            )
+            assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+        sidecars = [Path(f"{out}.json").read_bytes() for out in outs]
+        assert sidecars[1] == sidecars[0]
 
     @pytest.mark.parametrize("backend", [[], ["--oracle-cmd", REF_CMD]], ids=["builtin", "external"])
     @pytest.mark.parametrize("secs", ["0", "-1", "nan"])

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import pickle
 import signal
 import time
 from dataclasses import fields, replace
@@ -9,7 +11,14 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import SUBSET_CORE_CMD, L, pin_usable_cpus, random_problem, truth_models
+from helpers import (
+    SUBSET_CORE_CMD,
+    L,
+    fork_every_share,
+    pin_usable_cpus,
+    random_problem,
+    truth_models,
+)
 from tlemma import strategies
 from tlemma.enumeration import projected_allsmt
 from tlemma.generator import clausal_instance, product_instance, random_instance
@@ -150,7 +159,8 @@ class TestDnc:
         )
         assert not (again.keys() & first.keys())
 
-    def test_worker_counts_agree(self):
+    def test_worker_counts_agree(self, monkeypatch):
+        fork_every_share(monkeypatch)
         p = random_problem(depth=5, seed=42, max_atoms=12)
         results = {}
         for workers in (1, 2, 4):
@@ -285,10 +295,11 @@ class TestDnc:
         assert [r[0] for r in records] == [0, 1]
         assert all(r[4] for r in records)
 
-    def test_phase2_solves_are_counted_on_the_callers_oracle(self):
+    def test_phase2_solves_are_counted_on_the_callers_oracle(self, monkeypatch):
         # A worker's oracle solves what the caller's would have; the caller
         # adds the workers' counts to its own, so more workers never read
         # fewer solves (the workers do not share their memos).
+        fork_every_share(monkeypatch)
         p = Problem.from_text(
             clausal_instance(3, n_bool=2, n_real=3, n_theory=8, n_clauses=16)
         )
@@ -318,6 +329,7 @@ class TestDnc:
         # The caller runs share 0 itself, so w workers over c cubes on at
         # least w CPUs start min(w, c) - 1 children, each joined before the
         # run returns.
+        fork_every_share(monkeypatch)
         pin_usable_cpus(monkeypatch, 4)
         children = self._record_forks(monkeypatch)
         p = Problem.from_text(random_instance(3, 4, 4, 7000, 10))
@@ -343,6 +355,7 @@ class TestDnc:
             clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
         )
         spec = StrategySpec.from_name("dnc", workers=4)
+        fork_every_share(monkeypatch)
         children = self._record_forks(monkeypatch)
         runs = {}
         for cpus in (8, 2):
@@ -367,6 +380,7 @@ class TestDnc:
         p = Problem.from_text(
             clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
         )
+        fork_every_share(monkeypatch)
         pin_usable_cpus(monkeypatch, 2)
         spec = StrategySpec.from_name("dnc", workers=2)
         full = run_strategy(p, spec)
@@ -385,6 +399,7 @@ class TestDnc:
         p = Problem.from_text(
             clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
         )
+        fork_every_share(monkeypatch)
         pin_usable_cpus(monkeypatch, 2)
         children = self._record_forks(monkeypatch)
         caller = os.getpid()
@@ -415,6 +430,7 @@ class TestDnc:
         p = Problem.from_text(
             clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
         )
+        fork_every_share(monkeypatch)
         pin_usable_cpus(monkeypatch, 4)
         caller, real = os.getpid(), strategies._share_records
 
@@ -503,6 +519,7 @@ class TestDnc:
             return real(*args, **kw)
 
         monkeypatch.setattr(strategies, "_share_records", logged)
+        fork_every_share(monkeypatch)
         p = Problem.from_text(
             clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
         )
@@ -541,6 +558,7 @@ class TestDnc:
         # child unpinned, or fewer), or differ from the caller's own.
         original = os.sched_getaffinity(0)
         request.addfinalizer(lambda: os.sched_setaffinity(0, original))
+        fork_every_share(monkeypatch)
         if case == "caller on one cpu":
             os.sched_setaffinity(0, {max(original)})
         before = os.sched_getaffinity(0)
@@ -572,7 +590,136 @@ class TestDnc:
             assert not run_strategy(p, spec).truncated
         assert os.sched_getaffinity(0) == before
 
-    def test_phase2_provenance_records_cubes_and_workers(self):
+    def test_small_phase2_runs_in_the_caller(self, monkeypatch):
+        # Fewer than 2 * SHARE_MIN_CUBES cubes cannot pay for a second
+        # process, so 2 workers on 2 CPUs fork nothing.  The lemma file is
+        # the one 4 workers give, and the provenance, which names the
+        # logical worker, the one 2 forked processes give.  A benchmark
+        # dnc-pool instance with 14 cubes, its most, and phase-2 lemmas in
+        # both logical shares.
+        p = Problem.from_text(
+            clausal_instance(9, n_bool=9, n_real=3, n_theory=6, n_clauses=20)
+        )
+        phase1 = projected_allsmt(
+            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), oracle_for(p)
+        )
+        assert len(phase1.assignments) == 14 < 2 * strategies.SHARE_MIN_CUBES
+        pin_usable_cpus(monkeypatch, 2)
+        children = self._record_forks(monkeypatch)
+        spec = StrategySpec.from_name("dnc", workers=2)
+        res = run_strategy(p, spec)
+        four = run_strategy(p, StrategySpec.from_name("dnc", workers=4))
+        assert children == []
+        fork_every_share(monkeypatch)
+        forked = run_strategy(p, spec)
+        assert len(children) == 1
+        files = {
+            render_lemma_script(r.lemma_set.lemmas, p.table) for r in (res, four, forked)
+        }
+        assert len(files) == 1
+        assert res.lemma_set.provenance == forked.lemma_set.provenance
+        assert {
+            prov.worker for prov in res.lemma_set.provenance if prov.stage.startswith("dnc-phase2")
+        } == {0, 1}
+
+    def test_phase2_forks_once_its_cubes_pay_for_a_process(self, monkeypatch):
+        # Each share holds at least SHARE_MIN_CUBES cubes: 2 shares from
+        # 2 * SHARE_MIN_CUBES cubes on, one process more per SHARE_MIN_CUBES
+        # cubes after that, up to the worker and CPU caps.  The first
+        # instance criterion 5 selects has 30-40 cubes.
+        p = Problem.from_text(
+            clausal_instance(2, n_bool=12, n_real=3, n_theory=6, n_clauses=20)
+        )
+        phase1 = projected_allsmt(
+            p.cnf, p.table, phase1_prefix(p.cnf.alpha_indices), oracle_for(p)
+        )
+        n = len(phase1.assignments)
+        assert 30 <= n <= 40
+        children = self._record_forks(monkeypatch)
+        counts = {}
+        for workers in (2, 4):
+            pin_usable_cpus(monkeypatch, workers)
+            del children[:]
+            run_strategy(p, StrategySpec.from_name("dnc", workers=workers))
+            counts[workers] = len(children)
+        assert counts == {2: 1, 4: min(4, n // strategies.SHARE_MIN_CUBES) - 1}
+        assert counts[4] >= 2
+        # The boundary: n cubes pay for a second process when shares of
+        # n // 2 cubes are enough, not when a share needs one cube more.
+        pin_usable_cpus(monkeypatch, 2)
+        spec = StrategySpec.from_name("dnc", workers=2)
+        for share_min_cubes, want in ((n // 2, 1), (n // 2 + 1, 0)):
+            monkeypatch.setattr(strategies, "SHARE_MIN_CUBES", share_min_cubes)
+            del children[:]
+            run_strategy(p, spec)
+            assert len(children) == want, share_min_cubes
+
+    @pytest.mark.parametrize("failing", ["fork", "second fork", "pipe"])
+    def test_phase2_share_without_a_process_runs_in_the_caller(self, monkeypatch, failing):
+        # When os.fork or os.pipe fails, every share left without a process
+        # runs in the caller: the run completes with the bytes and the
+        # provenance of one whose forks all succeeded, the children forked
+        # before the failure are reaped, and no pipe end is left open.
+        p = Problem.from_text(
+            clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20)
+        )
+        fork_every_share(monkeypatch)
+        pin_usable_cpus(monkeypatch, 4)
+        spec = StrategySpec.from_name("dnc", workers=4)
+        want = run_strategy(p, spec)
+        children = self._record_forks(monkeypatch)
+        name = "pipe" if failing == "pipe" else "fork"
+        real, calls = getattr(os, name), []
+
+        def flaky():
+            calls.append(name)
+            if failing == "second fork" and len(calls) == 1:
+                return real()
+            if name == "pipe":
+                raise OSError(errno.EMFILE, "Too many open files")
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, name, flaky)
+        fd_dir = "/proc/self/fd"
+        fds = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+        res = run_strategy(p, spec)
+        assert not res.truncated and res.worker_error is None
+        assert render_lemma_script(res.lemma_set.lemmas, p.table) == render_lemma_script(
+            want.lemma_set.lemmas, p.table
+        )
+        assert res.lemma_set.provenance == want.lemma_set.provenance
+        assert len(children) == (1 if failing == "second fork" else 0)
+        for pid in children:  # already reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        if fds is not None:
+            assert len(os.listdir(fd_dir)) == fds
+
+    def test_phase2_child_records_share_their_literals(self):
+        # A child pickles its records as they are.  Its engine builds every
+        # lemma from one object per literal, so pickle writes each literal
+        # once and the caller loads records equal to the child's, ready to
+        # use.  An instance criterion 5 selects, whose share 1 finds 86
+        # lemmas.
+        p = Problem.from_text(
+            clausal_instance(5, n_bool=12, n_real=3, n_theory=6, n_clauses=20)
+        )
+        proj = list(p.cnf.alpha_indices)
+        oracle = oracle_for(p)
+        phase1 = projected_allsmt(p.cnf, p.table, phase1_prefix(proj), oracle)
+        share = list(enumerate(a.sorted_literals() for a in phase1.assignments))[1::2]
+        records = strategies._share_records(
+            p.cnf, p.table, oracle, phase1.lemmas, share, proj, None
+        )
+        lemmas = [lemma for r in records for lemma in r[1]]
+        assert len(lemmas) == 86
+        assert all(lemma == TLemma.of(lemma.literals) for lemma in lemmas)
+        literals = [lit for lemma in lemmas for lit in lemma.literals]
+        assert len({id(lit) for lit in literals}) == len(set(literals)) < len(literals)
+        assert pickle.loads(pickle.dumps(records, pickle.HIGHEST_PROTOCOL)) == records
+
+    def test_phase2_provenance_records_cubes_and_workers(self, monkeypatch):
+        fork_every_share(monkeypatch)
         p = random_problem(depth=4, seed=88)
         res = run_strategy(p, StrategySpec.from_name("dnc", workers=2))
         stages = {prov.stage.split(":")[0] for prov in res.lemma_set.provenance}
@@ -855,8 +1002,15 @@ class TestDifferential:
     backend returns.  The external backend here is the simplex reference
     with cores found by deletion in descending order (``SUBSET_CORE_CMD``).
     It and the builtin Fourier-Motzkin oracle must give the same lemma
-    bytes, and so must one and two phase-2 workers on either backend.
+    bytes, and so must one and two phase-2 workers on either backend, the
+    second in a forked child.
     """
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _fork_every_share(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            fork_every_share(monkeypatch)
+            yield
 
     @seed(2026)
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
