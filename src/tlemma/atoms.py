@@ -10,7 +10,7 @@ range and are never part of the atom set.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Union
 
 from .terms import LinearAtom, Term, TermBank, TermKind
 
@@ -45,7 +45,6 @@ class AtomTable:
         self.atoms: List[Term] = []
         self.index_of: Dict[int, int] = {}  # term id -> index
         self._kinds: List[AtomKind] = []
-        self._symbols: List[FrozenSet[str]] = []
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -55,26 +54,21 @@ class AtomTable:
         if idx is not None:
             return idx
         if atom.kind is TermKind.BOOL_ATOM:
-            kind, syms = AtomKind.BOOLEAN, frozenset()
+            kind = AtomKind.BOOLEAN
         elif atom.kind is TermKind.THEORY_ATOM:
             kind = AtomKind.THEORY
-            syms = frozenset(atom.payload.variables)
         else:
             raise ValueError(f"not an atom: {atom!r}")
         idx = len(self.atoms)
         self.atoms.append(atom)
         self.index_of[atom.id] = idx
         self._kinds.append(kind)
-        self._symbols.append(syms)
         return idx
 
     def kind_of(self, index: int) -> AtomKind:
         if index >= len(self.atoms):
             return AtomKind.LABEL
         return self._kinds[index]
-
-    def symbols_of(self, index: int) -> FrozenSet[str]:
-        return self._symbols[index]
 
     def linear_atom(self, index: int) -> LinearAtom:
         atom = self.atoms[index]

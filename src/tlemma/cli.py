@@ -49,7 +49,8 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--oracle-cmd",
         default=None,
-        help="external SMT-LIB2 solver command (TLEMMA_ORACLE_CMD overrides)",
+        help="run the external backend: this SMT-LIB2 solver command "
+        "(TLEMMA_ORACLE_CMD overrides); without it the builtin backend runs",
     )
     p.add_argument("--oracle-timeout-secs", type=_positive_secs, default=10.0)
 
@@ -67,25 +68,15 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         "and lemma provenance names the worker, whatever process ran its cube",
     )
     p.add_argument("--budget-secs", type=_nonnegative_secs, default=60.0)
-    p.add_argument("--subsume", action="store_true")
 
 
 def _oracle_config(args) -> OracleConfig:
     cmd = os.environ.get("TLEMMA_ORACLE_CMD") or args.oracle_cmd
-    if cmd:
-        return OracleConfig(
-            backend="external", command=cmd, timeout_secs=args.oracle_timeout_secs
-        )
-    return OracleConfig(timeout_secs=args.oracle_timeout_secs)
+    return OracleConfig(command=cmd, timeout_secs=args.oracle_timeout_secs)
 
 
 def _spec_from_args(args, name: str) -> StrategySpec:
-    return StrategySpec.from_name(
-        name,
-        workers=args.workers,
-        budget_secs=args.budget_secs,
-        subsume=args.subsume,
-    )
+    return StrategySpec.from_name(name, workers=args.workers, budget_secs=args.budget_secs)
 
 
 def _run_stats(instance: str, spec: StrategySpec, result) -> RunStats:

@@ -29,10 +29,6 @@ class CnfProblem:
     n_vars: int
     alpha_indices: Tuple[int, ...]
 
-    @property
-    def n_labels(self) -> int:
-        return self.n_vars - len(self.alpha_indices)
-
 
 class _Builder:
     def __init__(self, n_atoms: int):

@@ -141,9 +141,14 @@ class TheoryVerdict:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    backend: str = "builtin"  # "builtin" or "external"
-    command: Optional[str] = None  # solver command line for the external backend
-    minimize_cores: bool = True
+    """How to build an oracle: the external backend iff ``command`` is set.
+
+    There is no core policy to choose: every oracle minimizes each unsat
+    core by deletion, so every core is irreducible (no proper subset is
+    unsatisfiable) and no lemma's literal set strictly contains another's.
+    """
+
+    command: Optional[str] = None  # solver command line of the external backend
     timeout_secs: float = 10.0  # per solve; must be > 0
 
     def __post_init__(self):
@@ -522,10 +527,8 @@ class TheoryOracle:
             return _SAT
         if self._raw_check(values)[0]:
             verdict = _SAT
-        elif self.config.minimize_cores:
-            verdict = TheoryVerdict(False, core=self.minimize_core(self._literals(values)))
         else:
-            verdict = TheoryVerdict(False, core=self._literals(values))
+            verdict = TheoryVerdict(False, core=self.minimize_core(self._literals(values)))
         self._verdicts[key] = verdict
         return verdict
 
@@ -671,11 +674,10 @@ def lemma_from_core(core: Iterable[Literal]) -> TLemma:
 
 
 def make_oracle(table, config: Optional[OracleConfig] = None):
+    """The external oracle if ``config.command`` is set, else the builtin one."""
     config = config or OracleConfig()
-    if config.backend == "builtin":
-        return BuiltinOracle(table, config)
-    if config.backend == "external":
+    if config.command:
         from .external import ExternalOracle
 
         return ExternalOracle(table, config)
-    raise ValueError(f"unknown oracle backend '{config.backend}'")
+    return BuiltinOracle(table, config)

@@ -125,7 +125,6 @@ class StrategySpec:
     partitioning: bool = False
     workers: int = 1
     budget_secs: Optional[float] = None
-    subsume: bool = False
 
     def __post_init__(self):
         if self.base not in _BASES:
@@ -203,23 +202,18 @@ class LemmaSet:
 def dedup_lemmas(
     raw: Sequence[TLemma],
     provenance: Optional[Sequence[LemmaProvenance]] = None,
-    subsume: bool = False,
 ) -> LemmaSet:
-    """Canonicalize: drop exact duplicates (first occurrence wins), sort;
-    optionally drop lemmas whose literal set strictly contains another's."""
+    """Canonicalize: drop exact duplicates (first occurrence wins), sort.
+
+    DnC cubes rediscover the same lemma, but no lemma's literal set strictly
+    contains another's: each lemma negates a core, and every core is
+    irreducible (see ``OracleConfig``), so there is nothing to subsume."""
     if provenance is None:
         provenance = [LemmaProvenance("unknown", 0, i) for i in range(len(raw))]
     seen = {}
     for lemma, prov in zip(raw, provenance):
         seen.setdefault(lemma.key, (lemma, prov))
     entries = sorted(seen.values(), key=lambda e: e[0].literals)
-    if subsume:
-        keys = [e[0].key for e in entries]
-        entries = [
-            e
-            for i, e in enumerate(entries)
-            if not any(k < keys[i] for k in keys)
-        ]
     return LemmaSet([e[0] for e in entries], [e[1] for e in entries])
 
 
@@ -237,12 +231,9 @@ class RunCounters:
         return self.n_assignments
 
     def absorb(self, outcome: EnumerationOutcome) -> None:
-        self.absorb_stats(outcome.stats, len(outcome.cubes))
-
-    def absorb_stats(self, s, n_assignments: int) -> None:
-        self.n_assignments += n_assignments
-        self.n_candidates += s.n_candidates
-        self.n_theory_checks += s.n_theory_checks
+        self.n_assignments += len(outcome.cubes)
+        self.n_candidates += outcome.stats.n_candidates
+        self.n_theory_checks += outcome.stats.n_theory_checks
 
 
 class BudgetExceeded(Exception):
@@ -280,13 +271,11 @@ def enumerate_baseline(
     seed_lemmas: Sequence[TLemma] = (),
     *,
     cnf: Optional[CnfProblem] = None,
-    spec: Optional[StrategySpec] = None,
     deadline: Optional[float] = None,
     counters: Optional[RunCounters] = None,
     stage: str = "baseline",
 ) -> LemmaSet:
     """Total enumeration; keep only the lemmas (the cubes are only counted)."""
-    spec = spec or StrategySpec()
     counters = counters if counters is not None else RunCounters()
     cnf = cnf if cnf is not None else Problem.from_term(phi, table).cnf
     if proj is None:
@@ -300,9 +289,7 @@ def enumerate_baseline(
         deadline=deadline,
     )
     counters.absorb(outcome)
-    lemma_set = dedup_lemmas(
-        outcome.lemmas, _provenance_for(outcome, stage, 0), spec.subsume
-    )
+    lemma_set = dedup_lemmas(outcome.lemmas, _provenance_for(outcome, stage, 0))
     if outcome.truncated:
         raise BudgetExceeded(lemma_set, counters, outcome.oracle_error)
     return lemma_set
@@ -312,10 +299,11 @@ def _share_records(cnf, table, oracle, seeds, share, proj, deadline):
     """Run one seeded enumeration per ``(ordinal, literals)`` cube of
     ``share``, on one engine.
 
-    Returns lean per-cube records ``(ordinal, lemmas, stats, n_assignments,
-    truncated, oracle_error)``: divide & conquer keeps only the lemmas, so
-    the enumerated cubes are counted here rather than being sent back from a
-    worker.
+    Returns lean per-cube records ``(ordinal, lemmas, n_candidates,
+    n_theory_checks, n_cubes, truncated, oracle_error)``: divide & conquer
+    keeps only the lemmas, so the enumerated cubes are counted here rather
+    than being sent back from a worker, and of the engine's statistics only
+    the two counts the caller adds up travel.
     """
     if not share:
         return []
@@ -323,7 +311,8 @@ def _share_records(cnf, table, oracle, seeds, share, proj, deadline):
         cnf, table, proj, oracle, seeds, [cube for _, cube in share], deadline=deadline
     )
     return [
-        (ordinal, o.lemmas, o.stats, len(o.cubes), o.truncated, o.oracle_error)
+        (ordinal, o.lemmas, o.stats.n_candidates, o.stats.n_theory_checks, len(o.cubes),
+         o.truncated, o.oracle_error)
         for (ordinal, _), o in zip(share, outcomes)
     ]
 
@@ -537,9 +526,7 @@ def enumerate_dnc(
     collected: List[TLemma] = list(phase1.lemmas)
     provenance: List[LemmaProvenance] = _provenance_for(phase1, f"{stage}-phase1", 0)
     if phase1.truncated:
-        raise BudgetExceeded(
-            dedup_lemmas(collected, provenance, spec.subsume), counters, phase1.oracle_error
-        )
+        raise BudgetExceeded(dedup_lemmas(collected, provenance), counters, phase1.oracle_error)
 
     seeds = tuple(seed_lemmas) + tuple(phase1.lemmas)
     cubes: List[Tuple[int, List[Literal]]] = [
@@ -553,8 +540,10 @@ def enumerate_dnc(
 
     truncated = worker_error is not None
     oracle_error = None
-    for ordinal, lemmas, stats, n_assignments, cube_truncated, cube_error in records:
-        counters.absorb_stats(stats, n_assignments)
+    for ordinal, lemmas, n_candidates, n_checks, n_cubes, cube_truncated, cube_error in records:
+        counters.n_assignments += n_cubes
+        counters.n_candidates += n_candidates
+        counters.n_theory_checks += n_checks
         truncated = truncated or cube_truncated
         oracle_error = oracle_error or cube_error
         collected.extend(lemmas)
@@ -563,7 +552,7 @@ def enumerate_dnc(
             for i in range(len(lemmas))
         )
 
-    lemma_set = dedup_lemmas(collected, provenance, spec.subsume)
+    lemma_set = dedup_lemmas(collected, provenance)
     if truncated:
         raise BudgetExceeded(lemma_set, counters, oracle_error, worker_error)
     return lemma_set
@@ -597,8 +586,10 @@ def run_strategy(
     deadline = (
         time.monotonic() + spec.budget_secs if spec.budget_secs is not None else None
     )
-    inner = enumerate_baseline if spec.base == "baseline" else enumerate_dnc
-    kw = dict(cnf=problem.cnf, spec=spec, deadline=deadline, counters=counters)
+    inner = enumerate_baseline
+    kw = dict(cnf=problem.cnf, deadline=deadline, counters=counters)
+    if spec.base == "dnc":
+        inner, kw["spec"] = enumerate_dnc, spec  # by keyword, for wrappers to read
     start = time.monotonic_ns()
     found: List[TLemma] = []
     provenance: List[LemmaProvenance] = []
@@ -640,7 +631,7 @@ def run_strategy(
     finally:
         if own_oracle:
             oracle.close()
-    lemma_set = dedup_lemmas(found, provenance, spec.subsume)
+    lemma_set = dedup_lemmas(found, provenance)
     elapsed_ms = (time.monotonic_ns() - start) // 1_000_000
     return StrategyResult(
         lemma_set, counters, truncated, elapsed_ms, oracle_error, worker_error

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 
 class Relation(enum.Enum):
@@ -46,15 +46,6 @@ class LinearAtom:
 
     def coeff_map(self) -> Dict[str, Fraction]:
         return dict(self.coeffs)
-
-    def evaluate(self, model: Mapping[str, Fraction]) -> bool:
-        """Exact truth value of the constraint at a rational point."""
-        lhs = sum((c * Fraction(model[name]) for name, c in self.coeffs), Fraction(0))
-        if self.relation is Relation.LE:
-            return lhs <= self.bound
-        if self.relation is Relation.LT:
-            return lhs < self.bound
-        return lhs == self.bound
 
     def __str__(self) -> str:
         parts = []
@@ -235,24 +226,6 @@ class TermBank:
         if then is other:
             return then
         return self.intern(TermKind.ITE, (cond, then, other), None)
-
-
-def iter_dag(root: Term) -> Iterator[Term]:
-    """Post-order traversal of the DAG below ``root``, each node once."""
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node.id in seen:
-            continue
-        if expanded:
-            seen.add(node.id)
-            yield node
-        else:
-            stack.append((node, True))
-            for child in node.args:
-                if child.id not in seen:
-                    stack.append((child, False))
 
 
 # -- SMT-LIB serialization helpers ---------------------------------------

@@ -19,10 +19,11 @@ import random
 import shlex
 import sys
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set
 
 from tlemma import strategies
 from tlemma.atoms import AtomTable, Literal
+from tlemma.cnf import CnfProblem
 from tlemma.oracle import (
     BuiltinOracle,
     OracleError,
@@ -35,7 +36,7 @@ from tlemma.oracle import (
 )
 from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
-from tlemma.terms import Term, TermKind
+from tlemma.terms import LinearAtom, Relation, Term, TermKind
 
 # The reference simplex solver, run as an external SMT-LIB2 backend.
 REF_CMD = f"{shlex.quote(sys.executable)} -m tlemma.ref_solver"
@@ -70,6 +71,47 @@ ref_solver._read_sexpr = read_command
 solver.run()
 """
 SUBSET_CORE_CMD = f"{shlex.quote(sys.executable)} -c {shlex.quote(_SUBSET_CORE_SOLVER)}"
+
+
+def iter_dag(root: Term) -> Iterator[Term]:
+    """Post-order traversal of the DAG below ``root``, each node once."""
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.id in seen:
+            continue
+        if expanded:
+            seen.add(node.id)
+            yield node
+        else:
+            stack.append((node, True))
+            for child in node.args:
+                if child.id not in seen:
+                    stack.append((child, False))
+
+
+def symbols_of(table: AtomTable, index: int) -> FrozenSet[str]:
+    """The real variables of atom ``index``: none for a Boolean atom."""
+    atom = table.atoms[index]
+    if atom.kind is TermKind.THEORY_ATOM:
+        return frozenset(atom.payload.variables)
+    return frozenset()
+
+
+def n_labels(cnf: CnfProblem) -> int:
+    """The CNF's Tseitin label variables: those past the atoms."""
+    return cnf.n_vars - len(cnf.alpha_indices)
+
+
+def evaluate_atom(atom: LinearAtom, model: Mapping[str, Fraction]) -> bool:
+    """Exact truth value of the constraint at a rational point."""
+    lhs = sum((c * Fraction(model[name]) for name, c in atom.coeffs), Fraction(0))
+    if atom.relation is Relation.LE:
+        return lhs <= atom.bound
+    if atom.relation is Relation.LT:
+        return lhs < atom.bound
+    return lhs == atom.bound
 
 
 def L(i: int, polarity: bool = True) -> Literal:
@@ -220,10 +262,8 @@ class ReferenceFrontEnd(BuiltinOracle):
                 raise OracleError(f"literal on non-theory atom {lit.atom_index}")
         if self._ref_raw_check(lits)[0]:
             verdict = TheoryVerdict(True)
-        elif self.config.minimize_cores:
-            verdict = TheoryVerdict(False, core=self.minimize_core(lits))
         else:
-            verdict = TheoryVerdict(False, core=tuple(sorted(lits)))
+            verdict = TheoryVerdict(False, core=self.minimize_core(lits))
         self._ref_verdicts[lits] = verdict
         return verdict
 
@@ -428,7 +468,7 @@ def simplex_satisfiable(literals: Iterable[Literal], table: AtomTable) -> bool:
     for lit in literals:
         atom = table.linear_atom(lit.atom_index)
         point = {name: model.get(name, Fraction(0)) for name in atom.variables}
-        assert atom.evaluate(point) == lit.polarity, (lit, model)
+        assert evaluate_atom(atom, point) == lit.polarity, (lit, model)
     return True
 
 

@@ -250,16 +250,8 @@ def test_criterion_7_oracle_cross_validation():
         "(assert (or (<= (+ x y) 2) (< (- x z) 0) (= x 1) (<= y 0)"
         " (= (+ x (* 3 y)) 0) (< (+ y z) 4) (= z 2) (<= (- 0 z) 1)))"
     )
-    builtin = BuiltinOracle(p.table, OracleConfig(minimize_cores=False))
-    external = make_oracle(
-        p.table,
-        OracleConfig(
-            backend="external",
-            command=command,
-            minimize_cores=False,
-            timeout_secs=60,
-        ),
-    )
+    builtin = BuiltinOracle(p.table)
+    external = make_oracle(p.table, OracleConfig(command=command, timeout_secs=60))
     import random
 
     rng = random.Random(2024)
@@ -270,7 +262,7 @@ def test_criterion_7_oracle_cross_validation():
             k = rng.randint(1, 6)
             idx = rng.sample(theory, k)
             lits = [Literal(i, rng.random() < 0.5) for i in idx]
-            if builtin.check(lits).satisfiable != external.check(lits).satisfiable:
+            if builtin.is_satisfiable(lits) != external.is_satisfiable(lits):
                 disagreements += 1
     finally:
         external.close()

@@ -175,7 +175,9 @@ class TestEnumerate:
             assert "--budget-secs: must be >= 0" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("flag", [["--early-pruning", "on"], ["--pruning-interval", "1"]])
+    @pytest.mark.parametrize(
+        "flag", [["--early-pruning", "on"], ["--pruning-interval", "1"], ["--subsume"]]
+    )
     def test_pruning_flags_are_gone(self, instance, flag):
         assert main(["enumerate", "-i", str(instance), *flag]) == 1
 

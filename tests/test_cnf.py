@@ -1,6 +1,6 @@
 import itertools
 
-from helpers import random_problem, truth_models
+from helpers import n_labels, random_problem, truth_models
 from tlemma.atoms import Literal
 from tlemma.problem import Problem
 
@@ -70,7 +70,7 @@ class TestToCnf:
             "(declare-const a Bool)(declare-const b Bool)(declare-const c Bool)"
             "(assert (or (and a b) (and b c)))"
         )
-        assert p.cnf.n_labels > 0
+        assert n_labels(p.cnf) > 0
         assert set(p.cnf.alpha_indices) == {0, 1, 2}
         from tlemma.atoms import AtomKind
 

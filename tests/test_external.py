@@ -14,7 +14,7 @@ from tlemma.strategies import StrategySpec, run_strategy
 
 
 def ext_oracle(table):
-    cfg = OracleConfig(backend="external", command=REF_CMD, timeout_secs=30)
+    cfg = OracleConfig(command=REF_CMD, timeout_secs=30)
     return make_oracle(table, cfg)
 
 
@@ -104,7 +104,7 @@ class TestMisbehavior:
             oracle.close()
 
     def test_missing_command(self, xy):
-        cfg = OracleConfig(backend="external", command="/nonexistent/solver-xyz")
+        cfg = OracleConfig(command="/nonexistent/solver-xyz")
         with pytest.raises(ExternalSolverError):
             make_oracle(xy.table, cfg).check([L(0)])
 
@@ -116,9 +116,7 @@ class TestMisbehavior:
             "    if 'check-sat' in line:\n"
             "        print('maybe-so', flush=True)\n"
         )
-        cfg = OracleConfig(
-            backend="external", command=f"{shlex.quote(sys.executable)} {script}"
-        )
+        cfg = OracleConfig(command=f"{shlex.quote(sys.executable)} {script}")
         oracle = make_oracle(xy.table, cfg)
         try:
             with pytest.raises(ExternalSolverError):
@@ -142,9 +140,7 @@ class TestMisbehavior:
             "ref_solver._read_sexpr = read_command\n"
             "solver.run()\n"
         )
-        cfg = OracleConfig(
-            backend="external", command=f"{shlex.quote(sys.executable)} {script}"
-        )
+        cfg = OracleConfig(command=f"{shlex.quote(sys.executable)} {script}")
         oracle = make_oracle(xy.table, cfg)
         try:
             with pytest.raises(ExternalSolverError, match="satisfiable unsat core"):
@@ -170,7 +166,6 @@ class TestMisbehavior:
             "        print('sat', flush=True)\n"
         )
         cfg = OracleConfig(
-            backend="external",
             command=f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}",
             timeout_secs=1.0,
         )
@@ -217,9 +212,7 @@ class TestSolverFault:
     @pytest.mark.parametrize("name", ["baseline", "dnc", "baseline-proj-part"])
     def test_run_strategy_keeps_lemmas(self, tmp_path, name):
         p = Problem.from_text(product_instance(1, n_groups=2))
-        cfg = OracleConfig(
-            backend="external", command=exiting_solver(tmp_path, self.REPLIES), timeout_secs=30
-        )
+        cfg = OracleConfig(command=exiting_solver(tmp_path, self.REPLIES), timeout_secs=30)
         res = run_strategy(p, StrategySpec.from_name(name), oracle_config=cfg)
         assert res.truncated
         assert "eof" in res.oracle_error or "exited" in res.oracle_error

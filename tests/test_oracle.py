@@ -15,6 +15,7 @@ from helpers import (
 )
 from tlemma import oracle as oracle_module
 from tlemma.atoms import UNASSIGNED, Literal
+from tlemma.external import ExternalOracle
 from tlemma.generator import clausal_instance
 from tlemma.lemma_io import render_lemma_script
 from tlemma.oracle import (
@@ -38,7 +39,7 @@ BACKENDS = pytest.mark.parametrize(
     "config",
     [
         OracleConfig(),
-        OracleConfig(backend="external", command=SUBSET_CORE_CMD, timeout_secs=30),
+        OracleConfig(command=SUBSET_CORE_CMD, timeout_secs=30),
     ],
     ids=["builtin", "external"],
 )
@@ -361,13 +362,12 @@ class TestValueKeyedFrontEnd:
 
     @seed(3303)
     @settings(max_examples=150, **_DERANDOMIZED)
-    @given(case=_query_sequences(), minimize=st.booleans())
-    def test_matches_literal_keyed_front_end(self, case, minimize):
+    @given(case=_query_sequences())
+    def test_matches_literal_keyed_front_end(self, case):
         atoms, bools, pool, steps = case
         p = atoms_problem(*atoms, bools=bools)
         assume(len(partition_atoms(p.table).theory_components()) >= 2)
-        config = OracleConfig(minimize_cores=minimize)
-        oracle, ref = BuiltinOracle(p.table, config), ReferenceFrontEnd(p.table, config)
+        oracle, ref = BuiltinOracle(p.table), ReferenceFrontEnd(p.table)
         theory = p.table.theory_indices()
         for index, kind in steps:
             values = pool[index]
@@ -560,26 +560,6 @@ class TestVerdictMemo:
         finally:
             oracle.close()
 
-    @BACKENDS
-    def test_unminimized_core_stays_the_whole_query(self, config):
-        p = atoms_problem("(<= x 0)", "(= x 1)", "(<= y 5)")
-        config = OracleConfig(
-            backend=config.backend,
-            command=config.command,
-            minimize_cores=False,
-            timeout_secs=config.timeout_secs,
-        )
-        oracle = make_oracle(p.table, config)
-        try:
-            query = [L(2), L(1), L(0)]
-            first = oracle.check(query)
-            solved = oracle.n_raw_checks
-            assert first.core == (L(0), L(1), L(2))
-            assert oracle.check(query) is first
-            assert oracle.n_raw_checks == solved
-        finally:
-            oracle.close()
-
 
 class TestMinimizeCore:
     def test_already_minimal(self):
@@ -653,20 +633,19 @@ class TestLemmas:
 
 
 class TestConfig:
-    def test_unminimized_core_is_full_set(self, xy):
-        p, _ = xy
-        oracle = BuiltinOracle(p.table, OracleConfig(minimize_cores=False))
-        v = oracle.check([L(0), L(1), L(2)])
-        assert set(v.core) == {L(0), L(1), L(2)}
-
     def test_make_oracle_builtin(self):
         p = atoms_problem("(= x 0)")
         assert isinstance(make_oracle(p.table), BuiltinOracle)
 
-    def test_unknown_backend(self):
-        p = atoms_problem("(= x 0)")
-        with pytest.raises(ValueError):
-            make_oracle(p.table, OracleConfig(backend="magic"))
+    def test_command_builds_the_external_oracle(self):
+        p = atoms_problem("(= x 0)", "(= x 1)")
+        oracle = make_oracle(p.table, OracleConfig(command=SUBSET_CORE_CMD, timeout_secs=30))
+        try:
+            assert isinstance(oracle, ExternalOracle)
+            assert not oracle.check([L(0), L(1)]).satisfiable
+            assert oracle.session is not None  # the solver subprocess answered
+        finally:
+            oracle.close()
 
     @pytest.mark.parametrize("secs", [0, -1.0, float("nan")])
     def test_nonpositive_timeout_rejected(self, secs):

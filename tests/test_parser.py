@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from helpers import iter_dag, symbols_of
 from tlemma.atoms import AtomKind
 from tlemma.generator import (
     clausal_instance,
@@ -13,7 +14,7 @@ from tlemma.generator import (
     random_instance,
 )
 from tlemma.parser import ParseError, UnsupportedConstructError, parse_smtlib
-from tlemma.terms import Relation, TermKind, iter_dag
+from tlemma.terms import Relation, TermKind
 
 
 def parse(text):
@@ -25,7 +26,7 @@ def snapshot(text):
     term, table = parse(text)
     dag = [(t.id, t.kind, t.payload, tuple(a.id for a in t.args)) for t in iter_dag(term)]
     atoms = [
-        (a.id, table.kind_of(i), a.payload, table.symbols_of(i))
+        (a.id, table.kind_of(i), a.payload, symbols_of(table, i))
         for i, a in enumerate(table.atoms)
     ]
     return term.id, dag, atoms
@@ -71,7 +72,7 @@ class TestBasics:
     def test_bool_atoms(self):
         term, table = parse("(declare-const p Bool)(declare-const q Bool)(assert (and p q))")
         assert table.kind_of(0) is AtomKind.BOOLEAN
-        assert table.symbols_of(0) == frozenset()
+        assert symbols_of(table, 0) == frozenset()
 
     def test_declare_fun_zero_ary(self):
         term, table = parse("(declare-fun x () Real)(assert (< x 1))")

@@ -1,6 +1,6 @@
 import random
 
-from helpers import atoms_problem, random_theory_literals
+from helpers import atoms_problem, random_theory_literals, symbols_of
 from tlemma.generator import planning_style_instance
 from tlemma.oracle import BuiltinOracle
 from tlemma.partition import UnionFind, partition_atoms
@@ -59,7 +59,7 @@ class TestPartition:
             part = partition_atoms(p.table)
             comps = part.theory_components()
             symbol_sets = [
-                {s for i in comp for s in p.table.symbols_of(i)} for comp in comps
+                {s for i in comp for s in symbols_of(p.table, i)} for comp in comps
             ]
             for i, a in enumerate(symbol_sets):
                 for b in symbol_sets[i + 1 :]:
