@@ -20,9 +20,9 @@ from .parser import ParseError, UnsupportedConstructError, parse_smtlib
 from .partition import Partition, partition_atoms
 from .problem import Problem
 from .strategies import (
-    BudgetExceeded,
     LemmaProvenance,
     LemmaSet,
+    PassResult,
     StrategyResult,
     StrategySpec,
     dedup_lemmas,

@@ -13,6 +13,16 @@ every lemma found so far and deduplicates once at the end.  There is one pass
 over all atoms (plain), one over the theory atoms (projection), or one per
 symbol-disjoint theory component (partitioning).
 
+Every enumeration gives one record ``(ordinal, lemmas, n_candidates,
+n_theory_checks, n_cubes, truncated, oracle_error)``: the one of baseline,
+the DnC phase-1 one and each phase-2 cube's.  One fold, :func:`_fold`, turns
+a pass's records into its :class:`PassResult`, adding their counts to the
+run's :class:`RunCounters` and giving each lemma its provenance.  An early
+stop (the budget, an oracle fault, a dead phase-2 worker) is data, not an
+exception: the stopped enumeration returns what it found, marked truncated;
+the fold marks the pass truncated; and ``run_strategy`` ends the run at the
+first pass that stopped, keeping what it and every earlier pass found.
+
 Phase 1 of divide & conquer splits on the first ``d`` atoms of the sorted
 projection, ``d = max(2, len(proj) - CUBE_FREE_ATOMS)``, so that a cube
 leaves at most :data:`CUBE_FREE_ATOMS` projection atoms to phase 2 (cube and
@@ -101,8 +111,7 @@ import traceback
 from dataclasses import dataclass
 from typing import BinaryIO, List, Optional, Sequence, Tuple
 
-from .atoms import AtomTable, Literal
-from .cnf import CnfProblem
+from .atoms import Literal
 from .enumeration import EnumerationOutcome, enumerate_cubes, projected_allsmt
 from .oracle import OracleConfig, TLemma, make_oracle
 from .partition import partition_atoms
@@ -200,16 +209,13 @@ class LemmaSet:
 
 
 def dedup_lemmas(
-    raw: Sequence[TLemma],
-    provenance: Optional[Sequence[LemmaProvenance]] = None,
+    raw: Sequence[TLemma], provenance: Sequence[LemmaProvenance]
 ) -> LemmaSet:
     """Canonicalize: drop exact duplicates (first occurrence wins), sort.
 
     DnC cubes rediscover the same lemma, but no lemma's literal set strictly
     contains another's: each lemma negates a core, and every core is
     irreducible (see ``OracleConfig``), so there is nothing to subsume."""
-    if provenance is None:
-        provenance = [LemmaProvenance("unknown", 0, i) for i in range(len(raw))]
     seen = {}
     for lemma, prov in zip(raw, provenance):
         seen.setdefault(lemma.key, (lemma, prov))
@@ -230,91 +236,86 @@ class RunCounters:
         reads; the engine adds no blocking clause."""
         return self.n_assignments
 
-    def absorb(self, outcome: EnumerationOutcome) -> None:
-        self.n_assignments += len(outcome.cubes)
-        self.n_candidates += outcome.stats.n_candidates
-        self.n_theory_checks += outcome.stats.n_theory_checks
 
+@dataclass
+class PassResult:
+    """One pass's lemmas, deduplicated, and how the pass ended.
 
-class BudgetExceeded(Exception):
-    """Raised when a strategy run outlives its budget, its oracle fails or a
-    phase-2 worker dies.
-
-    Carries the lemmas found so far; no completeness claim is attached to
-    them.  ``oracle_error`` is the oracle failure's message, and
-    ``worker_error`` names the worker that died, if one stopped the run.
+    ``truncated`` marks a pass that an early stop cut short: the budget ran
+    out, the oracle failed (``oracle_error`` is its message) or a phase-2
+    worker died (``worker_error`` names it).  Its lemmas are then the ones
+    found before the stop, with no completeness claim attached.
     """
 
-    def __init__(
-        self,
-        partial: LemmaSet,
-        counters: RunCounters,
-        oracle_error: Optional[str] = None,
-        worker_error: Optional[str] = None,
-    ):
-        super().__init__(oracle_error or worker_error or "enumeration budget exceeded")
-        self.partial = partial
-        self.counters = counters
-        self.oracle_error = oracle_error
-        self.worker_error = worker_error
+    lemma_set: LemmaSet
+    truncated: bool = False
+    oracle_error: Optional[str] = None
+    worker_error: Optional[str] = None
 
 
-def _provenance_for(outcome: EnumerationOutcome, stage: str, worker: int):
-    return [LemmaProvenance(stage, worker, i) for i in range(len(outcome.lemmas))]
+def _record(ordinal: int, outcome: EnumerationOutcome):
+    """The record of one enumeration: ``(ordinal, lemmas, n_candidates,
+    n_theory_checks, n_cubes, truncated, oracle_error)``.
+
+    A pass keeps only the lemmas, so the enumerated cubes are counted here,
+    and of the engine's statistics only the two counts the run adds up are
+    kept: a phase-2 child sends back no more of a cube than this.
+    """
+    stats = outcome.stats
+    return (ordinal, outcome.lemmas, stats.n_candidates, stats.n_theory_checks,
+            len(outcome.cubes), outcome.truncated, outcome.oracle_error)
+
+
+def _fold(counters: RunCounters, entries, worker_error: Optional[str] = None) -> PassResult:
+    """Fold the records of one pass's enumerations into its result.
+
+    ``entries`` are ``(record, stage, worker)`` triples in the order the
+    enumerations ran.  Each record's counts go to ``counters`` and its
+    lemmas get the provenance ``(stage, worker, index in the record)``.  The
+    pass is truncated if a record is, or if a phase-2 worker died
+    (``worker_error``); the first oracle fault is the pass's.
+    """
+    lemmas: List[TLemma] = []
+    provenance: List[LemmaProvenance] = []
+    truncated, oracle_error = worker_error is not None, None
+    for (_, found, n_candidates, n_checks, n_cubes, cut, error), stage, worker in entries:
+        counters.n_assignments += n_cubes
+        counters.n_candidates += n_candidates
+        counters.n_theory_checks += n_checks
+        truncated = truncated or cut
+        oracle_error = oracle_error or error
+        lemmas.extend(found)
+        provenance.extend(LemmaProvenance(stage, worker, i) for i in range(len(found)))
+    return PassResult(dedup_lemmas(lemmas, provenance), truncated, oracle_error, worker_error)
 
 
 def enumerate_baseline(
-    phi,
-    table: AtomTable,
+    problem: Problem,
     oracle,
-    proj: Optional[Sequence[int]] = None,
-    seed_lemmas: Sequence[TLemma] = (),
+    proj: Sequence[int],
+    seed_lemmas: Sequence[TLemma],
     *,
-    cnf: Optional[CnfProblem] = None,
+    counters: RunCounters,
     deadline: Optional[float] = None,
-    counters: Optional[RunCounters] = None,
     stage: str = "baseline",
-) -> LemmaSet:
-    """Total enumeration; keep only the lemmas (the cubes are only counted)."""
-    counters = counters if counters is not None else RunCounters()
-    cnf = cnf if cnf is not None else Problem.from_term(phi, table).cnf
-    if proj is None:
-        proj = list(cnf.alpha_indices)
+) -> PassResult:
+    """One enumeration over ``proj``; keep only the lemmas (the cubes are
+    only counted)."""
     outcome = projected_allsmt(
-        cnf,
-        table,
-        proj,
-        oracle,
-        seed_lemmas=seed_lemmas,
-        deadline=deadline,
+        problem.cnf, problem.table, proj, oracle, seed_lemmas=seed_lemmas, deadline=deadline
     )
-    counters.absorb(outcome)
-    lemma_set = dedup_lemmas(outcome.lemmas, _provenance_for(outcome, stage, 0))
-    if outcome.truncated:
-        raise BudgetExceeded(lemma_set, counters, outcome.oracle_error)
-    return lemma_set
+    return _fold(counters, [(_record(0, outcome), stage, 0)])
 
 
 def _share_records(cnf, table, oracle, seeds, share, proj, deadline):
     """Run one seeded enumeration per ``(ordinal, literals)`` cube of
-    ``share``, on one engine.
-
-    Returns lean per-cube records ``(ordinal, lemmas, n_candidates,
-    n_theory_checks, n_cubes, truncated, oracle_error)``: divide & conquer
-    keeps only the lemmas, so the enumerated cubes are counted here rather
-    than being sent back from a worker, and of the engine's statistics only
-    the two counts the caller adds up travel.
-    """
+    ``share``, on one engine, and return the records (:func:`_record`)."""
     if not share:
         return []
     outcomes = enumerate_cubes(
         cnf, table, proj, oracle, seeds, [cube for _, cube in share], deadline=deadline
     )
-    return [
-        (ordinal, o.lemmas, o.stats.n_candidates, o.stats.n_theory_checks, len(o.cubes),
-         o.truncated, o.oracle_error)
-        for (ordinal, _), o in zip(share, outcomes)
-    ]
+    return [_record(ordinal, o) for (ordinal, _), o in zip(share, outcomes)]
 
 
 def _phase2_worker(cnf, table, parent_oracle, seeds, share, proj, deadline):
@@ -476,18 +477,16 @@ def phase1_prefix(proj: Sequence[int]) -> List[int]:
 
 
 def enumerate_dnc(
-    phi,
-    table: AtomTable,
+    problem: Problem,
     oracle,
-    proj: Optional[Sequence[int]] = None,
-    seed_lemmas: Sequence[TLemma] = (),
+    proj: Sequence[int],
+    seed_lemmas: Sequence[TLemma],
     *,
-    cnf: Optional[CnfProblem] = None,
-    spec: Optional[StrategySpec] = None,
+    spec: StrategySpec,
+    counters: RunCounters,
     deadline: Optional[float] = None,
-    counters: Optional[RunCounters] = None,
     stage: str = "dnc",
-) -> LemmaSet:
+) -> PassResult:
     """Divide & conquer: an enumeration over the :func:`phase1_prefix` of
     ``proj``, then one seeded enumeration over all of ``proj`` per returned
     cube, on up to ``spec.workers`` processes, capped at the usable CPUs.
@@ -507,26 +506,16 @@ def enumerate_dnc(
     with no cube had all of its extensions refuted in phase 1.  The cubes
     are pairwise disjoint because each is a distinct total assignment of the
     prefix.  The prefix ignores the worker count, so the output does too.
+    A phase 1 that stopped early runs no phase 2: its cubes need not cover
+    the space.
     """
-    spec = spec or StrategySpec(base="dnc")
-    counters = counters if counters is not None else RunCounters()
-    cnf = cnf if cnf is not None else Problem.from_term(phi, table).cnf
-    if proj is None:
-        proj = list(cnf.alpha_indices)
-
+    cnf, table = problem.cnf, problem.table
     phase1 = projected_allsmt(
-        cnf,
-        table,
-        phase1_prefix(proj),
-        oracle,
-        seed_lemmas=seed_lemmas,
-        deadline=deadline,
+        cnf, table, phase1_prefix(proj), oracle, seed_lemmas=seed_lemmas, deadline=deadline
     )
-    counters.absorb(phase1)
-    collected: List[TLemma] = list(phase1.lemmas)
-    provenance: List[LemmaProvenance] = _provenance_for(phase1, f"{stage}-phase1", 0)
+    entries = [(_record(0, phase1), f"{stage}-phase1", 0)]
     if phase1.truncated:
-        raise BudgetExceeded(dedup_lemmas(collected, provenance), counters, phase1.oracle_error)
+        return _fold(counters, entries)
 
     seeds = tuple(seed_lemmas) + tuple(phase1.lemmas)
     cubes: List[Tuple[int, List[Literal]]] = [
@@ -537,25 +526,11 @@ def enumerate_dnc(
     n_shares = max(1, min(spec.workers, len(cpus), len(cubes) // SHARE_MIN_CUBES))
     shares = [cubes[p::n_shares] for p in range(n_shares)]
     records, worker_error = _run_shares(cnf, table, oracle, seeds, shares, cpus, proj, deadline)
-
-    truncated = worker_error is not None
-    oracle_error = None
-    for ordinal, lemmas, n_candidates, n_checks, n_cubes, cube_truncated, cube_error in records:
-        counters.n_assignments += n_cubes
-        counters.n_candidates += n_candidates
-        counters.n_theory_checks += n_checks
-        truncated = truncated or cube_truncated
-        oracle_error = oracle_error or cube_error
-        collected.extend(lemmas)
-        provenance.extend(
-            LemmaProvenance(f"{stage}-phase2:cube{ordinal}", ordinal % spec.workers, i)
-            for i in range(len(lemmas))
-        )
-
-    lemma_set = dedup_lemmas(collected, provenance)
-    if truncated:
-        raise BudgetExceeded(lemma_set, counters, oracle_error, worker_error)
-    return lemma_set
+    entries += [
+        (record, f"{stage}-phase2:cube{record[0]}", record[0] % spec.workers)
+        for record in records
+    ]
+    return _fold(counters, entries, worker_error)
 
 
 @dataclass
@@ -577,7 +552,11 @@ def run_strategy(
     """Execute the configured strategy on a parsed instance.
 
     The base strategy runs once per ``(projection set, stage)`` pass, seeded
-    with every lemma the earlier passes found.
+    with every lemma the earlier passes found.  A stop is data: each pass
+    folds its enumerations' records into a :class:`PassResult`, and the
+    first pass that stopped ends the run.  The run keeps the lemmas of that
+    pass and of every earlier one, and reports that pass's truncation,
+    oracle fault and dead worker.
     """
     own_oracle = oracle is None
     if own_oracle:
@@ -587,14 +566,13 @@ def run_strategy(
         time.monotonic() + spec.budget_secs if spec.budget_secs is not None else None
     )
     inner = enumerate_baseline
-    kw = dict(cnf=problem.cnf, deadline=deadline, counters=counters)
+    kw = dict(deadline=deadline, counters=counters)
     if spec.base == "dnc":
         inner, kw["spec"] = enumerate_dnc, spec  # by keyword, for wrappers to read
     start = time.monotonic_ns()
     found: List[TLemma] = []
     provenance: List[LemmaProvenance] = []
-    truncated = False
-    oracle_error = worker_error = None
+    result = PassResult(LemmaSet([], []))  # what a run of no pass reports
     try:
         if spec.partitioning:
             # The Boolean component is never enumerated: its atoms cannot
@@ -608,31 +586,18 @@ def run_strategy(
         elif spec.projection:
             passes = [(problem.table.theory_indices(), spec.base)]
         else:
-            passes = [(None, spec.base)]
+            passes = [(list(problem.cnf.alpha_indices), spec.base)]
         for proj, stage in passes:
-            lemma_set = inner(
-                problem.abstract,
-                problem.table,
-                oracle,
-                proj,
-                tuple(found),
-                stage=stage,
-                **kw,
-            )
-            found.extend(lemma_set.lemmas)
-            provenance.extend(lemma_set.provenance)
-    except BudgetExceeded as exc:
-        # Keep what the earlier passes found, not just this pass's.
-        found.extend(exc.partial.lemmas)
-        provenance.extend(exc.partial.provenance)
-        truncated = True
-        oracle_error = exc.oracle_error
-        worker_error = exc.worker_error
+            result = inner(problem, oracle, proj, tuple(found), stage=stage, **kw)
+            found.extend(result.lemma_set.lemmas)
+            provenance.extend(result.lemma_set.provenance)
+            if result.truncated:
+                break
     finally:
         if own_oracle:
             oracle.close()
     lemma_set = dedup_lemmas(found, provenance)
     elapsed_ms = (time.monotonic_ns() - start) // 1_000_000
     return StrategyResult(
-        lemma_set, counters, truncated, elapsed_ms, oracle_error, worker_error
+        lemma_set, counters, result.truncated, elapsed_ms, result.oracle_error, result.worker_error
     )

@@ -116,17 +116,12 @@ def test_criterion_3_projection_evidence(completeness_runs):
     eligible = strict = 0
     for text, problem, oracle, cls, _ in completeness_runs:
         plain, proj = RunCounters(), RunCounters()
-        ls_plain = enumerate_baseline(
-            problem.abstract, problem.table, oracle, cnf=problem.cnf, counters=plain
+        enumerate_baseline(
+            problem, oracle, list(problem.cnf.alpha_indices), (), counters=plain
         )
         ls_proj = enumerate_baseline(
-            problem.abstract,
-            problem.table,
-            oracle,
-            proj=problem.table.theory_indices(),
-            cnf=problem.cnf,
-            counters=proj,
-        )
+            problem, oracle, problem.table.theory_indices(), (), counters=proj
+        ).lemma_set
         assert rules_out(ls_proj, cls.itta), text
         if problem.table.boolean_indices():
             eligible += 1

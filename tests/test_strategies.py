@@ -1,11 +1,14 @@
 import errno
 import hashlib
+import importlib.util
 import json
 import os
 import pickle
 import signal
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -28,7 +31,6 @@ from tlemma.partition import partition_atoms
 from tlemma.problem import Problem
 from tlemma.strategies import (
     STRATEGY_NAMES,
-    BudgetExceeded,
     LemmaProvenance,
     RunCounters,
     StrategySpec,
@@ -48,6 +50,14 @@ def two_vals():
 
 def oracle_for(p):
     return BuiltinOracle(p.table)
+
+
+def every_atom(p):
+    """The projection of a plain pass: every atom."""
+    return list(p.cnf.alpha_indices)
+
+
+DNC = StrategySpec(base="dnc")
 
 
 class TestSpec:
@@ -85,8 +95,8 @@ class TestSpec:
 class TestBaseline:
     def test_worked_example(self, two_vals):
         ls = enumerate_baseline(
-            two_vals.abstract, two_vals.table, oracle_for(two_vals), cnf=two_vals.cnf
-        )
+            two_vals, oracle_for(two_vals), every_atom(two_vals), (), counters=RunCounters()
+        ).lemma_set
         assert [l.literals for l in ls.lemmas] == [(L(0, False), L(1, False))]
 
     def test_theory_equivalent_formula_has_empty_inconsistent_set(self):
@@ -95,7 +105,7 @@ class TestBaseline:
             "(declare-const x Real)(assert (= (not (<= x 0)) (= x 1)))"
         )
         oracle = oracle_for(p)
-        ls = enumerate_baseline(p.abstract, p.table, oracle, cnf=p.cnf)
+        ls = enumerate_baseline(p, oracle, every_atom(p), (), counters=RunCounters()).lemma_set
         cls = classify(p.term, p.table, oracle)
         assert cls.itta == []
         assert rules_out(ls, cls.itta)
@@ -104,30 +114,30 @@ class TestBaseline:
         p = Problem.from_text(
             "(declare-const a Bool)(declare-const b Bool)(assert (or a b))"
         )
-        counters = RunCounters()
-        ls = enumerate_baseline(
-            p.abstract, p.table, oracle_for(p), cnf=p.cnf, counters=counters
-        )
-        assert len(ls) == 0
+        result = enumerate_baseline(p, oracle_for(p), every_atom(p), (), counters=RunCounters())
+        assert len(result.lemma_set) == 0 and not result.truncated
 
     def test_budget_exceeded_carries_partial(self):
+        # A pass started past its deadline returns, marked truncated, what
+        # it found (nothing: the engine reads the deadline before any work),
+        # rather than raise.
         p = random_problem(depth=5, seed=77, max_atoms=12)
-        with pytest.raises(BudgetExceeded) as err:
-            enumerate_baseline(
-                p.abstract,
-                p.table,
-                oracle_for(p),
-                cnf=p.cnf,
-                deadline=0.0,
-            )
-        assert err.value.partial is not None
+        counters = RunCounters()
+        result = enumerate_baseline(
+            p, oracle_for(p), every_atom(p), (), counters=counters, deadline=0.0
+        )
+        assert result.truncated
+        assert result.oracle_error is None and result.worker_error is None
+        assert len(result.lemma_set) == 0
+        assert counters.n_candidates == counters.n_theory_checks == 0
 
 
 class TestDnc:
     def test_worked_example_single_lemma(self, two_vals):
         ls = enumerate_dnc(
-            two_vals.abstract, two_vals.table, oracle_for(two_vals), cnf=two_vals.cnf
-        )
+            two_vals, oracle_for(two_vals), every_atom(two_vals), (),
+            spec=DNC, counters=RunCounters(),
+        ).lemma_set
         assert [l.literals for l in ls.lemmas] == [(L(0, False), L(1, False))]
 
     def test_rules_out_same_set_as_baseline(self):
@@ -135,28 +145,28 @@ class TestDnc:
             p = random_problem(depth=4, seed=7000 + seed)
             oracle = oracle_for(p)
             cls = classify(p.term, p.table, oracle)
-            base = enumerate_baseline(p.abstract, p.table, oracle, cnf=p.cnf)
-            dnc = enumerate_dnc(p.abstract, p.table, oracle, cnf=p.cnf)
+            proj = every_atom(p)
+            base = enumerate_baseline(p, oracle, proj, (), counters=RunCounters()).lemma_set
+            dnc = enumerate_dnc(p, oracle, proj, (), spec=DNC, counters=RunCounters()).lemma_set
             assert rules_out(base, cls.itta)
             assert rules_out(dnc, cls.itta)
 
     def test_propositionally_unsat_formula(self):
         p = Problem.from_text("(declare-const a Bool)(assert (and a (not a)))")
-        ls = enumerate_dnc(p.abstract, p.table, oracle_for(p), cnf=p.cnf)
+        ls = enumerate_dnc(
+            p, oracle_for(p), every_atom(p), (), spec=DNC, counters=RunCounters()
+        ).lemma_set
         assert len(ls) == 0
 
     def test_no_emitted_lemma_duplicates_a_seed(self, two_vals):
         oracle = oracle_for(two_vals)
+        proj = every_atom(two_vals)
         first = enumerate_baseline(
-            two_vals.abstract, two_vals.table, oracle, cnf=two_vals.cnf
-        )
+            two_vals, oracle, proj, (), counters=RunCounters()
+        ).lemma_set
         again = enumerate_dnc(
-            two_vals.abstract,
-            two_vals.table,
-            oracle,
-            seed_lemmas=tuple(first.lemmas),
-            cnf=two_vals.cnf,
-        )
+            two_vals, oracle, proj, tuple(first.lemmas), spec=DNC, counters=RunCounters()
+        ).lemma_set
         assert not (again.keys() & first.keys())
 
     def test_worker_counts_agree(self, monkeypatch):
@@ -726,15 +736,11 @@ class TestProjection:
     def test_pure_theory_behaves_like_inner(self, two_vals):
         oracle = oracle_for(two_vals)
         plain = enumerate_baseline(
-            two_vals.abstract, two_vals.table, oracle, cnf=two_vals.cnf
-        )
+            two_vals, oracle, every_atom(two_vals), (), counters=RunCounters()
+        ).lemma_set
         projected = enumerate_baseline(
-            two_vals.abstract,
-            two_vals.table,
-            oracle,
-            proj=two_vals.table.theory_indices(),
-            cnf=two_vals.cnf,
-        )
+            two_vals, oracle, two_vals.table.theory_indices(), (), counters=RunCounters()
+        ).lemma_set
         assert plain.keys() == projected.keys()
 
     def test_boolean_atoms_not_enumerated_separately(self):
@@ -744,17 +750,10 @@ class TestProjection:
         )
         oracle = oracle_for(p)
         c_plain, c_proj = RunCounters(), RunCounters()
-        plain = enumerate_baseline(
-            p.abstract, p.table, oracle, cnf=p.cnf, counters=c_plain
-        )
+        plain = enumerate_baseline(p, oracle, every_atom(p), (), counters=c_plain).lemma_set
         projected = enumerate_baseline(
-            p.abstract,
-            p.table,
-            oracle,
-            proj=p.table.theory_indices(),
-            cnf=p.cnf,
-            counters=c_proj,
-        )
+            p, oracle, p.table.theory_indices(), (), counters=c_proj
+        ).lemma_set
         assert projected.keys() == plain.keys()
         assert c_proj.n_candidates <= c_plain.n_candidates
         cls = classify(p.term, p.table, oracle)
@@ -764,9 +763,8 @@ class TestProjection:
         p = Problem.from_text("(declare-const a Bool)(assert a)")
         counters = RunCounters()
         ls = enumerate_baseline(
-            p.abstract, p.table, oracle_for(p), proj=p.table.theory_indices(),
-            cnf=p.cnf, counters=counters,
-        )
+            p, oracle_for(p), p.table.theory_indices(), (), counters=counters
+        ).lemma_set
         assert len(ls) == 0
         assert counters.n_theory_checks == 0
 
@@ -817,7 +815,8 @@ class TestDedup:
     def test_same_literal_set_collapses(self):
         a = TLemma.of([L(0, False), L(1, False)])
         b = TLemma.of([L(1, False), L(0, False)])
-        ls = dedup_lemmas([a, b])
+        provs = [LemmaProvenance("x", 0, 0), LemmaProvenance("x", 0, 1)]
+        ls = dedup_lemmas([a, b], provs)
         assert len(ls) == 1
 
     def test_provenance_first_occurrence_wins(self):
@@ -829,9 +828,11 @@ class TestDedup:
     def test_dedup_preserves_rules_out(self):
         p = random_problem(depth=4, seed=55)
         oracle = oracle_for(p)
-        raw = enumerate_dnc(p.abstract, p.table, oracle, cnf=p.cnf)
+        raw = enumerate_dnc(
+            p, oracle, every_atom(p), (), spec=DNC, counters=RunCounters()
+        ).lemma_set
         cls = classify(p.term, p.table, oracle)
-        deduped = dedup_lemmas(list(raw.lemmas) * 3)
+        deduped = dedup_lemmas(list(raw.lemmas) * 3, list(raw.provenance) * 3)
         assert rules_out(deduped, cls.itta) == rules_out(raw, cls.itta)
 
 
@@ -920,32 +921,120 @@ class TestRunStrategy:
         res = run_strategy(p, StrategySpec(budget_secs=0.0))
         assert res.truncated
 
-    def test_budget_in_later_component_keeps_earlier_lemmas(self, monkeypatch):
-        # The budget expires as the second component's pass starts; the run
-        # must still return what the first component's pass found.
+    @pytest.mark.parametrize(
+        "name, stop",
+        [
+            ("baseline-proj-part", "budget"),
+            ("dnc-proj-part", "budget in phase 1"),
+            ("dnc-proj-part", "budget in phase 2"),
+            ("baseline-proj-part", "oracle fault"),
+            ("dnc-proj-part", "oracle fault"),
+        ],
+    )
+    def test_budget_in_later_component_keeps_earlier_lemmas(self, monkeypatch, name, stop):
+        # A stop ends the run at the pass it cut short: no later pass
+        # starts, and the run returns what that pass and every earlier one
+        # found.  The budget expires as the second component's pass starts,
+        # after its DnC phase 1 recorded its last cube (so no phase 2 may
+        # run on those cubes), or as its phase 2 starts; the oracle faults
+        # on the first query of component 0's pass.
         p = Problem.from_text(product_instance(1, n_groups=3))
-        spec = StrategySpec.from_name("baseline-proj-part")
+        spec = StrategySpec.from_name(name)
+        base = spec.base
         full = run_strategy(p, spec)
         first = {
             lemma.key
             for lemma, prov in zip(full.lemma_set.lemmas, full.lemma_set.provenance)
-            if prov.stage == "baseline:component0"
+            if prov.stage.startswith(f"{base}:component0")
         }
         assert first
-        real = strategies.enumerate_baseline
-        stages = []
+        real_pass = getattr(strategies, f"enumerate_{base}")
+        real_allsmt, real_cubes = strategies.projected_allsmt, strategies.enumerate_cubes
+        stages, passes, phase2_stages = [], [], []
 
-        def expire_after_first(*args, **kw):
+        def recorded_pass(*args, **kw):
             stages.append(kw["stage"])
-            if len(stages) > 1:
+            if len(stages) > 1 and stop == "budget":
                 kw["deadline"] = 0.0
-            return real(*args, **kw)
+            passes.append(real_pass(*args, **kw))
+            return passes[-1]
 
-        monkeypatch.setattr(strategies, "enumerate_baseline", expire_after_first)
-        res = run_strategy(p, spec)
-        assert res.truncated
-        assert stages == ["baseline:component0", "baseline:component1"]
+        def phase1(*args, **kw):
+            outcome = real_allsmt(*args, **kw)
+            if len(stages) > 1 and stop == "budget in phase 1":
+                assert outcome.cubes
+                outcome.truncated = True
+            return outcome
+
+        def phase2(*args, **kw):
+            phase2_stages.append(stages[-1])
+            if len(stages) > 1 and stop == "budget in phase 2":
+                kw["deadline"] = 0.0
+            return real_cubes(*args, **kw)
+
+        monkeypatch.setattr(strategies, f"enumerate_{base}", recorded_pass)
+        monkeypatch.setattr(strategies, "projected_allsmt", phase1)
+        monkeypatch.setattr(strategies, "enumerate_cubes", phase2)
+        config = OracleConfig(timeout_secs=1e-9) if stop == "oracle fault" else None
+        res = run_strategy(p, spec, oracle_config=config)
+        assert res.truncated and res.worker_error is None
+        assert [r.truncated for r in passes] == [False] * (len(passes) - 1) + [True]
+        assert res.lemma_set.keys() == set().union(*(r.lemma_set.keys() for r in passes))
+        if stop == "oracle fault":
+            assert stages == [f"{base}:component0"] and phase2_stages == []
+            assert res.oracle_error == "theory query exceeded its time budget"
+            return
+        assert stages == [f"{base}:component0", f"{base}:component1"]
+        assert res.oracle_error is None
         assert first <= res.lemma_set.keys()
+        if base == "dnc":
+            assert phase2_stages == (stages if stop == "budget in phase 2" else stages[:1])
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_tracer_wraps_the_strategies(monkeypatch):
+    """The benchmark's tracer patches the strategies by name and reads
+    their call shapes: ``projected_allsmt``'s fourth positional argument
+    and ``enumerate_dnc``'s ``spec=`` keyword.  Under it, ``dnc`` with a
+    forked phase-2 child and a partitioned run record their spans, none
+    with an error, and give the lemma bytes of an untraced run."""
+    source = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(source)
+    monkeypatch.setitem(sys.modules, source.name, tracing)
+    source.loader.exec_module(tracing)
+    fork_every_share(monkeypatch)
+    pin_usable_cpus(monkeypatch, 2)
+    runs = [
+        (clausal_instance(6, n_bool=3, n_real=3, n_theory=10, n_clauses=20), "dnc"),
+        (product_instance(1, n_groups=3), "baseline-proj-part"),
+    ]
+    problems = [
+        (Problem.from_text(text), StrategySpec.from_name(name, workers=2)) for text, name in runs
+    ]
+
+    def lemma_files():
+        return [
+            render_lemma_script(run_strategy(p, spec).lemma_set.lemmas, p.table)
+            for p, spec in problems
+        ]
+
+    untraced = lemma_files()
+    tracer = tracing.Tracer()
+    tracer.enable(True, 0)
+    try:
+        traced = lemma_files()
+    finally:
+        tracer.enable(False, None)
+    assert traced == untraced
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "strategies.enumerate_dnc",
+        "strategies.enumerate_baseline",
+        "enumeration.projected_allsmt",
+    } <= names
+    assert [span for span in tracer.spans if "error" in (span[5] or {})] == []
 
 
 def _strategy_digest(p: Problem) -> str:
