@@ -51,16 +51,36 @@ scaled by the bound's denominator and divided by the gcd of its entries, so
 oracle, in a per-component table indexed by the literal's origin bit (below),
 so a solve reads its rows straight off the part's value key, in ascending
 atom order.  Equalities are eliminated first and variables are then
-eliminated pairwise, both by integer cross-multiplication; disequalities
-(negated equalities) are case-split.  Each pairwise step eliminates the
-variable with the fewest upper x lower row pairs, ties broken by name, and
-takes one sweep over its rows: the loop that counts every variable's rows by
-the sign of its coefficient also collects them, so the chosen variable's
-upper and lower rows come out of the choice, and only the rows without it
-take one more filter.  A derived constant constraint ``0 <= b`` /
-``0 < b`` is contradictory iff ``b < 0``, or ``b = 0`` with the strict flag
-set.  Every scaling is by a positive factor, so a row keeps its solution set,
-the signs of its coefficients and its strictness.
+eliminated pairwise, both by integer cross-multiplication.  Each pairwise
+step eliminates the variable with the fewest upper x lower row pairs, ties
+broken by name, and takes one sweep over its rows: the loop that counts
+every variable's rows by the sign of its coefficient also collects them, so
+the chosen variable's upper and lower rows come out of the choice, and only
+the rows without it take one more filter.  A derived constant constraint
+``0 <= b`` / ``0 < b`` is contradictory iff ``b < 0``, or ``b = 0`` with the
+strict flag set.  Every scaling is by a positive factor, so a row keeps its
+solution set, the signs of its coefficients and its strictness.
+
+Disequalities (negated equalities) cost one elimination in the common case.
+A non-empty convex set minus finitely many hyperplanes is empty only if the
+set lies inside one of them (Lassez & McAloon, 1989).  So once the
+equalities are substituted, the inequalities are eliminated alone; a
+contradiction among them refutes the part.  Otherwise the elimination steps
+are undone, last first, into an exact point of the inequalities: each
+eliminated variable takes a value strictly inside the bounds its rows give
+at the values already chosen, or the bound where the two meet, and a
+variable no step fixes takes a fixed non-integer value.  The values are
+integers over one common denominator, multiplied only when a value needs
+it: bounds that meet at a fraction it cannot hold, or an interval with no
+such integer strictly inside.  The point is checked against every
+inequality row, exactly.  If it passes and lies on no disequality's
+hyperplane, the part is satisfiable.  Otherwise the part is case-split on
+the first disequality whose hyperplane holds the point (on the first
+disequality if the point failed a row, which exact arithmetic rules out),
+into its two strict branches, each solved the same way with the other
+disequalities.  A satisfiable verdict thus rests on a point checked row by
+row, and every other one on an elimination or a split.  The point never
+leaves the solve.
 
 Every row carries an origin mask, an ``int`` of the literals the row was
 derived from (Imbert's history sets).  A literal's origin bit is fixed per
@@ -72,7 +92,8 @@ subset of the part, its witness, read off the mask through the value key:
 bit ``2 * rank + value`` stands for the literal giving the component's
 ``rank``-th atom that value.  A disequality's split ends after the first
 branch when that branch's contradiction does not use the branch row: it
-refutes the other branch as well.
+refutes the other branch as well.  An unsat part whose inequalities are
+contradictory on their own gets their contradiction as its witness.
 
 The solves of one oracle share a derivation memo.  Every row has an id that
 no other row made in the process has.  The memo, keyed by ``(row id, row id,
@@ -308,9 +329,13 @@ def _pick_var(rows: List[Row]) -> Optional[Tuple[str, List[Row], List[Row]]]:
     return (best, *signs[best])
 
 
-def _fm_eliminate(rows: List[Row], memo: dict, deadline: float) -> Optional[int]:
+def _fm_eliminate(
+    rows: List[Row], memo: dict, deadline: float, steps: Optional[list] = None
+) -> Optional[int]:
     """``None`` if the row system is satisfiable, else the origin mask of a
-    contradiction."""
+    contradiction.  If ``steps`` is a list, each elimination step appends
+    its variable with its upper and lower rows (``_pick_var``'s triple), in
+    the order eliminated: :func:`_witness_point` back-substitutes them."""
     for coeffs, bound, mask, strict, _ in rows:
         if not coeffs and _row_conflict(bound, strict):
             return mask
@@ -320,9 +345,91 @@ def _fm_eliminate(rows: List[Row], memo: dict, deadline: float) -> Optional[int]
         picked = _pick_var(work)
         if picked is None:
             return None
+        if steps is not None:
+            steps.append(picked)
         work = _eliminate_var(work, *picked, memo, deadline)
         if isinstance(work, int):
             return work
+
+
+# A witness point starts over the common denominator ``_DEN``.  A variable
+# that no elimination step fixes takes the value ``_NUM / _DEN``; one bounded
+# on both sides takes about ``_NUM / _DEN`` of the way from its lower bound
+# to its upper one, and one bounded on one side a value over the
+# denominator strictly inside its bound and less than two units from it.
+# An odd fraction keeps the point off the round values that disequalities
+# usually name.
+_NUM, _DEN = 5, 13
+
+
+def _dot(coeffs: Dict[str, int], value: Dict[str, int]) -> int:
+    # A plain loop: on rows of a few variables it beats ``sum`` over a
+    # generator or ``map``.
+    s = 0
+    for n, c in coeffs.items():
+        s += c * value[n]
+    return s
+
+
+def _witness_point(
+    steps: list, ineqs: List[Row], diseqs: List[Row]
+) -> Optional[Tuple[Dict[str, int], int]]:
+    """An exact point of the inequalities ``ineqs``, which the elimination
+    ``steps`` (``_fm_eliminate``'s) found satisfiable: ``(value, den)``,
+    variable ``n`` of ``ineqs`` or ``diseqs`` taking ``value[n] / den``.
+    ``None`` if the point fails a row, which exact back-substitution rules
+    out; the caller then splits as if the point lay on a hyperplane.
+
+    The steps are undone last first.  A step's variable takes a value
+    strictly inside the bounds its upper and lower rows give at the values
+    of the variables eliminated after it, or the bound where the two meet.
+    The values are integers over one common denominator ``den``, which is
+    multiplied only when the bounds meet at a fraction it cannot hold or a
+    variable's interval holds no integer strictly inside.
+    """
+    value = {n: _NUM for row in itertools.chain(ineqs, diseqs) for n in row[0]}
+    den = _DEN
+    for var, upper, lower in reversed(steps):
+        # var * den <= hp / hq and >= lp / lq, with hq, lq > 0.
+        hp = hq = lp = lq = None
+        for coeffs, bound, _, _, _ in upper:
+            a = coeffs[var]
+            p = bound * den - _dot(coeffs, value) + a * value[var]
+            if hq is None or p * hq < hp * a:
+                hp, hq = p, a
+        for coeffs, bound, _, _, _ in lower:
+            d = -coeffs[var]
+            p = _dot(coeffs, value) + d * value[var] - bound * den
+            if lq is None or p * lq > lp * d:
+                lp, lq = p, d
+        k = 1
+        if lq is None:
+            t = hp // hq - 1
+        elif hq is None:
+            t = lp // lq + 1
+        elif hp * lq <= lp * hq:  # the bounds meet
+            k = lq // gcd(lp, lq)
+            t = lp * k // lq
+        else:
+            while True:
+                t = ((_DEN - _NUM) * lp * hq + _NUM * hp * lq) // (_DEN * lq * hq)
+                if t * lq <= lp:
+                    t = lp // lq + 1
+                if t * hq < hp:
+                    break
+                # No integer lies strictly inside: scale so that one does.
+                k = -(-2 * hq * lq // (hp * lq - lp * hq))
+                lp, hp = lp * k, hp * k
+        if k > 1:
+            den *= k
+            for n in value:
+                value[n] *= k
+        value[var] = t
+    for coeffs, bound, _, strict, _ in ineqs:
+        s, b = _dot(coeffs, value), bound * den
+        if s > b or (strict and s == b):
+            return None
+    return value, den
 
 
 def _branches(diseq: Row, memo: dict) -> Tuple[Row, Row]:
@@ -350,6 +457,17 @@ def _solve_system(
     """Satisfiability of ineqs & eqs & diseqs: ``None`` if satisfiable, else
     the origin mask (an ``int``) of a contradiction.
 
+    The equalities are substituted away first.  A system without
+    disequalities is then one elimination.  With disequalities, the
+    inequalities are eliminated alone: a contradiction among them is the
+    system's, else :func:`_witness_point` gives an exact point of them.  If
+    the point lies on no disequality's hyperplane, the system is
+    satisfiable.  Otherwise it is split on the first disequality whose
+    hyperplane holds the point (the first disequality if the point failed a
+    row) into its two strict branches, each solved with the other
+    disequalities; the first branch's contradiction ends the split if it
+    does not use the branch row.
+
     ``memo`` holds derivations made by earlier calls over rows of the same
     ids, each keyed by the ids of the rows it combines and the variable it
     cancels: it changes which rows are built, never their content or order.
@@ -373,7 +491,20 @@ def _solve_system(
     diseqs = [d for d in diseqs if d[0]]
     if not diseqs:
         return _fm_eliminate(ineqs, memo, deadline)
-    diseq, rest = diseqs[0], diseqs[1:]
+    steps: list = []
+    mask = _fm_eliminate(ineqs, memo, deadline, steps)
+    if mask is not None:
+        return mask
+    point = _witness_point(steps, ineqs, diseqs)
+    at = 0
+    if point is not None:
+        value, den = point
+        for at, (coeffs, bound, _, _, _) in enumerate(diseqs):
+            if _dot(coeffs, value) == bound * den:
+                break
+        else:
+            return None
+    diseq, rest = diseqs[at], diseqs[:at] + diseqs[at + 1 :]
     bit = diseq[3]
     conflict = 0
     for branch in _branches(diseq, memo):

@@ -32,6 +32,7 @@ from tlemma.oracle import (
     _integral,
     _reduced,
     _row_conflict,
+    _witness_point,
     refine_literal,
 )
 from tlemma.partition import partition_atoms
@@ -291,7 +292,9 @@ class ReferenceFrontEnd(BuiltinOracle):
 # An inequality row is (coeffs, bound, mask, strict); equalities and
 # disequalities are (coeffs, bound, mask) triples, a disequality with its own
 # literal's bit appended.  Bit i of a mask stands for the i-th literal of the
-# part in ascending order.
+# part in ascending order.  The witness point of a system with disequalities
+# comes from the backend's ``_witness_point``, which keeps no memo; the rows
+# it reads get a fifth entry, the backend's row id, which it ignores.
 
 
 def _ref_eliminate_eq(coeffs, bound, mask, var, eq):
@@ -351,7 +354,7 @@ def _ref_pick_var(rows):
     return min(occurrence, key=lambda n: (occurrence[n][0] * occurrence[n][1], n))
 
 
-def _ref_fm_eliminate(rows):
+def _ref_fm_eliminate(rows, steps=None):
     for coeffs, bound, mask, strict in rows:
         if not coeffs and _row_conflict(bound, strict):
             return mask
@@ -360,6 +363,10 @@ def _ref_fm_eliminate(rows):
         var = _ref_pick_var(work)
         if var is None:
             return None
+        if steps is not None:
+            upper = [r + (None,) for r in work if r[0].get(var, 0) > 0]
+            lower = [r + (None,) for r in work if r[0].get(var, 0) < 0]
+            steps.append((var, upper, lower))
         work = _ref_eliminate_var(work, var)
         if isinstance(work, int):
             return work
@@ -384,7 +391,22 @@ def _ref_solve_system(ineqs, eqs, diseqs):
     diseqs = [d for d in diseqs if d[0]]
     if not diseqs:
         return _ref_fm_eliminate(ineqs)
-    (coeffs, bound, mask, bit), rest = diseqs[0], diseqs[1:]
+    steps = []
+    found = _ref_fm_eliminate(ineqs, steps)
+    if found is not None:
+        return found
+    point = _witness_point(steps, [r + (None,) for r in ineqs], [d + (None,) for d in diseqs])
+    at = 0
+    if point is not None:
+        value, den = point
+        on = [
+            i for i, (c, b, _, _) in enumerate(diseqs)
+            if sum(k * value[n] for n, k in c.items()) == b * den
+        ]
+        if not on:
+            return None
+        at = on[0]
+    (coeffs, bound, mask, bit), rest = diseqs[at], diseqs[:at] + diseqs[at + 1 :]
     conflict = 0
     for branch in (
         (coeffs, bound, mask, True),

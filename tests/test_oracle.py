@@ -1,4 +1,6 @@
+import contextlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, seed, settings
@@ -168,6 +170,37 @@ def _atom_text(draw, symbols: str = "xyz") -> str:
     return f"({rel} {lhs} {_const(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))})"
 
 
+@contextlib.contextmanager
+def _witness_points():
+    """Record what every ``_witness_point`` call of the builtin backend was
+    given to satisfy and what it returned: a list of ``(ineqs, point)``."""
+    seen = []
+    real = oracle_module._witness_point
+
+    def spy(steps, ineqs, diseqs):
+        point = real(steps, ineqs, diseqs)
+        seen.append((ineqs, point))
+        return point
+
+    oracle_module._witness_point = spy
+    try:
+        yield seen
+    finally:
+        oracle_module._witness_point = real
+
+
+def _assert_points_hold(points) -> None:
+    for ineqs, point in points:
+        # The point passed the backend's own row check, so no split stood
+        # in for it ...
+        assert point is not None
+        # ... and it satisfies every inequality row, in exact rationals.
+        value, den = point
+        for coeffs, bound, _, strict, _ in ineqs:
+            lhs = sum(c * Fraction(value[n], den) for n, c in coeffs.items())
+            assert lhs < bound if strict else lhs <= bound
+
+
 class TestDifferentialRational:
     """Random conjunctions against the simplex reference: rational bounds,
     equalities with non-unit coefficients, disequalities (negated
@@ -193,13 +226,45 @@ class TestDifferentialRational:
         atoms=["(= (+ x y) 1)", "(= (+ x (* 2 z)) 0)", "(>= y 2)", "(<= z 0)"],
         polarities=[True, True, True, True, True, True],
     )
+    @example(
+        # An equality the inequalities imply: the witness holds the
+        # disequality.
+        atoms=["(<= (+ x y) 1)", "(>= (+ x y) 1)", "(= (+ x y) 1)"],
+        polarities=[True, True, False, True, True, True],
+    )
+    @example(
+        # The point x = 5 lies on the hyperplane, which the inequalities do
+        # not imply: the split finds x in (5, 13].
+        atoms=["(>= x 0)", "(<= x 13)", "(= x 5)"],
+        polarities=[True, True, False, True, True, True],
+    )
+    @example(
+        # A disequality over y, which no inequality mentions: y's fixed
+        # value, 5/13, lies on its hyperplane.
+        atoms=["(<= x 1)", "(= y (/ 5 13))", "(= (+ x y) 2)"],
+        polarities=[True, False, False, True, True, True],
+    )
+    @example(
+        # The bounds meet at x = 1/3, which the denominator 13 cannot
+        # hold: the point's denominator grows to 39.
+        atoms=["(<= (* 3 x) 1)", "(>= (* 3 x) 1)", "(= x 0)"],
+        polarities=[True, True, False, True, True, True],
+    )
+    @example(
+        # Two disequalities in one component: only the second holds the
+        # point (x = 2, y = 5/13).
+        atoms=["(<= x 2)", "(>= x 2)", "(= (+ x y) 0)", "(= x 2)"],
+        polarities=[True, True, False, False, True, True],
+    )
     def test_verdicts_models_and_cores(self, atoms, polarities):
         p = atoms_problem(*atoms)
         lits = [Literal(i, pol) for i, pol in zip(p.table.theory_indices(), polarities)]
-        v = BuiltinOracle(p.table).check(lits)
+        with _witness_points() as points:
+            v = BuiltinOracle(p.table).check(lits)
         assert v.satisfiable == simplex_satisfiable(lits, p.table)
         if not v.satisfiable:
             assert not simplex_satisfiable(v.core, p.table)
+        _assert_points_hold(points)
 
 
 def _plain_deletion(lits, table):
@@ -257,12 +322,40 @@ class TestExplainedConflicts:
         atoms=["(<= y 0)", "(= x 1)", "(= (* 3 x) 4)"],
         polarities=[True, True, True, True, True, True, True],
     )
+    @example(
+        # An equality the inequalities imply: the witness holds the
+        # disequality.
+        atoms=["(<= (+ x y) 1)", "(>= (+ x y) 1)", "(= (+ x y) 1)", "(<= x 0)"],
+        polarities=[True, True, False, True, True, True, True],
+    )
+    @example(
+        # The x part is sat, though its point x = 5 lies on the hyperplane,
+        # which the inequalities do not imply; the y part is unsat.
+        atoms=["(>= x 0)", "(<= x 13)", "(= x 5)", "(>= y 1)", "(<= y 0)"],
+        polarities=[True, True, False, True, True, True, True],
+    )
+    @example(
+        # The inequalities alone are contradictory: their conflict is the
+        # witness.  The minimization trials without one of them meet a
+        # disequality over y, which no inequality mentions: y's fixed
+        # value, 5/13, lies on its hyperplane.
+        atoms=["(<= x 1)", "(= y (/ 5 13))", "(>= x 2)", "(= (+ x y) 2)"],
+        polarities=[True, False, True, False, True, True, True],
+    )
+    @example(
+        # Two disequalities in one component: only the second holds the
+        # point (x = 2, y = 5/13).
+        atoms=["(<= x 2)", "(>= x 2)", "(= (+ x y) 0)", "(= x 2)"],
+        polarities=[True, True, False, False, True, True, True],
+    )
     def test_core_is_plain_deletion_and_witnesses_are_unsat(self, atoms, polarities):
         p = atoms_problem(*atoms)
         lits = [Literal(i, pol) for i, pol in zip(p.table.theory_indices(), polarities)]
         oracle = BuiltinOracle(p.table)
         seen = _record_raw_checks(oracle)
-        v = oracle.check(lits)
+        with _witness_points() as points:
+            v = oracle.check(lits)
+        _assert_points_hold(points)
         assert v.satisfiable == simplex_satisfiable(lits, p.table)
         if v.satisfiable:
             return

@@ -1,4 +1,5 @@
 import errno
+import functools
 import hashlib
 import importlib.util
 import json
@@ -1037,12 +1038,17 @@ def test_benchmark_tracer_wraps_the_strategies(monkeypatch):
     assert [span for span in tracer.spans if "error" in (span[5] or {})] == []
 
 
-def _strategy_digest(p: Problem) -> str:
-    """Every strategy's run on ``p``, the ``dnc`` ones on 1 and 2 workers:
-    the lemma file's bytes, the provenance, the counters and, on 1 worker,
-    the oracle's solve count, which on 2 depends on how many processes
-    ran."""
+@functools.lru_cache(maxsize=None)
+def _golden_run(instance: int):
+    """Every strategy's run on the golden instance, the ``dnc`` ones on 1
+    and 2 workers: the digest of the lemma files' bytes, the provenance,
+    the counters and the truncation, and each strategy's oracle solve count
+    on 1 worker.  The count on 2 workers depends on how many processes ran.
+    The count is pinned apart from the digest: it follows the backend's
+    witnesses, which a faster solve may change without changing an output."""
+    p = Problem.from_text(clausal_instance(instance, n_bool=8, n_real=3, n_theory=6, n_clauses=20))
     records = []
+    solves = {}
     for name in STRATEGY_NAMES:
         for workers in (1, 2) if name.startswith("dnc") else (1,):
             oracle = oracle_for(p)
@@ -1055,22 +1061,36 @@ def _strategy_digest(p: Problem) -> str:
                 res.lemma_set.provenance,
                 res.counters,
                 res.truncated,
-                oracle.n_raw_checks if workers == 1 else None,
             )))
-    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+            if workers == 1:
+                solves[name] = oracle.n_raw_checks
+    return hashlib.sha256("\n".join(records).encode()).hexdigest(), solves
 
 
-# Recorded from the engine that still had early pruning, which no strategy
-# turned on: the strategies' outputs did not change when it was deleted.
+# The outputs have not changed since the engine still had early pruning,
+# which no strategy turned on.
 STRATEGY_GOLDEN_DIGESTS = {
-    0: "a67b7914488418784cb92dc8907d1d85deb2f1275d08d683eb3c5d7458fe9abe",
-    1: "6aa6710188a95dbb880cca53490bb32d1955e3101b8915c3eb1f5dfac92d2b5b",
-    2: "faac6545835ebc1f126f771ca993d01a66f277a0a41571c5c66920015d4275c2",
-    3: "93fad3bc1cacafeecac5247f49d658d769fa5006dda2bdd996f92c369eb4c8a6",
-    4: "b1e59aab837f5f7a862cbf2f43934b4cb8ed58af366b16a663ea178600690349",
-    5: "2d33f85fd3c6c724bc048e68375507bc1f716dc13fa7ded24f9d6fd84d070c0e",
-    6: "1921d366c5cf666845e86a4a19a6e5da0bb6e1dbe2432d20477235edd2f2cafb",
-    7: "b85d3c8efa8eceeb36150d1232d47c7e0c1c6bb39df3ea061c535e57367389c4",
+    0: "880b44aa0688d14a18fb45fb8f66f296c44dcc2a8e2e21f542841f2b51c0b060",
+    1: "ee6d457e2dd9eb228722f599da1fb8364156454e12f0dcc104350ce66bf9a6cb",
+    2: "e095ebaf8e1a47dd849fe7085d8cbf34defab46999070ed4fb2b8e106c36370d",
+    3: "227e9508e4d912ffd113b0e83ea9210ad22938dec71b703ceece514c0a28beaf",
+    4: "5939c0b1d7150c185d5b2054397c90b12add4d9352d1bed1323ed3ef8195ba76",
+    5: "7187cfad7518dc08b0736b80b98394c6669275a6063678a3e4d92b0504251840",
+    6: "8719ca13932d3dd9cd92c2e1aaed1c72c94677794bb422df493fddf95a571bc4",
+    7: "9ab8483ce03cdea22c423308e54d8e1f0507128f5c06fcc0b08be7295772a4a8",
+}
+
+# ``BuiltinOracle.n_raw_checks`` after each strategy's 1-worker run, in
+# ``STRATEGY_NAMES`` order.
+STRATEGY_GOLDEN_SOLVES = {
+    0: [74, 74, 74, 75, 74, 75],
+    1: [42, 44, 43, 47, 43, 47],
+    2: [47, 47, 47, 48, 47, 48],
+    3: [51, 53, 50, 51, 50, 51],
+    4: [43, 43, 43, 43, 43, 43],
+    5: [78, 86, 79, 83, 79, 83],
+    6: [58, 64, 64, 66, 64, 66],
+    7: [59, 59, 59, 59, 59, 59],
 }
 
 
@@ -1080,10 +1100,12 @@ class TestGolden:
 
     @pytest.mark.parametrize("instance", range(8))
     def test_output_is_pinned(self, instance):
-        p = Problem.from_text(
-            clausal_instance(instance, n_bool=8, n_real=3, n_theory=6, n_clauses=20)
-        )
-        assert _strategy_digest(p) == STRATEGY_GOLDEN_DIGESTS[instance]
+        assert _golden_run(instance)[0] == STRATEGY_GOLDEN_DIGESTS[instance]
+
+    @pytest.mark.parametrize("instance", range(8))
+    def test_solve_counts_are_pinned(self, instance):
+        solves = _golden_run(instance)[1]
+        assert [solves[name] for name in STRATEGY_NAMES] == STRATEGY_GOLDEN_SOLVES[instance]
 
 
 # The three generator families, each kept to 12 atoms or fewer so that the
