@@ -3,7 +3,7 @@ arithmetic: given a formula, produce a set of theory-valid clauses ruling out
 every theory-inconsistent total truth assignment that propositionally
 satisfies it."""
 
-from .atoms import AtomKind, AtomTable, Literal, boolean_abstraction, eval3, refine
+from .atoms import AtomKind, AtomTable, Literal, boolean_abstraction
 from .cnf import CnfProblem, to_cnf
 from .enumeration import Assignment, EnumerationOutcome, projected_allsmt
 from .oracle import (

@@ -100,9 +100,6 @@ class Assignment:
                 raise ValueError(f"conflicting polarities for atom {lit.atom_index}")
         return cls(literals, scope)
 
-    def as_map(self) -> Dict[int, bool]:
-        return {lit.atom_index: lit.polarity for lit in self.literals}
-
     def sorted_literals(self) -> List[Literal]:
         return sorted(self.literals)
 

@@ -1,12 +1,13 @@
 """A minimal SMT-LIB2 solver over stdin/stdout for QF_LRA conjunctions.
 
-Understands exactly the dialect the external oracle speaks: options, one
-logic, 0-ary Real declarations, push/pop, named asserts of linear-arithmetic
-literals, check-sat, get-unsat-core, get-value.  Satisfiability is decided by
-an exact rational two-phase simplex with Bland's rule (disequalities by case
-split, strict inequalities via a maximized slack), so it shares no decision
-code with the library's Fourier-Motzkin backend and can serve as a
-cross-check:
+Understands exactly the dialect the external oracle speaks.  It takes
+options, one logic, 0-ary Real declarations, push/pop and named asserts of
+linear-arithmetic literals without a reply, and answers two commands:
+check-sat (``sat`` or ``unsat``) and get-unsat-core.  Any other command gets an
+``(error ...)`` reply.  Satisfiability is decided by an exact rational
+bounded simplex (Dutertre & de Moura, CAV 2006) with Bland's rule,
+disequalities by case split, so it shares no decision code with the
+library's Fourier-Motzkin backend and can serve as a cross-check:
 
     tlemma enumerate --oracle-cmd "python3 -m tlemma.ref_solver" ...
 
@@ -152,162 +153,93 @@ def _constraint(node, negated: bool = False) -> Constraint:
     return coeffs, bound, kind
 
 
-# -- exact two-phase simplex ------------------------------------------------
+# -- bounded simplex --------------------------------------------------------
 #
-# maximize obj . z   subject to   A z = b,  z >= 0
-# with Bland's rule (entering: lowest eligible column; leaving: lowest basic
-# variable among ratio-test ties), which cannot cycle.
+# The general simplex of Dutertre & de Moura (CAV 2006).  Variable j < n is
+# the j-th free rational; variable n + i is the slack of row i, which starts
+# basic and carries the row's bound.  Values and bounds are delta-rationals
+# (c, k), read as c + k * delta for an infinitesimal delta > 0 and compared
+# as tuples, so a strict bound s < b is the bound s <= (b, -1).
+
+DeltaRational = Tuple[Fraction, Fraction]
 
 
-class _Unbounded(Exception):
-    pass
+def _pick_delta(pairs) -> Fraction:
+    """A concrete delta in (0, 1] that keeps every ``lo <= hi`` pair."""
+    delta = Fraction(1)
+    for (lc, lk), (hc, hk) in pairs:
+        if lc < hc and lk > hk:
+            delta = min(delta, (hc - lc) / (lk - hk))
+    return delta
 
 
-def _pivot(tableau: List[List[Fraction]], basis: List[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            factor = line[col]
-            tableau[r] = [v - factor * p for v, p in zip(line, tableau[row])]
-    basis[row] = col
-
-
-def _run_simplex(tableau: List[List[Fraction]], basis: List[int]) -> None:
-    """Drive the objective row (last) to optimality in place."""
-    m = len(tableau) - 1
-    width = len(tableau[0]) - 1
-    while True:
-        obj = tableau[-1]
-        col = next((j for j in range(width) if obj[j] < 0), None)
-        if col is None:
-            return
-        best_row = None
-        best_ratio = None
-        for i in range(m):
-            a = tableau[i][col]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = i
-        if best_row is None:
-            raise _Unbounded()
-        _pivot(tableau, basis, best_row, col)
-
-
-def lp_feasible(rows: List[Constraint]):
+def lp_feasible(rows: List[Constraint]) -> Optional[Dict[str, Fraction]]:
     """Exact feasibility of le/lt/eq rows over free rational variables.
 
-    Strict rows get a shared slack that the second phase maximizes (capped at
-    one); the system is satisfiable iff phase one succeeds and, when strict
-    rows exist, the maximized slack is positive.  Returns a model dict or
-    None.
+    Repairs the lowest-numbered basic variable out of its bounds with the
+    lowest-numbered nonbasic variable that can move it (Bland's rule, so it
+    terminates); a row with no such variable is a conflict.  Returns a model
+    dict or None.
     """
     names = sorted({n for coeffs, _, _ in rows for n in coeffs})
-    strict = any(kind == "lt" for _, _, kind in rows)
-    # columns: x+ / x- per free variable, then the strictness slack
-    col_of = {name: 2 * i for i, name in enumerate(names)}
-    eps_col = 2 * len(names)
-    n_struct = eps_col + (1 if strict else 0)
+    n = len(names)
+    col = {name: j for j, name in enumerate(names)}
+    zero = Fraction(0)
+    tableau: Dict[int, Dict[int, Fraction]] = {}
+    lower: Dict[int, DeltaRational] = {}
+    upper: Dict[int, DeltaRational] = {}
+    for i, (coeffs, bound, kind) in enumerate(rows):
+        tableau[n + i] = {col[name]: Fraction(v) for name, v in coeffs.items()}
+        upper[n + i] = (Fraction(bound), Fraction(-1 if kind == "lt" else 0))
+        if kind == "eq":
+            lower[n + i] = upper[n + i]
+    value: Dict[int, DeltaRational] = {v: (zero, zero) for v in range(n + len(rows))}
 
-    work = [(coeffs, bound, kind) for coeffs, bound, kind in rows]
-    if strict:
-        work.append(({}, Fraction(1), "eps_cap"))  # eps <= 1
+    while True:
+        for x in sorted(tableau):
+            if x in lower and value[x] < lower[x]:
+                target, sign = lower[x], 1
+                break
+            if x in upper and value[x] > upper[x]:
+                target, sign = upper[x], -1
+                break
+        else:
+            break
+        row = tableau[x]
+        for y in sorted(row):
+            a = row[y]
+            if (sign * a > 0 and (y not in upper or value[y] < upper[y])) or (
+                sign * a < 0 and (y not in lower or value[y] > lower[y])
+            ):
+                break
+        else:
+            return None
+        # Move y so that x lands on its bound, then swap their roles.
+        theta = ((target[0] - value[x][0]) / a, (target[1] - value[x][1]) / a)
+        del tableau[x]
+        y_row = {w: -c / a for w, c in row.items() if w != y}
+        y_row[x] = 1 / a
+        for z, z_row in tableau.items():
+            c = z_row.pop(y, None)
+            if c is None:
+                continue
+            vz = value[z]
+            value[z] = (vz[0] + c * theta[0], vz[1] + c * theta[1])
+            for w, d in y_row.items():
+                e = z_row.get(w, zero) + c * d
+                if e:
+                    z_row[w] = e
+                else:
+                    z_row.pop(w, None)
+        tableau[y] = y_row
+        vy = value[y]
+        value[y] = (vy[0] + theta[0], vy[1] + theta[1])
+        value[x] = target
 
-    # structural part of each equality row, before slacks/artificials
-    lines: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    slack_rows: List[int] = []
-    for coeffs, bound, kind in work:
-        line = [Fraction(0)] * n_struct
-        for n, v in coeffs.items():
-            line[col_of[n]] += v
-            line[col_of[n] + 1] -= v
-        if kind == "lt":
-            line[eps_col] += 1
-        if kind == "eps_cap":
-            line[eps_col] += 1
-        lines.append(line)
-        rhs.append(Fraction(bound))
-        if kind in ("le", "lt", "eps_cap"):
-            slack_rows.append(len(lines) - 1)
-
-    m = len(lines)
-    n_slack = len(slack_rows)
-    total = n_struct + n_slack + m  # + one artificial per row
-    tableau: List[List[Fraction]] = []
-    basis: List[int] = []
-    slack_index = {r: n_struct + k for k, r in enumerate(slack_rows)}
-    for i in range(m):
-        row = lines[i] + [Fraction(0)] * (n_slack + m) + [rhs[i]]
-        if i in slack_index:
-            row[slack_index[i]] = Fraction(1)
-        if row[-1] < 0:
-            row = [-v for v in row]
-        row[n_struct + n_slack + i] = Fraction(1)
-        tableau.append(row)
-        basis.append(n_struct + n_slack + i)
-
-    # phase one: minimize the artificial sum (as maximize its negation)
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(n_struct + n_slack, total):
-        obj[j] = Fraction(1)
-    for i in range(m):
-        obj = [o - t for o, t in zip(obj, tableau[i])]
-    tableau.append(obj)
-    try:
-        _run_simplex(tableau, basis)
-    except _Unbounded:  # cannot happen: phase-1 objective is bounded
-        raise AssertionError("phase-1 simplex diverged")
-    if tableau[-1][-1] != 0:
-        return None
-    tableau.pop()
-    # Drive lingering zero-level artificials out of the basis, drop redundant
-    # rows, then cut the artificial columns so phase two cannot re-enter them.
-    width = n_struct + n_slack
-    keep = []
-    for i in range(m):
-        if basis[i] >= width:
-            col = next((j for j in range(width) if tableau[i][j] != 0), None)
-            if col is None:
-                continue  # 0 = 0 row
-            _pivot(tableau, basis, i, col)
-        keep.append(i)
-    tableau = [tableau[i][:width] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    m = len(tableau)
-
-    # phase two: maximize the strictness slack (or nothing to do)
-    if strict:
-        obj = [Fraction(0)] * (width + 1)
-        obj[eps_col] = Fraction(-1)  # maximize eps
-        tableau.append(obj)
-        for i in range(m):
-            factor = tableau[-1][basis[i]]
-            if factor != 0:
-                tableau[-1] = [
-                    v - factor * p for v, p in zip(tableau[-1], tableau[i])
-                ]
-        try:
-            _run_simplex(tableau, basis)
-        except _Unbounded:
-            raise AssertionError("phase-2 objective is capped but diverged")
-        tableau.pop()
-
-    values = [Fraction(0)] * width
-    for i in range(m):
-        values[basis[i]] = tableau[i][-1]
-    if strict and values[eps_col] <= 0:
-        return None
-    model = {}
-    for name in names:
-        model[name] = values[col_of[name]] - values[col_of[name] + 1]
-    return model
+    delta = _pick_delta(
+        [(lower[v], value[v]) for v in lower] + [(value[v], upper[v]) for v in upper]
+    )
+    return {name: value[j][0] + value[j][1] * delta for name, j in col.items()}
 
 
 def satisfiable(rows: List[Constraint]):
@@ -344,7 +276,6 @@ def satisfiable(rows: List[Constraint]):
 class _Solver:
     def __init__(self) -> None:
         self.stack: List[List[Tuple[str, Constraint]]] = [[]]
-        self.last_model: Optional[Dict[str, Fraction]] = None
 
     def run(self) -> None:
         mode = os.environ.get("TLEMMA_REF_MODE", "")
@@ -380,25 +311,11 @@ class _Solver:
                     print("unknown", file=out, flush=True)
                     continue
                 rows = [c for frame in self.stack for _, c in frame]
-                self.last_model = satisfiable(rows)
-                print("sat" if self.last_model is not None else "unsat",
-                      file=out, flush=True)
+                sat = satisfiable(rows) is not None
+                print("sat" if sat else "unsat", file=out, flush=True)
             elif head == "get-unsat-core":
                 names = [n for frame in self.stack for n, _ in frame if n]
                 print("(" + " ".join(names) + ")", file=out, flush=True)
-            elif head == "get-value":
-                model = self.last_model or {}
-                parts = []
-                for name in node[1]:
-                    q = model.get(name, Fraction(0))
-                    if q.denominator == 1:
-                        v = str(q.numerator) if q >= 0 else f"(- {-q.numerator})"
-                    elif q >= 0:
-                        v = f"(/ {q.numerator} {q.denominator})"
-                    else:
-                        v = f"(- (/ {-q.numerator} {q.denominator}))"
-                    parts.append(f"({name} {v})")
-                print("(" + " ".join(parts) + ")", file=out, flush=True)
             else:
                 print(f'(error "unknown command {head}")', file=out, flush=True)
 

@@ -1,10 +1,12 @@
 import random
 import shlex
 import sys
+from fractions import Fraction
 
 import pytest
 
 from helpers import REF_CMD, L, atoms_problem, random_theory_literals
+from tlemma import ref_solver
 from tlemma.cli import EXIT_TRUNCATED, main
 from tlemma.external import ExternalSolverError
 from tlemma.generator import product_instance
@@ -257,3 +259,45 @@ class TestCrossValidation:
                 )
         finally:
             external.close()
+
+
+def row(kind, bound, **coeffs):
+    """A reference-solver row ``sum(coeffs) <kind> bound``."""
+    return {n: Fraction(v) for n, v in coeffs.items()}, Fraction(bound), kind
+
+
+def holds(constraint, model) -> bool:
+    coeffs, bound, kind = constraint
+    lhs = sum((c * model[n] for n, c in coeffs.items()), Fraction(0))
+    return {"le": lhs <= bound, "lt": lhs < bound, "eq": lhs == bound,
+            "ne": lhs != bound}[kind]
+
+
+class TestReferenceSimplex:
+    """``ref_solver.satisfiable`` called directly: the verdict, and for sat
+    an exact rational model that satisfies every row.  The strict cases pin
+    the concrete delta read off the delta-rational solution."""
+
+    @pytest.mark.parametrize("rows", [
+        # x < y < x + 1/10^6: narrower than any fixed epsilon
+        [row("lt", 0, x=1, y=-1), row("lt", Fraction(1, 10**6), y=1, x=-1)],
+        # 0 < x < 1 and 2x + y = 1
+        [row("lt", 0, x=-1), row("lt", 1, x=1), row("eq", 1, x=2, y=1)],
+    ], ids=["narrow-strict-interval", "open-interval-with-equality"])
+    def test_sat_with_exact_model(self, rows):
+        model = ref_solver.satisfiable(rows)
+        assert model is not None
+        assert all(type(v) is Fraction for v in model.values())
+        for constraint in rows:
+            assert holds(constraint, model), (constraint, model)
+
+    @pytest.mark.parametrize("rows", [
+        # x < 0 and x > 0
+        [row("lt", 0, x=1), row("lt", 0, x=-1)],
+        # x <= 0, x >= 0 and x != 0
+        [row("le", 0, x=1), row("le", 0, x=-1), row("ne", 0, x=1)],
+        # x + y = 2, x = y and x > 1
+        [row("eq", 2, x=1, y=1), row("eq", 0, x=1, y=-1), row("lt", -1, x=-1)],
+    ], ids=["opposite-strict", "point-minus-its-hyperplane", "equalities-against-strict"])
+    def test_unsat(self, rows):
+        assert ref_solver.satisfiable(rows) is None
