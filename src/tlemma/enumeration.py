@@ -80,25 +80,12 @@ class EnumerationMode(enum.Enum):
 class Assignment:
     """A set of literals over a designated scope of atom indices.
 
-    :meth:`of` is the validating constructor: it rejects a literal outside
-    the scope and two literals of opposite polarity on one atom.  The engine
-    builds assignments directly, from literals it read off a consistent
-    trail, so the constructor itself checks nothing.
+    The engine builds assignments from literals it read off a consistent
+    trail, so the constructor checks nothing.
     """
 
     literals: FrozenSet[Literal]
     scope: FrozenSet[int]
-
-    @classmethod
-    def of(cls, literals: Iterable[Literal], scope: Iterable[int]) -> "Assignment":
-        literals, scope = frozenset(literals), frozenset(scope)
-        by_atom: Dict[int, bool] = {}
-        for lit in literals:
-            if lit.atom_index not in scope:
-                raise ValueError(f"literal {lit} outside scope")
-            if by_atom.setdefault(lit.atom_index, lit.polarity) != lit.polarity:
-                raise ValueError(f"conflicting polarities for atom {lit.atom_index}")
-        return cls(literals, scope)
 
     def sorted_literals(self) -> List[Literal]:
         return sorted(self.literals)

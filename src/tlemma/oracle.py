@@ -117,14 +117,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import UNASSIGNED, Literal
 from .partition import partition_atoms
-from .terms import LinearAtom, Relation
+from .terms import LinearAtom, Rational, Relation
 
 
 class OracleError(Exception):
@@ -212,11 +211,11 @@ def _reduced(coeffs: Dict[str, int], bound: int) -> Tuple[Dict[str, int], int]:
     return coeffs, bound
 
 
-def _integral(coeffs: Dict[str, int], bound: Fraction) -> Tuple[Dict[str, int], int]:
-    """Integer row for integer-valued ``coeffs`` and a rational ``bound``:
-    scale by the bound's denominator, then reduce."""
+def _integral(coeffs: Dict[str, int], bound: Rational) -> Tuple[Dict[str, int], int]:
+    """Integer row for ``int`` ``coeffs`` and an ``int`` or ``Fraction``
+    ``bound``: scale by the bound's denominator, then reduce."""
     q = bound.denominator
-    return _reduced({n: int(c) * q for n, c in coeffs.items()}, bound.numerator)
+    return _reduced({n: c * q for n, c in coeffs.items()}, bound.numerator)
 
 
 def _store(memo: dict, key: tuple, value) -> None:
@@ -519,7 +518,8 @@ def _solve_system(
 
 def refine_literal(lit: Literal, atom: LinearAtom):
     """Literal -> ('ineq', Row) | ('eq', (coeffs, b)) | ('diseq', (coeffs, b)),
-    with the atom's ``Fraction`` coefficients and bound."""
+    with the atom's ``int`` coefficients and its bound, an ``int`` when
+    integral, else a ``Fraction``."""
     coeffs = atom.coeff_map()
     bound = atom.bound
     rel = atom.relation

@@ -21,18 +21,19 @@ declarations, and a declaration cannot change a symbol already converted, so
 equal text gives an equal value.  The first occurrence does all the term
 interning and atom registration, so term ids and atom order do not depend on
 the memo.  Call sites share memoized values: no code may mutate a returned
-linear form, whose coefficients stay :class:`~fractions.Fraction`.
+linear form.  A linear form's coefficients and constant are exact rationals:
+``int``s, and a :class:`~fractions.Fraction` only for a value that division
+or a decimal literal made non-integral.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .atoms import AtomTable
-from .terms import Term, TermBank, normalize_linear
+from .terms import Rational, Term, TermBank, normalize_linear, quotient
 
 
 class ParseError(Exception):
@@ -127,7 +128,7 @@ class _AtomError(Exception):
 
 # A real-valued expression is a linear form, or a decision tree over linear
 # forms produced by lifting real-valued ite nodes.
-LinExpr = Tuple[Dict[str, Fraction], Fraction]
+LinExpr = Tuple[Dict[str, Rational], Rational]
 
 
 @dataclass
@@ -274,10 +275,10 @@ class _Converter:
         if s == "false":
             return ("bool", self.bank.const(False))
         if _is_numeral(s):
-            return ("real", ({}, Fraction(int(s))))
+            return ("real", ({}, int(s)))
         if _is_decimal(s):
             a, _, b = s.partition(".")
-            return ("real", ({}, Fraction(int(a + b), 10 ** len(b))))
+            return ("real", ({}, quotient(int(a + b), 10 ** len(b))))
         name = s[1:-1] if s.startswith("|") and s.endswith("|") else s
         if name in env:
             return env[name]
@@ -287,7 +288,7 @@ class _Converter:
             self.table.register(atom)
             return ("bool", atom)
         if sort == "Real":
-            return ("real", ({name: Fraction(1)}, Fraction(0)))
+            return ("real", ({name: 1}, 0))
         raise _AtomError(s, f"undeclared symbol '{name}'")
 
     def _bool(self, node: Node, env: Dict[str, tuple]) -> Term:
@@ -361,7 +362,7 @@ class _Converter:
             if y[1] == 0:
                 raise ParseError("division by zero", *self.pos(node))
             k = y[1]
-            return {n: c / k for n, c in x[0].items()}, x[1] / k
+            return {n: quotient(c, k) for n, c in x[0].items()}, quotient(x[1], k)
 
         return self._combine(a, b, div)
 

@@ -10,10 +10,20 @@ reorder or flatten children.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple, Union
+
+# An exact rational: an ``int`` when integral, else a ``Fraction``.  The two
+# compare and hash equal at equal values, so mixing them changes no result.
+Rational = Union[int, Fraction]
+
+
+def quotient(a: Rational, b: Rational) -> Rational:
+    """Exact ``a / b`` for a nonzero ``b``: an ``int`` when integral."""
+    num = a.numerator * b.denominator
+    den = a.denominator * b.numerator
+    return Fraction(num, den) if num % den else num // den
 
 
 class Relation(enum.Enum):
@@ -21,30 +31,35 @@ class Relation(enum.Enum):
     LT = "<"
     EQ = "="
 
+    # Identity hash, a C slot: ``Enum.__hash__`` hashes the name in Python,
+    # and every interned theory atom hashes its relation.
+    __hash__ = object.__hash__
+
 
 # Surface relations accepted by the normalizer; GE/GT are rewritten away.
 _FLIP = {">=": "<=", ">": "<"}
+_RELATIONS = {r.value: r for r in Relation}
 
 
-@dataclass(frozen=True)
-class LinearAtom:
+class LinearAtom(NamedTuple):
     """A normalized linear constraint ``sum(c_i * x_i) rel bound``.
 
-    Normal form: coefficients are coprime integers (as reduced Fractions with
-    denominator 1), the constant sits on the right-hand side, GE/GT have been
-    rewritten into LE/LT by negating both sides, and equalities are scaled so
-    the lexicographically smallest variable has a positive coefficient.
+    Normal form: coefficients are coprime ``int``s, the constant sits on the
+    right-hand side as a :data:`Rational` (an ``int`` when integral), GE/GT
+    have been rewritten into LE/LT by negating both sides, and equalities are
+    scaled so the lexicographically smallest variable has a positive
+    coefficient.  A named tuple, so that interning hashes it in C.
     """
 
-    coeffs: Tuple[Tuple[str, Fraction], ...]  # sorted by variable name, all nonzero
+    coeffs: Tuple[Tuple[str, int], ...]  # sorted by variable name, all nonzero
     relation: Relation
-    bound: Fraction
+    bound: Rational
 
     @property
     def variables(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.coeffs)
 
-    def coeff_map(self) -> Dict[str, Fraction]:
+    def coeff_map(self) -> Dict[str, int]:
         return dict(self.coeffs)
 
     def __str__(self) -> str:
@@ -58,38 +73,34 @@ class LinearAtom:
 
 
 def normalize_linear(
-    coeffs: Mapping[str, Fraction], op: str, bound: Fraction
+    coeffs: Mapping[str, Rational], op: str, bound: Rational
 ) -> Union[LinearAtom, bool]:
     """Canonicalize ``sum(coeffs) op bound`` with op in {<=,<,>=,>,=}.
 
-    Returns a :class:`LinearAtom`, or a plain bool when every coefficient
-    cancels (e.g. ``x < x`` folds to False).
+    Coefficients and bound are ``int``s or ``Fraction``s, read through their
+    ``numerator`` and ``denominator``.  Returns a :class:`LinearAtom`, or a
+    plain bool when every coefficient cancels (e.g. ``x < x`` folds to False).
     """
-    items = {name: Fraction(c) for name, c in coeffs.items() if c != 0}
-    bound = Fraction(bound)
+    items = {name: c for name, c in coeffs.items() if c}
     if op in _FLIP:
         items = {name: -c for name, c in items.items()}
         bound = -bound
         op = _FLIP[op]
     if not items:
-        zero = Fraction(0)
         if op == "<=":
-            return zero <= bound
+            return 0 <= bound
         if op == "<":
-            return zero < bound
-        return zero == bound
-    # Unique positive scale making the coefficients coprime integers.
-    denom_lcm = 1
-    for c in items.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    numer_gcd = 0
-    for c in items.values():
-        numer_gcd = gcd(numer_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    scale = Fraction(denom_lcm, numer_gcd)
-    if op == "=" and items[min(items)] < 0:
-        scale = -scale
-    normalized = tuple(sorted((name, c * scale) for name, c in items.items()))
-    return LinearAtom(normalized, Relation(op), bound * scale)
+            return 0 < bound
+        return bound == 0
+    # Unique scale denom / numer making the coefficients coprime integers,
+    # positive unless an equality's smallest variable would turn negative.
+    denom = lcm(*[c.denominator for c in items.values()])
+    scaled = {name: c.numerator * (denom // c.denominator) for name, c in items.items()}
+    numer = gcd(*scaled.values())
+    if op == "=" and scaled[min(scaled)] < 0:
+        numer = -numer
+    normalized = tuple(sorted((name, c // numer) for name, c in scaled.items()))
+    return LinearAtom(normalized, _RELATIONS[op], quotient(bound * denom, numer))
 
 
 class TermKind(enum.Enum):
@@ -103,6 +114,9 @@ class TermKind(enum.Enum):
     IMPLIES = "implies"
     IFF = "iff"
     ITE = "ite"
+
+    # Identity hash, as for :class:`Relation`: every interning hashes a kind.
+    __hash__ = object.__hash__
 
 
 class Term:
@@ -144,7 +158,7 @@ class TermBank:
     def intern(self, kind: TermKind, args: Tuple[Term, ...], payload) -> Term:
         """The unique node of ``kind`` over ``args`` with ``payload``, built
         as given: the connectives below simplify, this does not."""
-        key = (kind, payload, tuple(a.id for a in args))
+        key = (kind, payload, tuple([a.id for a in args]))
         hit = self._table.get(key)
         if hit is not None:
             return hit
@@ -231,14 +245,13 @@ class TermBank:
 # -- SMT-LIB serialization helpers ---------------------------------------
 
 
-def fraction_sexpr(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        n = q.numerator
+def fraction_sexpr(q: Rational) -> str:
+    n, d = q.numerator, q.denominator
+    if d == 1:
         return str(n) if n >= 0 else f"(- {-n})"
-    if q >= 0:
-        return f"(/ {q.numerator} {q.denominator})"
-    return f"(- (/ {-q.numerator} {q.denominator}))"
+    if n >= 0:
+        return f"(/ {n} {d})"
+    return f"(- (/ {-n} {d}))"
 
 
 def linear_atom_sexpr(atom: LinearAtom) -> str:

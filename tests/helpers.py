@@ -19,11 +19,13 @@ import random
 import shlex
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set
 
 from tlemma import strategies
 from tlemma.atoms import AtomTable, Literal
 from tlemma.cnf import CnfProblem
+from tlemma.enumeration import Assignment
 from tlemma.oracle import (
     BuiltinOracle,
     OracleError,
@@ -115,8 +117,58 @@ def evaluate_atom(atom: LinearAtom, model: Mapping[str, Fraction]) -> bool:
     return lhs == atom.bound
 
 
+def reference_normalize_linear(coeffs: Mapping[str, Fraction], op: str, bound: Fraction):
+    """The ``Fraction``-only normalizer that ``terms.normalize_linear``'s
+    integer path replaced: every value is wrapped in ``Fraction`` and scaled
+    through ``Fraction`` arithmetic."""
+    items = {name: Fraction(c) for name, c in coeffs.items() if c != 0}
+    bound = Fraction(bound)
+    if op in (">=", ">"):
+        items = {name: -c for name, c in items.items()}
+        bound = -bound
+        op = {">=": "<=", ">": "<"}[op]
+    if not items:
+        zero = Fraction(0)
+        if op == "<=":
+            return zero <= bound
+        if op == "<":
+            return zero < bound
+        return zero == bound
+    denom_lcm = 1
+    for c in items.values():
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    numer_gcd = 0
+    for c in items.values():
+        numer_gcd = gcd(numer_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
+    scale = Fraction(denom_lcm, numer_gcd)
+    if op == "=" and items[min(items)] < 0:
+        scale = -scale
+    normalized = tuple(sorted((name, c * scale) for name, c in items.items()))
+    return LinearAtom(normalized, Relation(op), bound * scale)
+
+
+def assert_exact_types(atom: LinearAtom) -> None:
+    """No float anywhere: ``int`` coefficients, and a bound that is an
+    ``int`` when integral, else a ``Fraction``."""
+    assert all(type(c) is int for _, c in atom.coeffs)
+    assert type(atom.bound) is (int if atom.bound.denominator == 1 else Fraction)
+
+
 def L(i: int, polarity: bool = True) -> Literal:
     return Literal(i, polarity)
+
+
+def assignment_of(literals: Iterable[Literal], scope: Iterable[int]) -> Assignment:
+    """An :class:`Assignment`, validated: no literal outside the scope and no
+    two literals of opposite polarity on one atom."""
+    literals, scope = frozenset(literals), frozenset(scope)
+    by_atom: Dict[int, bool] = {}
+    for lit in literals:
+        if lit.atom_index not in scope:
+            raise ValueError(f"literal {lit} outside scope")
+        if by_atom.setdefault(lit.atom_index, lit.polarity) != lit.polarity:
+            raise ValueError(f"conflicting polarities for atom {lit.atom_index}")
+    return Assignment(literals, scope)
 
 
 def direct_eval(term: Term, values: Dict[int, bool], table: Optional[AtomTable] = None) -> bool:

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import L, random_problem
+from helpers import L, assignment_of, random_problem
 from tlemma import enumeration
 from tlemma.atoms import AtomTable
-from tlemma.enumeration import Assignment, enumerate_cubes, projected_allsmt
+from tlemma.enumeration import enumerate_cubes, projected_allsmt
 from tlemma.generator import clausal_instance, product_instance
 from tlemma.oracle import BuiltinOracle, OracleError
 from tlemma.partition import partition_atoms
@@ -45,7 +45,7 @@ class TestTotalMode:
     def test_vacuous_enumeration(self):
         p = Problem.from_text("(assert true)")
         out = run(p)
-        assert out.assignments == [Assignment.of([], [])]
+        assert out.assignments == [assignment_of([], [])]
         assert out.lemmas == []
 
     def test_propositionally_unsat(self):
@@ -252,7 +252,7 @@ class TestProjection:
     def test_empty_projection_single_empty_cube(self):
         p = Problem.from_text("(declare-const b Bool)(assert b)")
         out = run(p, proj=[])
-        assert out.assignments == [Assignment.of([], [])]
+        assert out.assignments == [assignment_of([], [])]
         assert out.stats.n_theory_checks == 0
 
     def test_projection_must_be_within_atoms(self, two_vals):
@@ -263,9 +263,9 @@ class TestProjection:
 class TestHelpers:
     def test_assignment_validation(self):
         with pytest.raises(ValueError):
-            Assignment.of([L(0), L(0, False)], [0])
+            assignment_of([L(0), L(0, False)], [0])
         with pytest.raises(ValueError):
-            Assignment.of([L(3)], [0, 1])
+            assignment_of([L(3)], [0, 1])
 
 
 def _golden_problems():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import iter_dag, symbols_of
+from helpers import assert_exact_types, iter_dag, symbols_of
 from tlemma.atoms import AtomKind
 from tlemma.generator import (
     clausal_instance,
@@ -92,11 +92,20 @@ class TestBasics:
 class TestArithmetic:
     def test_rational_constants(self):
         term, table = parse("(declare-const x Real)(assert (<= x (/ 1 3)))")
-        assert table.linear_atom(0).bound == Fraction(1, 3)
+        atom = table.linear_atom(0)
+        assert atom.bound == Fraction(1, 3)
+        assert_exact_types(atom)
 
     def test_decimals(self):
-        term, table = parse("(declare-const x Real)(assert (<= x 2.5))")
-        assert table.linear_atom(0).bound == Fraction(5, 2)
+        term, table = parse(
+            "(declare-const x Real)(assert (<= x 2.5))(assert (<= (* 0.5 x) 1.5))"
+        )
+        atom = table.linear_atom(0)
+        assert atom.bound == Fraction(5, 2)
+        assert_exact_types(atom)
+        halved = table.linear_atom(1)
+        assert halved.coeff_map() == {"x": 1} and halved.bound == 3
+        assert_exact_types(halved)
 
     def test_negation_and_subtraction(self):
         term, table = parse(
@@ -105,6 +114,7 @@ class TestArithmetic:
         atom = table.linear_atom(0)
         assert atom.coeff_map() == {"x": Fraction(1), "y": Fraction(-1)}
         assert atom.bound == Fraction(-1)
+        assert_exact_types(atom)
 
     def test_trivial_atom_folds_to_constant(self):
         term, table = parse("(declare-const x Real)(assert (< x x))")
@@ -217,12 +227,14 @@ class TestStandardForms:
         atom = table.linear_atom(0)
         assert atom.coeff_map() == {"x": Fraction(3), "y": Fraction(-1)}
         assert atom.bound == 0
+        assert_exact_types(atom)
 
     def test_division_associates_to_the_left(self):
         term, table = parse(f"{XY}(assert (<= (/ x 2 3) (/ 12 2 3)))")
         atom = table.linear_atom(0)
         assert atom.coeff_map() == {"x": Fraction(1)}
         assert atom.bound == Fraction(12)  # x/6 <= 2, not 12/(2/3) = 18
+        assert_exact_types(atom)
 
     def test_named_annotation_reads_as_its_term(self):
         named = snapshot(f"{XY}(assert (! (or (< x 1) (! (> y 2) :named b)) :named a))")

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import evaluate_atom
+from helpers import assert_exact_types, evaluate_atom, reference_normalize_linear
 from tlemma.terms import (
     Relation,
     TermBank,
@@ -90,6 +90,51 @@ class TestNormalization:
         for _ in range(5):
             point = {n: Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for n in coeffs}
             assert evaluate_atom(atom, point) == evaluate_raw(coeffs, op, bound, point)
+
+
+# Integers and fractions, among them decimal-style ones (denominators 10^k)
+# and integral fractions such as 4/2.
+RATIONALS = st.one_of(
+    st.integers(-30, 30),
+    st.builds(
+        Fraction,
+        st.integers(-300, 300),
+        st.sampled_from([1, 2, 3, 4, 6, 7, 10, 100, 1000]),
+    ),
+)
+
+
+@st.composite
+def linear_forms(draw):
+    """A coefficient map summed from terms as the parser sums them; the first
+    ``k`` terms are added again negated, so some coefficients cancel."""
+    names = st.sampled_from(["a", "x", "y", "z"])
+    terms = draw(st.lists(st.tuples(names, RATIONALS), max_size=5))
+    k = draw(st.integers(0, len(terms)))
+    coeffs = {}
+    for name, c in terms + [(name, -c) for name, c in terms[:k]]:
+        coeffs[name] = coeffs.get(name, 0) + c
+    return coeffs
+
+
+class TestIntegerNormalizer:
+    @given(linear_forms(), st.sampled_from(["<=", "<", ">=", ">", "="]), RATIONALS)
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    def test_matches_fraction_reference(self, coeffs, op, bound):
+        atom = normalize_linear(coeffs, op, bound)
+        expected = reference_normalize_linear(coeffs, op, bound)
+        if isinstance(expected, bool):
+            assert atom is expected
+            return
+        assert atom == expected
+        assert_exact_types(atom)
+
+    def test_int_and_fraction_inputs_intern_alike(self):
+        bank = TermBank()
+        a = normalize_linear({"x": 2, "y": -4}, "<=", 6)
+        b = normalize_linear({"x": Fraction(1, 3), "y": Fraction(-2, 3)}, "<=", Fraction(1))
+        assert type(a.bound) is type(b.bound) is int
+        assert bank.theory_atom(a) is bank.theory_atom(b)
 
 
 class TestBank:

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import L, brute_force_check, direct_eval, random_problem, truth_models
-from tlemma.enumeration import Assignment
+from helpers import L, assignment_of, brute_force_check, direct_eval, random_problem, truth_models
 from tlemma.generator import clausal_instance, random_instance
 from tlemma.oracle import BuiltinOracle, OracleError, TLemma
 from tlemma.problem import Problem
@@ -126,7 +125,7 @@ class TestClassify:
 class TestRulesOut:
     def rho(self, *lits):
         idx = {l.atom_index for l in lits}
-        return Assignment.of(lits, idx)
+        return assignment_of(lits, idx)
 
     def test_single_lemma_rules_out_conflict(self):
         lemmas = [TLemma.of([L(0, False), L(1, False)])]
